@@ -60,6 +60,7 @@ from .covariance import (
     pooled_covariance,
     ridge_covariance,
     shrink_covariance,
+    spectral_shrinkage,
 )
 from .regmeans import (
     MeanRegularizer,
@@ -113,6 +114,7 @@ __all__ = [
     "pooled_covariance",
     "ridge_covariance",
     "shrink_covariance",
+    "spectral_shrinkage",
     "MeanRegularizer",
     "RegularizedMeans",
     "hard_threshold_scalar",

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["NotPositiveDefiniteError", "cholesky_lower", "solve_lower", "solve_spd", "ensure_symmetric"]
+__all__ = [
+    "NotPositiveDefiniteError",
+    "cholesky_lower",
+    "ensure_symmetric",
+    "solve_cholesky",
+    "solve_lower",
+    "solve_spd",
+]
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -40,8 +47,11 @@ def solve_lower(l_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(l_factor, b, lower=True, check_finite=False)
 
 
+def solve_cholesky(l_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L L^T x = b`` by a forward and a back substitution."""
+    return scipy.linalg.cho_solve((l_factor, True), b, check_finite=False)
+
+
 def solve_spd(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve ``a x = b`` for SPD ``a`` through its Cholesky factorization."""
-    l_factor = cholesky_lower(a, name)
-    w = solve_lower(l_factor, b)
-    return scipy.linalg.solve_triangular(l_factor, w, lower=True, trans="T", check_finite=False)
+    return solve_cholesky(cholesky_lower(a, name), b)

@@ -9,6 +9,7 @@ seed produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -183,23 +184,26 @@ def _cmd_fit(args) -> int:
 # ------------------------------------------------------------------ predict
 
 
+def _csv_header(path) -> list[str]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [h.strip() for h in next(csv.reader(fh), [])]
+
+
 def _cmd_predict(args) -> int:
     model, config = load_model(args.model)
     label_column = args.label or config.get("label_column")
     truth = None
-    try:
-        data = load_csv(args.data, label_column) if label_column else None
-    except ValueError:
-        data = None
-    if data is not None:
+    if label_column and label_column in _csv_header(args.data):
+        data = load_csv(args.data, label_column, min_groups=1)
         values = data.values
-        if tuple(data.group_names) == tuple(model.group_names):
-            truth = data.labels
+        # Accuracy is reported only when every query label names a model group.
+        if set(data.group_names) <= set(model.group_names):
+            truth = np.array([model.group_names.index(name) for name in data.group_names])[data.labels]
     else:
         values, _ = load_matrix_csv(args.data)
+    if values.shape[1] != model.p:
+        raise ValueError(f"query has {values.shape[1]} variables, model expects {model.p}")
     if isinstance(model, RldaModel):
-        if values.shape[1] != model.p:
-            raise ValueError(f"query has {values.shape[1]} variables, model expects {model.p}")
         labels = classify(model, values)
     else:
         delta = float(config.get("delta", 0.0))

@@ -16,11 +16,12 @@ inversions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_lower
-from .datamodel import GroupedDataset, GroupMeans
+from .datamodel import GroupedDataset, GroupMeans, group_means
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -31,6 +32,7 @@ __all__ = [
     "pooled_covariance",
     "ridge_covariance",
     "shrink_covariance",
+    "spectral_shrinkage",
 ]
 
 WITHIN_GROUP = "within-group"
@@ -93,6 +95,11 @@ class ShrinkageTarget:
             if self.matrix.shape != (p, p):
                 raise ValueError(f"custom target is {self.matrix.shape}, expected ({p}, {p})")
             return np.array(self.matrix)
+        sigma2, theta2 = self._equal_correlation_params(p, default_sigma2)
+        return sigma2 * np.eye(p) + theta2 * (np.ones((p, p)) - np.eye(p))
+
+    def _equal_correlation_params(self, p: int, default_sigma2: float | None) -> tuple[float, float]:
+        """``(sigma2, theta2)`` of an equal-correlation target, checked positive definite."""
         sigma2 = self.sigma2 if self.sigma2 is not None else default_sigma2
         if sigma2 is None:
             raise ValueError("equal-correlation target needs sigma2 or a data-derived default")
@@ -102,7 +109,7 @@ class ShrinkageTarget:
             raise ValueError(
                 f"equal-correlation target not positive definite (sigma2={sigma2}, theta2={theta2}, p={p})"
             )
-        return sigma2 * np.eye(p) + theta2 * (np.ones((p, p)) - np.eye(p))
+        return sigma2, theta2
 
     def describe(self) -> dict:
         doc = {"kind": self.kind}
@@ -163,17 +170,20 @@ def pooled_covariance(data: GroupedDataset, means: GroupMeans, convention: str =
         If the within-group form has fewer than ``K + 1`` observations.
     """
     if convention == WITHIN_GROUP:
-        dof = data.n - data.n_groups
-        if dof < 1:
-            raise ValueError(
-                f"within-group pooled covariance needs n >= K + 1 (n={data.n}, K={data.n_groups})"
-            )
-        resid = data.values - means.per_group[data.labels]
+        resid, dof = _within_group_residuals(data, means)
         return resid.T @ resid / dof
     if convention == GRAM_POOLED_MEAN:
         centered = data.values - means.pooled
         return centered.T @ centered
     raise ValueError(f"unknown pooled-covariance convention {convention!r}")
+
+
+def _within_group_residuals(data: GroupedDataset, means: GroupMeans) -> tuple[np.ndarray, int]:
+    """Group-mean-centered rows and their degrees of freedom ``n - K``."""
+    dof = data.n - data.n_groups
+    if dof < 1:
+        raise ValueError(f"within-group pooled covariance needs n >= K + 1 (n={data.n}, K={data.n_groups})")
+    return data.values - means.per_group[data.labels], dof
 
 
 def _factor_with_jitter(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -213,6 +223,77 @@ def shrink_covariance(
     return RegularizedCovariance(matrix=matrix, lam=lam, factor=factor, rule="target-shrink", s_convention=s_convention)
 
 
+def spectral_shrinkage(
+    data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
+) -> Callable[[float], Callable[[np.ndarray], np.ndarray] | None]:
+    """Inverses of ``(1 - lam) S + lam T`` for every ``lam`` from one thin SVD.
+
+    ``S`` is the within-group pooled covariance of ``data``, which has rank
+    at most ``n - K``; this kernel is for the case ``n - K < p``, where ``S``
+    is singular. With ``R / sqrt(n - K) = U diag(s) V^T`` and
+    ``M = (1 - lam) S + c I``,
+
+        M^-1 = V diag(1 / ((1 - lam) s^2 + c)) V^T + (I - V V^T) / c ,
+
+    so applying ``M^-1`` to a ``p x k`` block costs ``O(p n k)`` and no
+    ``p x p`` matrix is ever formed. The identity target has ``c = lam``.
+    The equal-correlation target ``(sigma2 - theta2) I + theta2 11^T`` has
+    ``c = lam (sigma2 - theta2)`` and adds the rank-one term
+    ``lam theta2 11^T``, applied by Sherman-Morrison; its default
+    ``sigma2`` is ``mean(diag S) = sum(s^2) / p``, as in
+    :func:`shrink_covariance`.
+
+    Returns a function of ``lam`` giving a function that applies ``M^-1``
+    to a ``p x k`` block, or ``None`` at ``lam = 0``, where ``M = S`` is
+    singular.
+
+    Raises
+    ------
+    ValueError
+        For a custom target, for ``n - K >= p``, or for an
+        equal-correlation target that is not positive definite.
+    """
+    if target.kind == "custom":
+        raise ValueError("the spectral kernel supports the identity and equal-correlation targets")
+    resid, dof = _within_group_residuals(data, means)
+    p = data.p
+    if dof >= p:
+        raise ValueError(f"the spectral kernel needs n - K < p (n - K={dof}, p={p}); use shrink_covariance")
+    _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
+    eig = sv * sv
+    if target.kind == "identity":
+        spread, theta2 = 1.0, 0.0
+    else:
+        sigma2, theta2 = target._equal_correlation_params(p, float(np.sum(eig) / p))
+        spread = sigma2 - theta2
+        ones_proj = np.sum(vt, axis=1)  # V^T 1
+
+    def inverse(lam: float) -> Callable[[np.ndarray], np.ndarray] | None:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError("lam must lie in [0, 1]")
+        if lam == 0.0:
+            return None
+        c = lam * spread
+        scaled = (1.0 - lam) * eig
+        # diag(1 / (scaled + c)) - I / c, written without cancellation.
+        in_span = -scaled / (c * (scaled + c))
+
+        def base_solve(b: np.ndarray) -> np.ndarray:
+            return vt.T @ (in_span[:, None] * (vt @ b)) + b / c
+
+        if theta2 == 0.0:
+            return base_solve
+        u = vt.T @ (in_span * ones_proj) + 1.0 / c  # (base kernel)^-1 1
+        weight = lam * theta2 / (1.0 + lam * theta2 * np.sum(u))
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            return base_solve(b) - np.outer(u, weight * (u @ b))
+
+        return solve
+
+    return inverse
+
+
 def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None) -> RegularizedCovariance:
     """The ridge form ``lam S + (1 - lam) I`` (roles of ``lam`` reversed).
 
@@ -246,10 +327,7 @@ def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:
         raise ValueError("lw_lambda supports the identity and equal-correlation targets")
     if data.n < 2:
         raise ValueError("lw_lambda needs at least 2 observations")
-    means_per_group = np.empty((data.n_groups, data.p))
-    for g in range(data.n_groups):
-        means_per_group[g] = data.values[data.labels == g].mean(axis=0)
-    resid = data.values - means_per_group[data.labels]
+    resid = data.values - group_means(data).per_group[data.labels]
     n = data.n
     dof = n - data.n_groups
     if dof < 1:

@@ -257,11 +257,13 @@ def simulate(config: SimulationConfig) -> GroupedDataset:
     return GroupedDataset(values=values, labels=labels, group_names=("x", "y"))
 
 
-def load_csv(path, label_column: str) -> GroupedDataset:
+def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
     """Load a grouped dataset from a headered, comma-separated UTF-8 file.
 
     Every column except ``label_column`` must be numeric and finite. Label
     strings are mapped to group indices in order of first appearance.
+    Fitting needs ``min_groups=2``; a labeled batch of queries may hold a
+    single group.
 
     Raises
     ------
@@ -269,7 +271,7 @@ def load_csv(path, label_column: str) -> GroupedDataset:
         If the file does not exist.
     ValueError
         On a missing or non-numeric cell (reporting row and column), a
-        missing label column, or fewer than 2 groups.
+        missing label column, or fewer than ``min_groups`` groups.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -315,8 +317,8 @@ def load_csv(path, label_column: str) -> GroupedDataset:
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    if len(names) < 2:
-        raise ValueError(f"{path}: fewer than 2 groups (found {len(names)})")
+    if len(names) < min_groups:
+        raise ValueError(f"{path}: fewer than {min_groups} groups (found {len(names)})")
     return GroupedDataset(values=np.array(rows), labels=np.array(labels), group_names=tuple(names))
 
 

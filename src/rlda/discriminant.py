@@ -251,6 +251,10 @@ class SvdRidgeModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @property
+    def p(self) -> int:
+        return self.right_vectors.shape[0]
+
 
 def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdRidgeModel:
     """Factorize the pooled-mean-centered data matrix for ridge classification.

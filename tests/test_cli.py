@@ -91,6 +91,32 @@ class TestPipeline:
         assert "accuracy" not in doc
         assert doc["predictions"] == ["low", "high"]
 
+    def test_predict_on_single_group_batch(self, tmp_path):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.3",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        low = tmp_path / "low.csv"
+        low.write_text("\n".join([lines[0]] + [ln for ln in lines[1:] if ln.endswith(",low")]) + "\n",
+                       encoding="utf-8")
+        pred = tmp_path / "pred.json"
+        assert run(["predict", "--model", model, "--data", low, "--out", pred]) == 0
+        doc = read_json(pred)
+        assert doc["n"] == len(lines[1:]) // 2
+        assert set(doc["predictions"]) == {"low"}
+        assert doc["accuracy"] == 1.0
+
+    def test_predict_maps_query_groups_by_name(self, tmp_path):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.3",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        flipped = tmp_path / "flipped.csv"
+        flipped.write_text("\n".join([lines[0]] + lines[:0:-1]) + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.json"
+        assert run(["predict", "--model", model, "--data", flipped, "--out", pred]) == 0
+        assert read_json(pred)["accuracy"] == 1.0
+
 
 class TestExperimentCommand:
     def test_small_experiment_report(self, tmp_path):
@@ -175,6 +201,27 @@ class TestErrors:
         code = run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd",
                     "--lambda", "cv", "--model", tmp_path / "m.json"])
         assert code == 1
+
+    @pytest.mark.parametrize("algorithm", ["chol", "svd"])
+    def test_predict_checks_query_width(self, tmp_path, capsys, algorithm):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", algorithm,
+                    "--lambda", "0.5", "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("m1,m2\n0,0\n8,-8\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", narrow]) == 1
+        assert "query has 2 variables, model expects 3" in capsys.readouterr().err
+
+    def test_predict_reports_bad_cell_of_labeled_query(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.3",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("m1,m2,m3,cohort\n0,0,0,low\n8,x,8,high\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", bad]) == 1
+        assert "row 3, column 'm2': non-numeric cell 'x'" in capsys.readouterr().err
 
     def test_conflicting_label_column(self, tmp_path):
         assert run(["cv", "--data", FIXTURE, "--label", "wrong"]) == 1

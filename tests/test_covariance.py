@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
+
+from rlda._linalg import solve_spd
 
 from rlda.covariance import (
     GRAM_POOLED_MEAN,
@@ -13,6 +16,7 @@ from rlda.covariance import (
     pooled_covariance,
     ridge_covariance,
     shrink_covariance,
+    spectral_shrinkage,
 )
 from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate
 
@@ -198,6 +202,93 @@ class TestLwLambda:
         d = GroupedDataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b"))
         with pytest.raises(ValueError):
             lw_lambda(d, ShrinkageTarget.identity())
+
+    @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.1)])
+    def test_bit_identical_to_explicit_group_loop(self, target):
+        # Reference: the estimator with its group means accumulated group by group.
+        d = simulate(SimulationConfig(n=30, m=25, p=40, sigma=1.0, c=0.3, shift=np.full(40, 0.5), seed=17))
+        means = np.empty((d.n_groups, d.p))
+        for g in range(d.n_groups):
+            means[g] = d.values[d.labels == g].mean(axis=0)
+        resid = d.values - means[d.labels]
+        n, dof = d.n, d.n - d.n_groups
+        scatter = resid.T @ resid
+        s = scatter / dof
+        sq = resid * resid
+        wbar = scatter / n
+        var_s = (n / ((n - 1.0) * dof * dof)) * (sq.T @ sq - n * wbar * wbar)
+        t = target.materialize(d.p, default_sigma2=float(np.mean(np.diag(s))))
+        expected = float(np.clip(np.sum(var_s) / float(np.sum((s - t) ** 2)), 0.0, 1.0))
+        assert 0.0 < expected < 1.0
+        assert lw_lambda(d, target) == expected
+
+
+def rank_deficient_dataset(seed: int, counts, p: int, duplicated: int) -> GroupedDataset:
+    """Grouped rows with n - K < p whose last ``duplicated`` columns copy earlier ones."""
+    rng = np.random.default_rng(seed)
+    d = random_grouped(rng, counts, p=p - duplicated, spread=1.0)
+    values = np.hstack([d.values, d.values[:, :duplicated]]) if duplicated else d.values
+    return GroupedDataset(values, d.labels, d.group_names)
+
+
+class TestSpectralShrinkage:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        extra=st.integers(1, 15),
+        duplicated=st.integers(0, 4),
+        lam=st.floats(1e-3, 1.0),
+        theta2=st.one_of(st.none(), st.floats(-0.02, 0.6)),
+    )
+    def test_matches_dense_solve(self, seed, counts, extra, duplicated, lam, theta2):
+        p = sum(counts) - len(counts) + extra + duplicated
+        d = rank_deficient_dataset(seed, counts, p, duplicated)
+        target = ShrinkageTarget.identity() if theta2 is None else ShrinkageTarget.equal_correlation(theta2)
+        means = group_means(d)
+        s = pooled_covariance(d, means, WITHIN_GROUP)
+        try:
+            matrix = shrink_covariance(s, target, lam).matrix
+        except ValueError:  # target not positive definite at this variance scale
+            assume(False)
+        b = np.random.default_rng(seed).standard_normal((p, 3))
+        expected = solve_spd(matrix, b)
+        got = spectral_shrinkage(d, means, target)(lam)(b)
+        eig = np.linalg.eigvalsh(matrix)
+        tol = 1e-11 * eig[-1] / eig[0] * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= tol
+
+    @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.2)])
+    def test_lambda_zero_is_singular(self, rng, target):
+        d = random_grouped(rng, (4, 5), p=12)
+        assert spectral_shrinkage(d, group_means(d), target)(0.0) is None
+
+    def test_lambda_one_applies_target_inverse(self, rng):
+        d = random_grouped(rng, (4, 5), p=12)
+        target = ShrinkageTarget.equal_correlation(0.3, sigma2=2.0)
+        b = rng.standard_normal((12, 2))
+        got = spectral_shrinkage(d, group_means(d), target)(1.0)(b)
+        assert_allclose(got, np.linalg.solve(target.materialize(12), b), rtol=1e-12, atol=1e-12)
+
+    def test_rejects_unsupported_inputs(self, rng):
+        d = random_grouped(rng, (4, 5), p=12)
+        means = group_means(d)
+        with pytest.raises(ValueError, match="identity and equal-correlation"):
+            spectral_shrinkage(d, means, ShrinkageTarget.custom(np.eye(12)))
+        tall = random_grouped(rng, (8, 8), p=5)
+        with pytest.raises(ValueError, match="n - K < p"):
+            spectral_shrinkage(tall, group_means(tall), ShrinkageTarget.identity())
+        with pytest.raises(ValueError, match="lam must lie"):
+            spectral_shrinkage(d, means, ShrinkageTarget.identity())(1.5)
+
+    def test_non_positive_definite_target_raises_like_materialize(self, rng):
+        d = random_grouped(rng, (4, 5), p=12)
+        target = ShrinkageTarget.equal_correlation(theta2=3.0, sigma2=2.0)
+        with pytest.raises(ValueError) as from_target:
+            target.materialize(12)
+        with pytest.raises(ValueError) as from_kernel:
+            spectral_shrinkage(d, group_means(d), target)
+        assert str(from_kernel.value) == str(from_target.value)
 
 
 class TestMahalanobis:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -8,6 +10,9 @@ from rlda.discriminant import classify, fit
 from rlda.regmeans import MeanRegularizer
 from rlda.selection import (
     CvConfig,
+    _dense_kernel,
+    _evaluate_cells,
+    _grid_accuracies,
     cross_validate,
     default_delta_grid,
     default_lambda_grid,
@@ -15,6 +20,8 @@ from rlda.selection import (
     render_experiment_text,
     run_simulated_experiment,
 )
+
+from rlda.datamodel import SimulationConfig, simulate, sparse_shift
 
 from conftest import random_grouped
 
@@ -213,3 +220,81 @@ class TestExperiment:
         lines = text.splitlines()
         assert len(lines) == 12  # header + rule + 10 rows
         assert "accuracy" in lines[0]
+
+
+def dense_cells(data, target, fold_sets, lambda_grid, kind_grids):
+    """The cell table through one Cholesky factorization per (fold, intensity)."""
+    return _grid_accuracies(data, fold_sets, lambda_grid, kind_grids, lambda train, means: _dense_kernel(train, means, target))
+
+
+def paper_design(seed: int, p: int):
+    config = SimulationConfig(n=50, m=50, p=p, sigma=1.0, c=0.4, shift=sparse_shift(p, 5, 3.0), seed=seed)
+    data = simulate(config)
+    kind_grids = {kind: default_delta_grid(kind, data) for kind in ("none", "l2", "l1", "hard")}
+    return data, make_folds(data, 5, seed), kind_grids
+
+
+TARGETS = [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(theta2=0.15)]
+
+
+class TestSpectralRoute:
+    """The n < p spectral route must reproduce the dense Cholesky cell tables exactly."""
+
+    def assert_tables_equal(self, data, fold_sets, kind_grids):
+        for target in TARGETS:
+            spectral = _evaluate_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
+            dense = dense_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
+            for kind in kind_grids:
+                assert np.array_equal(spectral[kind], dense[kind], equal_nan=True), (target.kind, kind)
+                assert np.isnan(spectral[kind][:, 0]).all()  # lambda = 0: singular S
+                assert not np.isnan(spectral[kind][:, 1:]).any()
+
+    def test_paper_configuration(self):
+        self.assert_tables_equal(*paper_design(seed=1, p=1000))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reduced_dimension(self, seed):
+        self.assert_tables_equal(*paper_design(seed=seed, p=150))
+
+    def test_three_groups(self, rng):
+        data = random_grouped(rng, (9, 12, 10), p=40, spread=0.4)
+        fold_sets = make_folds(data, 3, seed=6)
+        self.assert_tables_equal(data, fold_sets, {"none": (0.0,), "l2": (0.0, 0.5), "l1": (0.1, 0.6)})
+
+    def test_lambda_zero_skips_rank_check(self, rng, monkeypatch):
+        def no_rank(*args, **kwargs):
+            raise AssertionError("matrix_rank must not run on the spectral route")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+        data = random_grouped(rng, (8, 8), p=30, spread=1.5)
+        for target in TARGETS:
+            acc = _evaluate_cells(data, target, make_folds(data, 4, seed=3), (0.0, 0.5), {"none": (0.0,)})["none"]
+            assert np.isnan(acc[:, 0]).all()
+            assert not np.isnan(acc[:, 1]).any()
+
+    def test_non_positive_definite_target_fails_alike(self, rng):
+        data = random_grouped(rng, (8, 8), p=30, spread=1.5)
+        fold_sets = make_folds(data, 4, seed=3)
+        target = ShrinkageTarget.equal_correlation(theta2=50.0)
+        pattern = r"equal-correlation target not positive definite \(sigma2=(\S+), theta2=50.0, p=30\)"
+        errors = []
+        for evaluate in (_evaluate_cells, dense_cells):
+            with pytest.raises(ValueError) as err:
+                evaluate(data, target, fold_sets, (0.5,), {"none": (0.0,)})
+            errors.append(err.value)
+        assert type(errors[0]) is type(errors[1])
+        # The default variance scale may differ in its last bits between the routes.
+        sigmas = [float(re.fullmatch(pattern, str(e)).group(1)) for e in errors]
+        assert sigmas[0] == pytest.approx(sigmas[1], rel=1e-12)
+
+    def test_full_rank_folds_keep_dense_route(self, rng, monkeypatch):
+        import rlda.selection as selection
+
+        def no_spectral(*args, **kwargs):
+            raise AssertionError("the spectral kernel must not run when n - K >= p")
+
+        monkeypatch.setattr(selection, "spectral_shrinkage", no_spectral)
+        data = random_grouped(rng, (30, 30), p=6, spread=1.0)
+        fold_sets = make_folds(data, 3, seed=2)
+        acc = _evaluate_cells(data, TARGETS[1], fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
+        assert not np.isnan(acc).any()
