@@ -48,8 +48,8 @@ def solve_lower(l_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_cholesky(l_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L L^T x = b`` by a forward and a back substitution."""
-    return scipy.linalg.cho_solve((l_factor, True), b, check_finite=False)
+    """Solve ``L L^T x = b`` by a forward and a back substitution (``cho_solve`` would copy a row-major ``L``)."""
+    return scipy.linalg.solve_triangular(l_factor, solve_lower(l_factor, b), lower=True, trans="T", check_finite=False)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_lower
+from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_cholesky
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -191,13 +190,8 @@ def posterior_mean_general(xbar, n: int, sigma, prior: GaussianPrior) -> Posteri
     scaled = sigma / n
     a = eta + scaled
     l_factor = cholesky_lower(a, "posterior precision kernel")
-
-    def a_solve(b):
-        w = solve_lower(l_factor, b)
-        return scipy.linalg.solve_triangular(l_factor, w, lower=True, trans="T", check_finite=False)
-
-    mean = theta + eta @ a_solve(xbar - theta)
-    delta = a_solve(scaled).T  # Delta = (Sigma/n) A^-1, both factors symmetric
+    mean = theta + eta @ solve_cholesky(l_factor, xbar - theta)
+    delta = solve_cholesky(l_factor, scaled).T  # Delta = (Sigma/n) A^-1, both factors symmetric
     return PosteriorSummary(mean=mean, shrinkage_weight=delta)
 
 

@@ -8,9 +8,11 @@ regularized value so they cannot be mixed accidentally:
 - ``"gram-pooled-mean"``: the unnormalized Gram matrix of pooled-mean-
   centered rows; the kernel of the SVD ridge classifier.
 
-The regularized matrix is always carried together with its lower Cholesky
-factor, so downstream quadratic forms are triangular solves rather than
-inversions.
+The dense regularized matrix is carried together with its lower Cholesky
+factor, so downstream solves and quadratic forms never invert anything.
+When ``S`` has low rank its inverse blend is applied instead from a thin
+SVD, through the one low-rank solver :func:`_low_rank_solver`, which also
+serves the SVD ridge classifier.
 """
 
 from __future__ import annotations
@@ -223,6 +225,27 @@ def shrink_covariance(
     return RegularizedCovariance(matrix=matrix, lam=lam, factor=factor, rule="target-shrink", s_convention=s_convention)
 
 
+def _low_rank_solver(vt: np.ndarray, in_span: np.ndarray, inv_c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``b -> V diag(in_span) V^T b + inv_c b`` on ``p x k`` blocks.
+
+    ``vt`` holds the orthonormal rows ``V^T``. Applying the map costs
+    ``O(p r k)`` for ``r`` rows, and no ``p x p`` matrix is formed.
+    """
+    weights = in_span[:, None]
+    return lambda b: vt.T @ (weights * (vt @ b)) + inv_c * b
+
+
+def _shrunk_inverse(vt: np.ndarray, scaled: np.ndarray, c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of ``M = V diag(scaled) V^T + c I`` for orthonormal rows ``vt = V^T``:
+
+        M^-1 = V diag(1 / (scaled + c)) V^T + (I - V V^T) / c ,
+
+    with the in-span weights ``1 / (scaled + c) - 1 / c`` written without
+    cancellation.
+    """
+    return _low_rank_solver(vt, -scaled / (c * (scaled + c)), 1.0 / c)
+
+
 def spectral_shrinkage(
     data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
 ) -> Callable[[float], Callable[[np.ndarray], np.ndarray] | None]:
@@ -230,13 +253,10 @@ def spectral_shrinkage(
 
     ``S`` is the within-group pooled covariance of ``data``, which has rank
     at most ``n - K``; this kernel is for the case ``n - K < p``, where ``S``
-    is singular. With ``R / sqrt(n - K) = U diag(s) V^T`` and
-    ``M = (1 - lam) S + c I``,
-
-        M^-1 = V diag(1 / ((1 - lam) s^2 + c)) V^T + (I - V V^T) / c ,
-
-    so applying ``M^-1`` to a ``p x k`` block costs ``O(p n k)`` and no
-    ``p x p`` matrix is ever formed. The identity target has ``c = lam``.
+    is singular. With ``R / sqrt(n - K) = U diag(s) V^T``, the blend
+    ``M = (1 - lam) S + c I = V diag((1 - lam) s^2) V^T + c I`` is inverted
+    by :func:`_shrunk_inverse`, so applying ``M^-1`` to a ``p x k`` block
+    costs ``O(p n k)``. The identity target has ``c = lam``.
     The equal-correlation target ``(sigma2 - theta2) I + theta2 11^T`` has
     ``c = lam (sigma2 - theta2)`` and adds the rank-one term
     ``lam theta2 11^T``, applied by Sherman-Morrison; its default
@@ -266,24 +286,16 @@ def spectral_shrinkage(
     else:
         sigma2, theta2 = target._equal_correlation_params(p, float(np.sum(eig) / p))
         spread = sigma2 - theta2
-        ones_proj = np.sum(vt, axis=1)  # V^T 1
 
     def inverse(lam: float) -> Callable[[np.ndarray], np.ndarray] | None:
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         if lam == 0.0:
             return None
-        c = lam * spread
-        scaled = (1.0 - lam) * eig
-        # diag(1 / (scaled + c)) - I / c, written without cancellation.
-        in_span = -scaled / (c * (scaled + c))
-
-        def base_solve(b: np.ndarray) -> np.ndarray:
-            return vt.T @ (in_span[:, None] * (vt @ b)) + b / c
-
+        base_solve = _shrunk_inverse(vt, (1.0 - lam) * eig, lam * spread)
         if theta2 == 0.0:
             return base_solve
-        u = vt.T @ (in_span * ones_proj) + 1.0 / c  # (base kernel)^-1 1
+        u = base_solve(np.ones((p, 1)))[:, 0]  # (base kernel)^-1 1
         weight = lam * theta2 / (1.0 + lam * theta2 * np.sum(u))
 
         def solve(b: np.ndarray) -> np.ndarray:

@@ -2,32 +2,36 @@
 
 The discriminant score of group ``k`` at a query point ``z`` is
 
-    score_k(z) = m_k^T Sred^-1 z - 0.5 m_k^T Sred^-1 m_k + log pi_k,
+    score_k(z) = m_k^T M^-1 z - 0.5 m_k^T M^-1 m_k + log pi_k,
 
-with ``m_k`` the (possibly regularized) group mean and ``Sred`` the
-regularized pooled covariance. Adding the class-independent
-``-0.5 z^T Sred^-1 z`` shows that maximizing the score is the same as
-minimizing ``0.5 ||L^-1 (m_k - z)||^2 - log pi_k`` where ``L`` is the lower
-Cholesky factor of ``Sred``; both classification routines below therefore
-run on triangular solves only.
+with ``m_k`` the (possibly regularized) group mean and ``M`` the
+regularized kernel. Adding the class-independent ``-0.5 z^T M^-1 z``
+shows that maximizing the score is the same as minimizing
+``0.5 (m_k - z)^T M^-1 (m_k - z) - log pi_k``. Every classifier here, and
+the cross-validation grid, scores through :func:`_scores`, given a solver
+that applies ``M^-1``; the routes differ in the solver alone.
 
 Two fitting kernels are provided: a Cholesky route for a general shrinkage
 target, and an SVD route for the ridge form that factorizes the centered
 ``n x p`` data matrix instead of the ``p x p`` covariance, which pays off
-when ``n < p``.
+when ``n < p``; its solver is the low-rank inverse of the spectral
+cross-validation kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._linalg import solve_lower
+from ._linalg import solve_cholesky
 from .covariance import (
     WITHIN_GROUP,
     RegularizedCovariance,
     ShrinkageTarget,
+    _low_rank_solver,
+    _shrunk_inverse,
     pooled_covariance,
     shrink_covariance,
 )
@@ -159,26 +163,38 @@ def _as_query_matrix(z) -> tuple[np.ndarray, bool]:
     raise ValueError("query must be a p-vector or an (m, p) matrix")
 
 
+def _scores(solve, means_t: np.ndarray, queries: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
+    """``Z a - 0.5 sum(m^T * a) + log pi`` with ``a = solve(m^T)``: scores of every column of ``m^T``.
+
+    ``means_t`` is the ``p x K`` block of group means, ``queries`` the
+    ``m x p`` block ``Z``; returns the ``m x K`` scores.
+    """
+    a = solve(means_t)
+    return queries @ a - 0.5 * np.sum(means_t * a, axis=0) + log_priors
+
+
+def _best(scores: np.ndarray, single: bool):
+    """Highest-scoring group per query; ties go to the smallest index."""
+    labels = np.argmax(scores, axis=1)
+    return int(labels[0]) if single else labels
+
+
 def discriminant_scores(model: RldaModel, z) -> np.ndarray:
     """Scores of every group at ``z`` (a p-vector, or a matrix of queries).
 
     Returns a ``(K,)`` vector for a single query, ``(m, K)`` for a batch.
-    Evaluated through triangular solves against the stored factor.
+    Evaluated through forward and back substitution against the stored factor.
     """
     queries, single = _as_query_matrix(z)
-    l_factor = model.cov.factor
-    a = solve_lower(l_factor, model.reg_means.per_group.T)  # p x K
-    w = solve_lower(l_factor, queries.T)  # p x m
-    scores = w.T @ a - 0.5 * np.sum(a * a, axis=0) + np.log(model.priors)
+    solve = partial(solve_cholesky, model.cov.factor)
+    scores = _scores(solve, model.reg_means.per_group.T, queries, np.log(model.priors))
     return scores[0] if single else scores
 
 
 def classify(model: RldaModel, z):
     """Group index (0-based) with the highest score; ties go to the smallest index."""
-    scores = discriminant_scores(model, z)
-    if scores.ndim == 1:
-        return int(np.argmax(scores))
-    return np.argmax(scores, axis=1)
+    queries, single = _as_query_matrix(z)
+    return _best(discriminant_scores(model, queries), single)
 
 
 def classify_alg1(
@@ -192,27 +208,19 @@ def classify_alg1(
 ):
     """One-shot Cholesky classification with pooled-mean-blended group means.
 
-    Builds ``Sred = (1 - lam) S + lam T``, factorizes it, forms the columns
-    ``L^-1 ((1 - delta) mean_k + delta pooled - z)``, and assigns to the
-    group minimizing ``0.5 ||column||^2 - log pi_k`` (equivalent to the
-    score maximizer). ``s_convention`` selects the scaling of ``S``.
+    Builds ``Sred = (1 - lam) S + lam T``, factorizes it, and assigns ``z``
+    to the highest score of the blended means
+    ``(1 - delta) mean_k + delta pooled`` (the ``l2`` mean rule), which is
+    the group minimizing ``0.5 (m_k - z)^T Sred^-1 (m_k - z) - log pi_k``.
+    ``s_convention`` selects the scaling of ``S``.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
     means = group_means(data)
+    blended = regularize_means(means, MeanRegularizer("l2", delta)).per_group
     s = pooled_covariance(data, means, s_convention)
-    cov = shrink_covariance(s, target, lam, s_convention=s_convention)
+    solve = partial(solve_cholesky, shrink_covariance(s, target, lam, s_convention=s_convention).factor)
     priors = resolve_priors(priors_spec, data.group_counts)
-    blended = (1.0 - delta) * means.per_group + delta * means.pooled
     queries, single = _as_query_matrix(z)
-
-    a = solve_lower(cov.factor, blended.T)  # p x K
-    w = solve_lower(cov.factor, queries.T)  # p x m
-    # 0.5 ||a_k - w||^2 - log pi_k, expanded to avoid forming K x m x p blocks
-    sq = 0.5 * (np.sum(a * a, axis=0)[None, :] - 2.0 * w.T @ a + np.sum(w * w, axis=0)[:, None])
-    objective = sq - np.log(priors)[None, :]
-    labels = np.argmin(objective, axis=1)
-    return int(labels[0]) if single else labels
+    return _best(_scores(solve, blended.T, queries, np.log(priors)), single)
 
 
 @dataclass(frozen=True)
@@ -284,6 +292,20 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
     )
 
 
+def _ridge_solver(model: SvdRidgeModel):
+    """Solver of the model's kernel from its factorization, for ``p x k`` blocks.
+
+    Exact mode inverts ``lam Xc^T Xc + (1 - lam) I``; ``"paper-literal"``
+    swaps the in-span weights for ``1 / (lam colvar_j + 1 - lam)`` and
+    drops the residual term.
+    """
+    vt = model.right_vectors.T
+    lam = model.lam
+    if model.mode == "exact":
+        return _shrunk_inverse(vt, lam * model.singular_values**2, 1.0 - lam)
+    return _low_rank_solver(vt, 1.0 / (lam * model.column_variances[: vt.shape[0]] + 1.0 - lam), 0.0)
+
+
 def svd_ridge_sq_distances(model: SvdRidgeModel, delta: float, z) -> np.ndarray:
     """Squared kernel distances from ``z`` to every blended group mean.
 
@@ -291,43 +313,17 @@ def svd_ridge_sq_distances(model: SvdRidgeModel, delta: float, z) -> np.ndarray:
     ``d = (1 - delta) mean_k + delta pooled - z``. Returns ``(K,)`` for a
     single query, ``(m, K)`` for a batch.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    means = model.means
-    blended = (1.0 - delta) * means.per_group + delta * means.pooled  # K x p
+    blended = regularize_means(model.means, MeanRegularizer("l2", delta)).per_group
     queries, single = _as_query_matrix(z)
-    k = blended.shape[0]
-    m = queries.shape[0]
-    lam = model.lam
-
-    # d[i, k, :] = blended[k] - queries[i]; work with projections instead.
-    proj_means = blended @ model.right_vectors  # K x n
-    proj_queries = queries @ model.right_vectors  # m x n
-    if model.mode == "exact":
-        weights = lam * model.singular_values**2 + (1.0 - lam)
-        diff = proj_means[None, :, :] - proj_queries[:, None, :]  # m x K x n
-        in_span = np.sum(diff * diff / weights, axis=2)
-        norm_sq = (
-            np.sum(blended * blended, axis=1)[None, :]
-            - 2.0 * queries @ blended.T
-            + np.sum(queries * queries, axis=1)[:, None]
-        )
-        residual = np.maximum(norm_sq - np.sum(diff * diff, axis=2), 0.0)
-        dist = in_span + residual / (1.0 - lam)
-    else:
-        n_dir = model.right_vectors.shape[1]
-        weights = lam * model.column_variances[:n_dir] + (1.0 - lam)
-        diff = proj_means[None, :, :] - proj_queries[:, None, :]
-        dist = np.sum(diff * diff / weights, axis=2)
-    return dist[0] if single else dist.reshape(m, k)
+    solve = _ridge_solver(model)
+    diffs = (row - queries for row in blended)  # d = m_k - z, one group at a time
+    dist = np.column_stack([np.sum(d * solve(d.T).T, axis=1) for d in diffs])
+    return dist[0] if single else dist
 
 
 def classify_alg2(model: SvdRidgeModel, delta: float, priors_spec, z):
-    """Assign ``z`` to the group minimizing ``0.5 dist_k - log pi_k``."""
-    counts = model.means.counts
-    priors = resolve_priors(priors_spec, counts)
-    dist = svd_ridge_sq_distances(model, delta, z)
-    objective = 0.5 * dist - np.log(priors)
-    if objective.ndim == 1:
-        return int(np.argmin(objective))
-    return np.argmin(objective, axis=1)
+    """Assign ``z`` to the group minimizing ``0.5 dist_k - log pi_k`` (the highest score)."""
+    priors = resolve_priors(priors_spec, model.means.counts)
+    queries, single = _as_query_matrix(z)
+    blended = regularize_means(model.means, MeanRegularizer("l2", delta)).per_group
+    return _best(_scores(_ridge_solver(model), blended.T, queries, np.log(priors)), single)

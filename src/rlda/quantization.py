@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import cholesky_lower, ensure_symmetric, solve_lower
+from ._linalg import cholesky_lower, ensure_symmetric, solve_cholesky
 from .bayes import GaussianPrior, PosteriorSummary, posterior_mean_conjugate_scalar, posterior_mean_general
 
 __all__ = [
@@ -25,6 +24,9 @@ __all__ = [
     "posterior_xi_fixed_mu",
     "posterior_xi_random_mu",
 ]
+
+# Observation values drawn per block in demo_quantization (4 MB of float64).
+_NOISE_BLOCK_VALUES = 2**19
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,8 @@ def demo_quantization(
     Each replication draws a fresh rounding offset ``tau`` (and, in the
     random-center form, a fresh center), simulates ``n`` observations, and
     estimates ``xi`` both by the sample mean and by the posterior mean.
+    Observations are drawn in blocks of replications, so memory is
+    ``O(replications p + n p)`` rather than ``O(replications n p)``.
     ``fit_delta2`` overrides the rounding variance assumed by the posterior
     (the data are still generated with ``scenario.delta2``), which makes it
     possible to study deliberately flat or misspecified priors.
@@ -149,8 +153,11 @@ def demo_quantization(
         psi_factor = cholesky_lower(scenario.psi, "psi")
         centers = scenario.theta + rng.standard_normal((replications, p)) @ psi_factor.T
     xi = centers + tau
-    noise = sigma * rng.standard_normal((replications, n, p))
-    xbar = xi + noise.mean(axis=1)
+    # Block by block, the normal stream and hence every sample mean is the
+    # same as from one reps x n x p draw, so seeded results do not change.
+    block = max(1, _NOISE_BLOCK_VALUES // (n * p))
+    sizes = [min(block, replications - start) for start in range(0, replications, block)]
+    xbar = xi + np.concatenate([(sigma * rng.standard_normal((size, n, p))).mean(axis=1) for size in sizes])
 
     if scenario.has_fixed_center:
         if used_delta2 <= 0:
@@ -161,9 +168,7 @@ def demo_quantization(
         # Shared kernel across replications: factor once, apply to all rows.
         prior_cov = scenario.psi + used_delta2 * np.eye(p)
         kernel = prior_cov + (scenario.sigma2 / n) * np.eye(p)
-        l_factor = cholesky_lower(kernel, "posterior kernel")
-        w = solve_lower(l_factor, (xbar - scenario.theta).T)
-        gain = scipy.linalg.solve_triangular(l_factor, w, lower=True, trans="T", check_finite=False)
+        gain = solve_cholesky(cholesky_lower(kernel, "posterior kernel"), (xbar - scenario.theta).T)
         posterior = scenario.theta + (prior_cov @ gain).T
 
     mse_naive = float(np.mean(np.sum((xbar - xi) ** 2, axis=1)))

@@ -29,8 +29,8 @@ from .covariance import (
     shrink_covariance,
     spectral_shrinkage,
 )
-from .datamodel import GroupedDataset, SimulationConfig, group_means, simulate, sparse_shift
-from .discriminant import fit
+from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
+from .discriminant import _scores
 from .regmeans import MeanRegularizer, regularize_means
 
 __all__ = [
@@ -156,12 +156,6 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 
-def _regularized_rows(means, kind: str, delta: float) -> np.ndarray:
-    if kind == "none":
-        return means.per_group
-    return regularize_means(means, MeanRegularizer(kind, delta)).per_group
-
-
 def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
     """Per-intensity solver through a Cholesky factor of the shrunk covariance.
 
@@ -216,7 +210,7 @@ def _grid_accuracies(
 
     For each fold the mean rows of every (rule, delta) cell are stacked into
     one ``p x (cells K)`` block ``m^T``; each intensity solves ``a = M^-1 m^T``
-    once and scores all cells as ``Z a - 0.5 sum(m^T * a) + log pi``.
+    once and scores all cells with :func:`~rlda.discriminant._scores`.
     """
     out = {kind: np.full((len(fold_sets), len(lambda_grid), len(grid)), np.nan) for kind, grid in kind_grids.items()}
     cells = [(kind, di, delta) for kind, grid in kind_grids.items() for di, delta in enumerate(grid)]
@@ -226,25 +220,32 @@ def _grid_accuracies(
         means = group_means(train)
         inverse = kernel(train, means)
         k = train.n_groups
-        m_t = np.concatenate([_regularized_rows(means, kind, delta) for kind, _, delta in cells]).T  # p x (cells K)
-        log_priors = np.log(train.group_counts / train.n)
+        m_t = np.concatenate(
+            [regularize_means(means, MeanRegularizer(kind, delta)).per_group for kind, _, delta in cells]
+        ).T  # p x (cells K)
+        log_priors = np.tile(np.log(train.group_counts / train.n), len(cells))
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
         for li, lam in enumerate(lambda_grid):
             solve = inverse(lam)
             if solve is None:
                 continue
-            a = solve(m_t)
-            scores = test_values @ a - 0.5 * np.sum(m_t * a, axis=0)
-            scores = scores.reshape(len(test_idx), len(cells), k) + log_priors
+            scores = _scores(solve, m_t, test_values, log_priors).reshape(len(test_idx), len(cells), k)
             acc = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
             for (kind, di, _), value in zip(cells, acc):
                 out[kind][f, li, di] = value
     return out
 
 
-def _select_cell(acc: np.ndarray, lambda_grid, delta_grid) -> tuple[int, int]:
-    """Best mean-accuracy cell; ties resolve toward larger lambda, then delta."""
+def _selected(
+    acc: np.ndarray, lambda_grid, delta_grid, kind: str, means: GroupMeans
+) -> tuple[float, float | None, np.ndarray, int]:
+    """The best mean-accuracy cell: lambda, delta, fold accuracies, active variables.
+
+    Ties resolve toward larger lambda, then delta. The active-variable count
+    is that of the mean rule at the selected delta applied to the full-data
+    group ``means``; delta is ``None`` for plain means.
+    """
     mean_acc = acc.mean(axis=0)  # NaN when any fold failed
     best = None
     for li in range(len(lambda_grid)):
@@ -256,7 +257,10 @@ def _select_cell(acc: np.ndarray, lambda_grid, delta_grid) -> tuple[int, int]:
                 best = (value, li, di)
     if best is None:
         raise NotPositiveDefiniteError("no feasible grid cell: every intensity failed to factorize")
-    return best[1], best[2]
+    _, li, di = best
+    n_active = regularize_means(means, MeanRegularizer(kind, delta_grid[di])).n_active
+    delta = None if kind == "none" else float(delta_grid[di])
+    return float(lambda_grid[li]), delta, acc[:, li, di], n_active
 
 
 def _cell_table(acc: np.ndarray, lambda_grid, delta_grid, kind: str) -> tuple:
@@ -283,32 +287,24 @@ def cross_validate(
     mean_reg_kind: str,
     cv: CvConfig,
 ) -> CvResult:
-    """Grid-search (lambda, delta) by k-fold accuracy and refit on all data.
+    """Grid-search (lambda, delta) by k-fold accuracy.
 
     For every grid cell the classifier is fitted on each training fold and
     scored on the held-out fold; the cell with the best mean accuracy wins
     (ties prefer the stronger regularization). The selected-variable count
-    comes from a refit on the full dataset at the winning cell.
+    is that of the winning mean rule on the full dataset's group means.
     """
     fold_sets = make_folds(data, cv.folds, cv.seed, cv.stratified)
     lambda_grid = cv.lambda_grid or default_lambda_grid()
     delta_grid = cv.delta_grid or default_delta_grid(mean_reg_kind, data)
     acc = _evaluate_cells(data, target, fold_sets, lambda_grid, {mean_reg_kind: delta_grid})[mean_reg_kind]
-    li, di = _select_cell(acc, lambda_grid, delta_grid)
-    fold_acc = acc[:, li, di]
-    best_delta = None if mean_reg_kind == "none" else float(delta_grid[di])
-    model = fit(
-        data,
-        target,
-        float(lambda_grid[li]),
-        MeanRegularizer(mean_reg_kind, delta_grid[di]) if mean_reg_kind != "none" else None,
-    )
+    lam, delta, fold_acc, n_active = _selected(acc, lambda_grid, delta_grid, mean_reg_kind, group_means(data))
     return CvResult(
-        best_lambda=float(lambda_grid[li]),
-        best_delta=best_delta,
+        best_lambda=lam,
+        best_delta=delta,
         accuracy_mean=float(fold_acc.mean()),
         accuracy_sd=float(fold_acc.std(ddof=1)),
-        n_selected_variables=model.reg_means.n_active,
+        n_selected_variables=n_active,
         table=_cell_table(acc, lambda_grid, delta_grid, mean_reg_kind),
     )
 
@@ -370,6 +366,7 @@ def run_simulated_experiment(
     }
     reg_kinds = ("none", "l2", "l1", "hard")
     kind_grids = {kind: default_delta_grid(kind, data) for kind in reg_kinds}
+    means = group_means(data)
 
     # One evaluation pass per target covers the CV rows of all mean rules.
     cv_acc = {name: _evaluate_cells(data, target, fold_sets, lambda_grid, kind_grids) for name, target in targets.items()}
@@ -382,39 +379,20 @@ def run_simulated_experiment(
     rows = []
     for target_name, kind, selection in _EXPERIMENT_ROWS:
         if selection == "lw":
-            lam_hat, fold_acc = lw_rows[target_name]
-            rows.append(
-                {
-                    "target": target_name,
-                    "mean_reg": kind,
-                    "selection": "lw",
-                    "lambda": float(lam_hat),
-                    "delta": None,
-                    "accuracy": float(fold_acc.mean()),
-                    "sd": float(fold_acc.std(ddof=1)),
-                    "n_variables": int(p),
-                }
-            )
-            continue
-        acc = cv_acc[target_name][kind]
-        delta_grid = kind_grids[kind]
-        li, di = _select_cell(acc, lambda_grid, delta_grid)
-        fold_acc = acc[:, li, di]
-        if kind in ("l1", "hard"):
-            model = fit(data, targets[target_name], float(lambda_grid[li]), MeanRegularizer(kind, delta_grid[di]))
-            n_vars = model.reg_means.n_active
+            lam, fold_acc = lw_rows[target_name]
+            delta, n_vars = None, int(p)
         else:
-            n_vars = int(p)
+            lam, delta, fold_acc, n_vars = _selected(cv_acc[target_name][kind], lambda_grid, kind_grids[kind], kind, means)
         rows.append(
             {
                 "target": target_name,
                 "mean_reg": kind,
-                "selection": "cv",
-                "lambda": float(lambda_grid[li]),
-                "delta": None if kind == "none" else float(delta_grid[di]),
+                "selection": selection,
+                "lambda": float(lam),
+                "delta": delta,
                 "accuracy": float(fold_acc.mean()),
                 "sd": float(fold_acc.std(ddof=1)),
-                "n_variables": int(n_vars),
+                "n_variables": n_vars,
             }
         )
 

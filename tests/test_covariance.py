@@ -227,7 +227,9 @@ def rank_deficient_dataset(seed: int, counts, p: int, duplicated: int) -> Groupe
     """Grouped rows with n - K < p whose last ``duplicated`` columns copy earlier ones."""
     rng = np.random.default_rng(seed)
     d = random_grouped(rng, counts, p=p - duplicated, spread=1.0)
-    values = np.hstack([d.values, d.values[:, :duplicated]]) if duplicated else d.values
+    # Cycle through the base columns so the result has p columns even when
+    # more columns are duplicated than there are base columns.
+    values = np.hstack([d.values, d.values[:, np.arange(duplicated) % d.p]])
     return GroupedDataset(values, d.labels, d.group_names)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rlda.covariance import (
@@ -290,6 +291,48 @@ class TestAlg2:
             d_literal = svd_ridge_sq_distances(literal, 0.3, z)
             assert np.all(d_exact > 0)
             assert_allclose(d_literal, d_exact, rtol=0.10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(2, 8), min_size=2, max_size=4),
+        p_base=st.integers(1, 40),
+        duplicated=st.integers(0, 4),
+        lam=st.floats(0.0, 0.999),
+        delta=st.floats(0.0, 1.0),
+    )
+    def test_exact_mode_property_against_cholesky(self, seed, counts, p_base, duplicated, lam, delta):
+        # Random K in {2, 3, 4}, n < p and n > p, and duplicated columns that
+        # leave the Gram matrix singular even when n > p.
+        rng = np.random.default_rng(seed)
+        base = random_grouped(rng, counts, p=p_base, spread=1.0)
+        values = np.hstack([base.values, base.values[:, : min(duplicated, p_base)]])
+        data = GroupedDataset(values, base.labels, base.group_names)
+        p = data.p
+        queries = np.vstack([rng.standard_normal((4, p)), data.values[:3]])
+
+        means = group_means(data)
+        gram = pooled_covariance(data, means, GRAM_POOLED_MEAN)
+        cov = shrink_covariance(gram, ShrinkageTarget.identity(), 1.0 - lam, s_convention=GRAM_POOLED_MEAN)
+        blended = (1 - delta) * means.per_group + delta * means.pooled
+        expected = np.array([[mahalanobis_sq(cov, row - z) for row in blended] for z in queries])
+        model = fit_svd_ridge(data, lam)
+        got = svd_ridge_sq_distances(model, delta, queries)
+        eig = np.linalg.eigvalsh(cov.matrix)
+        scale = np.abs(expected).max() + max(mahalanobis_sq(cov, z) for z in queries)
+        tol = 1e-11 * eig[-1] / eig[0] * scale
+        assert np.abs(got - expected).max() <= tol
+
+        # Labels must agree wherever the best group wins by more than the tolerance.
+        objective = 0.5 * expected - np.log(data.group_counts / data.n)
+        ranked = np.sort(objective, axis=1)
+        clear = ranked[:, 1] - ranked[:, 0] > tol
+        lab_svd = classify_alg2(model, delta, "empirical", queries)
+        lab_chol = classify_alg1(
+            data, ShrinkageTarget.identity(), 1.0 - lam, delta, "empirical", queries, s_convention=GRAM_POOLED_MEAN
+        )
+        assert_array_equal(lab_svd[clear], np.argmin(objective, axis=1)[clear])
+        assert_array_equal(lab_svd[clear], lab_chol[clear])
 
     def test_model_validation(self, rng):
         data = random_grouped(rng, (5, 5), p=12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -146,3 +148,32 @@ class TestDemo:
         report = demo_quantization(scen, seed=2, replications=4000)
         assert report["mse_posterior"] < report["mse_naive"]
         assert report["scenario"]["center"] == "random"
+
+    def test_blocks_reproduce_one_draw(self, monkeypatch):
+        # Drawing the observations block by block leaves every seeded result unchanged.
+        import rlda.quantization as quantization
+
+        scenarios = [
+            fixed_scenario(sigma2=1.7, n=4, p=3),
+            QuantizationScenario(sigma2=0.6, delta2=0.5, n=4, p=3, theta=np.ones(3), psi=2.0 * np.eye(3)),
+        ]
+        whole = [demo_quantization(scen, seed=9, replications=51) for scen in scenarios]  # one block
+        monkeypatch.setattr(quantization, "_NOISE_BLOCK_VALUES", 25)  # two replications per block
+        assert [demo_quantization(scen, seed=9, replications=51) for scen in scenarios] == whole
+
+    @pytest.mark.parametrize("random_center", [False, True])
+    def test_memory_does_not_grow_with_n(self, random_center):
+        # 2000 replications of n=500 draws in p=50 take 400 MB as one
+        # reps x n x p block of observations.
+        p = 50
+        if random_center:
+            scen = QuantizationScenario(sigma2=1.0, delta2=0.5, n=500, p=p, theta=np.zeros(p), psi=np.eye(p))
+        else:
+            scen = fixed_scenario(n=500, p=p)
+        tracemalloc.start()
+        try:
+            demo_quantization(scen, seed=3, replications=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
