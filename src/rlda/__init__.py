@@ -55,11 +55,13 @@ from .covariance import (
     NotPositiveDefiniteError,
     RegularizedCovariance,
     ShrinkageTarget,
+    SpectralCovariance,
     lw_lambda,
     mahalanobis_sq,
     pooled_covariance,
     ridge_covariance,
     shrink_covariance,
+    spectral_covariance,
     spectral_shrinkage,
 )
 from .regmeans import (
@@ -109,11 +111,13 @@ __all__ = [
     "NotPositiveDefiniteError",
     "RegularizedCovariance",
     "ShrinkageTarget",
+    "SpectralCovariance",
     "lw_lambda",
     "mahalanobis_sq",
     "pooled_covariance",
     "ridge_covariance",
     "shrink_covariance",
+    "spectral_covariance",
     "spectral_shrinkage",
     "MeanRegularizer",
     "RegularizedMeans",

@@ -8,11 +8,14 @@ regularized value so they cannot be mixed accidentally:
 - ``"gram-pooled-mean"``: the unnormalized Gram matrix of pooled-mean-
   centered rows; the kernel of the SVD ridge classifier.
 
-The dense regularized matrix is carried together with its lower Cholesky
-factor, so downstream solves and quadratic forms never invert anything.
-When ``S`` has low rank its inverse blend is applied instead from a thin
-SVD, through the one low-rank solver :func:`_low_rank_solver`, which also
-serves the SVD ridge classifier.
+A shrunk covariance is one of two objects with the same ``lam``, ``p``,
+``matrix`` and ``solve``. :class:`RegularizedCovariance` carries the dense
+matrix with its lower Cholesky factor, so solves and quadratic forms never
+invert anything. When ``S`` has low rank (``n - K < p``) and the target is
+fixed, :class:`SpectralCovariance` keeps only the thin SVD of ``S`` and
+applies the inverse blend through the one low-rank solver
+:func:`_low_rank_solver`, which also serves the SVD ridge classifier; its
+dense matrix is built only when asked for.
 """
 
 from __future__ import annotations
@@ -22,18 +25,20 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_lower
+from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_cholesky, solve_lower
 from .datamodel import GroupedDataset, GroupMeans, group_means
 
 __all__ = [
     "NotPositiveDefiniteError",
     "RegularizedCovariance",
     "ShrinkageTarget",
+    "SpectralCovariance",
     "lw_lambda",
     "mahalanobis_sq",
     "pooled_covariance",
     "ridge_covariance",
     "shrink_covariance",
+    "spectral_covariance",
     "spectral_shrinkage",
 ]
 
@@ -152,6 +157,81 @@ class RegularizedCovariance:
     def p(self) -> int:
         return self.matrix.shape[0]
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``M^-1 b`` for a p-vector or a ``p x k`` block, by forward and back substitution."""
+        return solve_cholesky(self.factor, b)
+
+
+@dataclass(frozen=True)
+class SpectralCovariance:
+    """The target-shrunk ``M = (1 - lam) S + lam T`` from the thin SVD of a low-rank ``S``.
+
+    ``S = V diag(eig) V^T`` with orthonormal rows ``vt = V^T``; the fixed
+    target is ``T = spread I + theta2 11^T`` (the identity has
+    ``spread = 1``, ``theta2 = 0``). :meth:`solve` applies ``M^-1`` in
+    ``O(p r k)`` for ``r`` rows of ``vt`` and ``k`` columns, with
+    Sherman-Morrison for the rank-one ``lam theta2 11^T``; :attr:`matrix`
+    forms the dense ``M`` only when read.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        At ``lam = 0``, where ``M = S`` is singular.
+    """
+
+    vt: np.ndarray
+    eig: np.ndarray
+    spread: float
+    theta2: float
+    lam: float
+    rule = "target-shrink"
+    s_convention = WITHIN_GROUP
+
+    def __post_init__(self):
+        vt = np.ascontiguousarray(self.vt, dtype=float)
+        eig = np.asarray(self.eig, dtype=float)
+        if vt.ndim != 2 or eig.shape != (vt.shape[0],):
+            raise ValueError("eig must hold one value per row of vt")
+        if self.spread <= 0.0:
+            raise ValueError("spread must be positive")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError("lam must lie in [0, 1]")
+        if self.lam == 0.0:
+            raise NotPositiveDefiniteError(
+                f"shrunk covariance (lam=0.0) is not positive definite: S has rank at most n - K < p={vt.shape[1]}"
+            )
+        vt.setflags(write=False)
+        eig.setflags(write=False)
+        object.__setattr__(self, "vt", vt)
+        object.__setattr__(self, "eig", eig)
+        lam = self.lam
+        base_solve = _shrunk_inverse(vt, (1.0 - lam) * eig, lam * self.spread)
+        if self.theta2 == 0.0:
+            solve = base_solve
+        else:
+            u = base_solve(np.ones((self.p, 1)))[:, 0]  # (base kernel)^-1 1
+            weight = lam * self.theta2 / (1.0 + lam * self.theta2 * np.sum(u))
+
+            def solve(b: np.ndarray) -> np.ndarray:
+                return base_solve(b) - np.outer(u, weight * (u @ b))
+
+        object.__setattr__(self, "_solve", solve)
+
+    @property
+    def p(self) -> int:
+        return self.vt.shape[1]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``M^-1 b`` for a p-vector or a ``p x k`` block; no ``p x p`` matrix is formed."""
+        b = np.asarray(b, dtype=float)
+        return self._solve(b[:, None])[:, 0] if b.ndim == 1 else self._solve(b)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``(1 - lam) S + lam T``, built on every read (``O(p^2 r)``)."""
+        s = (self.vt.T * self.eig) @ self.vt
+        return (1.0 - self.lam) * s + self.lam * (self.spread * np.eye(self.p) + self.theta2)
+
 
 def pooled_covariance(data: GroupedDataset, means: GroupMeans, convention: str = WITHIN_GROUP) -> np.ndarray:
     """Pooled covariance of a grouped dataset under the named scaling.
@@ -246,10 +326,15 @@ def _shrunk_inverse(vt: np.ndarray, scaled: np.ndarray, c: float) -> Callable[[n
     return _low_rank_solver(vt, -scaled / (c * (scaled + c)), 1.0 / c)
 
 
-def spectral_shrinkage(
+def _uses_spectral_kernel(data: GroupedDataset, target: ShrinkageTarget) -> bool:
+    """The kernel rule shared by ``fit`` and the CV grid: a fixed target and ``n - K < p``."""
+    return target.kind != "custom" and data.n - data.n_groups < data.p
+
+
+def spectral_covariance(
     data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
-) -> Callable[[float], Callable[[np.ndarray], np.ndarray] | None]:
-    """Inverses of ``(1 - lam) S + lam T`` for every ``lam`` from one thin SVD.
+) -> Callable[[float], SpectralCovariance]:
+    """Every ``(1 - lam) S + lam T`` of ``data`` from one thin SVD, as a function of ``lam``.
 
     ``S`` is the within-group pooled covariance of ``data``, which has rank
     at most ``n - K``; this kernel is for the case ``n - K < p``, where ``S``
@@ -262,10 +347,6 @@ def spectral_shrinkage(
     ``lam theta2 11^T``, applied by Sherman-Morrison; its default
     ``sigma2`` is ``mean(diag S) = sum(s^2) / p``, as in
     :func:`shrink_covariance`.
-
-    Returns a function of ``lam`` giving a function that applies ``M^-1``
-    to a ``p x k`` block, or ``None`` at ``lam = 0``, where ``M = S`` is
-    singular.
 
     Raises
     ------
@@ -286,24 +367,26 @@ def spectral_shrinkage(
     else:
         sigma2, theta2 = target._equal_correlation_params(p, float(np.sum(eig) / p))
         spread = sigma2 - theta2
+    return lambda lam: SpectralCovariance(vt, eig, spread, theta2, lam)
 
-    def inverse(lam: float) -> Callable[[np.ndarray], np.ndarray] | None:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-        if lam == 0.0:
-            return None
-        base_solve = _shrunk_inverse(vt, (1.0 - lam) * eig, lam * spread)
-        if theta2 == 0.0:
-            return base_solve
-        u = base_solve(np.ones((p, 1)))[:, 0]  # (base kernel)^-1 1
-        weight = lam * theta2 / (1.0 + lam * theta2 * np.sum(u))
 
-        def solve(b: np.ndarray) -> np.ndarray:
-            return base_solve(b) - np.outer(u, weight * (u @ b))
+def spectral_shrinkage(
+    data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
+) -> Callable[[float], Callable[[np.ndarray], np.ndarray] | None]:
+    """Inverses of ``(1 - lam) S + lam T`` for every ``lam`` from one thin SVD.
 
-        return solve
+    The solvers of :func:`spectral_covariance`: returns a function of
+    ``lam`` giving a function that applies ``M^-1`` to a ``p x k`` block,
+    or ``None`` at ``lam = 0``, where ``M = S`` is singular.
 
-    return inverse
+    Raises
+    ------
+    ValueError
+        For a custom target, for ``n - K >= p``, or for an
+        equal-correlation target that is not positive definite.
+    """
+    covariance = spectral_covariance(data, means, target)
+    return lambda lam: None if lam == 0.0 else covariance(lam).solve
 
 
 def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None) -> RegularizedCovariance:
@@ -361,12 +444,15 @@ def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:
     return float(np.clip(np.sum(var_s) / denom, 0.0, 1.0))
 
 
-def mahalanobis_sq(cov: RegularizedCovariance, d) -> float:
-    """The quadratic form ``d^T M^-1 d`` via one triangular solve.
+def mahalanobis_sq(cov: RegularizedCovariance | SpectralCovariance, d) -> float:
+    """The quadratic form ``d^T M^-1 d``.
 
-    Solving ``L w = d`` against the lower factor gives
-    ``||w||^2 = d^T M^-1 d`` without inverting anything.
+    Against a Cholesky factor, solving ``L w = d`` gives
+    ``||w||^2 = d^T M^-1 d`` without inverting anything; a spectral
+    covariance applies its solver.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
+    if isinstance(cov, SpectralCovariance):
+        return float(d @ cov.solve(d))
     w = solve_lower(cov.factor, d)
     return float(w @ w)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,47 +284,40 @@ def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
         if label_column not in header:
             raise ValueError(f"{path}: label column {label_column!r} not found in header {header}")
         label_idx = header.index(label_column)
-        feature_cols = [i for i in range(len(header)) if i != label_idx]
-        if not feature_cols:
+        feature_names = header[:label_idx] + header[label_idx + 1 :]
+        if not feature_names:
             raise ValueError(f"{path}: no feature columns besides the label column")
 
-        rows: list[list[float]] = []
+        rows: list[list[str]] = []
         labels: list[int] = []
         name_to_idx: dict[str, int] = {}
         names: list[str] = []
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            name = row[label_idx].strip()
+            name = row.pop(label_idx).strip()
             if not name:
                 raise ValueError(f"{path}: row {row_num}, column {label_column!r}: empty label")
             if name not in name_to_idx:
                 name_to_idx[name] = len(names)
                 names.append(name)
             labels.append(name_to_idx[name])
-            parsed = []
-            for i in feature_cols:
-                cell = row[i].strip()
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_num}, column {header[i]!r}: non-numeric cell {cell!r}"
-                    ) from None
-                if not np.isfinite(val):
-                    raise ValueError(f"{path}: row {row_num}, column {header[i]!r}: non-finite value {cell!r}")
-                parsed.append(val)
-            rows.append(parsed)
+            rows.append(row)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    values = _numeric_matrix(path, feature_names, rows)
     if len(names) < min_groups:
         raise ValueError(f"{path}: fewer than {min_groups} groups (found {len(names)})")
-    return GroupedDataset(values=np.array(rows), labels=np.array(labels), group_names=tuple(names))
+    return GroupedDataset(values=values, labels=np.array(labels), group_names=tuple(names))
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Load an unlabeled numeric CSV as ``(matrix, column_names)``."""
+    """Load an unlabeled numeric CSV as ``(matrix, column_names)``.
+
+    Every cell must be numeric and finite; a bad cell is reported by row
+    and column, as in :func:`load_csv`.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -334,13 +328,34 @@ def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise ValueError(f"{path}: row {row_num}: non-numeric cell") from None
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows), header
+    return _numeric_matrix(path, header, rows), header
+
+
+def _numeric_matrix(path, names: list[str], rows: list[list[str]]) -> np.ndarray:
+    """The cells of the data rows (file rows 2, 3, ...) as one finite float matrix.
+
+    ``names`` labels the columns in error messages. Every cell is parsed and the matrix checked by one ``isfinite``; only a
+    failure scans the cells again, to name the first bad one.
+    """
+    try:
+        values = np.array([[float(cell) for cell in row] for row in rows])
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for row_num, row in enumerate(rows, start=2):
+        for name, cell in zip(names, row):
+            cell = cell.strip()
+            try:
+                finite = math.isfinite(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: row {row_num}, column {name!r}: non-numeric cell {cell!r}") from None
+            if not finite:
+                raise ValueError(f"{path}: row {row_num}, column {name!r}: non-finite value {cell!r}")
+    raise AssertionError("a cell failed the vectorized check but not the scan")
 
 
 def save_csv(data: GroupedDataset, path, label_column: str = "group") -> None:

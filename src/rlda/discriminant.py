@@ -11,29 +11,31 @@ shows that maximizing the score is the same as minimizing
 the cross-validation grid, scores through :func:`_scores`, given a solver
 that applies ``M^-1``; the routes differ in the solver alone.
 
-Two fitting kernels are provided: a Cholesky route for a general shrinkage
-target, and an SVD route for the ridge form that factorizes the centered
-``n x p`` data matrix instead of the ``p x p`` covariance, which pays off
-when ``n < p``; its solver is the low-rank inverse of the spectral
-cross-validation kernel.
+Two fitting routes are provided. The target-shrinkage route (``fit``)
+keeps the thin SVD of ``S`` when ``n - K < p`` and the target is fixed, as
+the cross-validation grid does, and a Cholesky factor of the dense blend
+otherwise (custom targets, full-rank ``S``). The SVD route for the ridge
+form factorizes the centered ``n x p`` data matrix instead of the
+``p x p`` covariance; its solver is the same low-rank inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._linalg import solve_cholesky
 from .covariance import (
     WITHIN_GROUP,
     RegularizedCovariance,
     ShrinkageTarget,
+    SpectralCovariance,
     _low_rank_solver,
     _shrunk_inverse,
+    _uses_spectral_kernel,
     pooled_covariance,
     shrink_covariance,
+    spectral_covariance,
 )
 from .datamodel import GroupedDataset, GroupMeans, group_means
 from .regmeans import MeanRegularizer, RegularizedMeans, regularize_means
@@ -80,11 +82,11 @@ def resolve_priors(spec, counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RldaModel:
-    """A fitted classifier: regularized means, covariance factor, priors."""
+    """A fitted classifier: regularized means, shrunk covariance, priors."""
 
     reg_means: RegularizedMeans
     pooled_mean: np.ndarray
-    cov: RegularizedCovariance
+    cov: RegularizedCovariance | SpectralCovariance
     priors: np.ndarray
     group_names: tuple[str, ...]
     config: dict
@@ -115,17 +117,20 @@ def fit(
     mean_reg: MeanRegularizer | None = None,
     priors_spec="empirical",
 ) -> RldaModel:
-    """Fit the Cholesky-kernel classifier.
+    """Fit the target-shrinkage classifier.
 
-    Computes group and pooled means, applies the mean regularizer, shrinks
-    the within-group pooled covariance toward ``target`` with intensity
-    ``lam``, and factorizes the blend.
+    Computes group and pooled means, applies the mean regularizer, and
+    shrinks the within-group pooled covariance toward ``target`` with
+    intensity ``lam``. When ``n - K < p`` and the target is fixed (identity
+    or equal-correlation), the covariance is a :class:`SpectralCovariance`
+    holding the thin SVD of ``S``, as in the cross-validation grid;
+    otherwise the dense blend is factorized.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If the blended covariance cannot be factorized (recoverable; try a
-        larger ``lam``).
+        If the blended covariance is not positive definite, for instance
+        ``lam = 0`` with singular ``S`` (recoverable; try a larger ``lam``).
     ValueError
         On fewer than two groups or invalid priors.
     """
@@ -134,8 +139,10 @@ def fit(
     mean_reg = mean_reg or MeanRegularizer.none()
     means = group_means(data)
     reg = regularize_means(means, mean_reg)
-    s = pooled_covariance(data, means, WITHIN_GROUP)
-    cov = shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP)
+    if _uses_spectral_kernel(data, target):
+        cov = spectral_covariance(data, means, target)(lam)
+    else:
+        cov = shrink_covariance(pooled_covariance(data, means, WITHIN_GROUP), target, lam, s_convention=WITHIN_GROUP)
     priors = resolve_priors(priors_spec, data.group_counts)
     config = {
         "target": target.describe(),
@@ -183,11 +190,10 @@ def discriminant_scores(model: RldaModel, z) -> np.ndarray:
     """Scores of every group at ``z`` (a p-vector, or a matrix of queries).
 
     Returns a ``(K,)`` vector for a single query, ``(m, K)`` for a batch.
-    Evaluated through forward and back substitution against the stored factor.
+    Evaluated through the model covariance's solver.
     """
     queries, single = _as_query_matrix(z)
-    solve = partial(solve_cholesky, model.cov.factor)
-    scores = _scores(solve, model.reg_means.per_group.T, queries, np.log(model.priors))
+    scores = _scores(model.cov.solve, model.reg_means.per_group.T, queries, np.log(model.priors))
     return scores[0] if single else scores
 
 
@@ -217,7 +223,7 @@ def classify_alg1(
     means = group_means(data)
     blended = regularize_means(means, MeanRegularizer("l2", delta)).per_group
     s = pooled_covariance(data, means, s_convention)
-    solve = partial(solve_cholesky, shrink_covariance(s, target, lam, s_convention=s_convention).factor)
+    solve = shrink_covariance(s, target, lam, s_convention=s_convention).solve
     priors = resolve_priors(priors_spec, data.group_counts)
     queries, single = _as_query_matrix(z)
     return _best(_scores(solve, blended.T, queries, np.log(priors)), single)

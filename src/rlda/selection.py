@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, solve_cholesky
+from ._linalg import NotPositiveDefiniteError
 from .covariance import (
     WITHIN_GROUP,
     ShrinkageTarget,
+    _uses_spectral_kernel,
     lw_lambda,
     pooled_covariance,
     shrink_covariance,
@@ -166,10 +167,9 @@ def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
 
     def inverse(lam: float):
         try:
-            factor = shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP).factor
+            return shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP).solve
         except NotPositiveDefiniteError:
             return None
-        return lambda b: solve_cholesky(factor, b)
 
     return inverse
 
@@ -192,7 +192,7 @@ def _evaluate_cells(
     """
 
     def kernel(train: GroupedDataset, means):
-        if target.kind != "custom" and train.n - train.n_groups < train.p:
+        if _uses_spectral_kernel(train, target):
             return spectral_shrinkage(train, means, target)
         return _dense_kernel(train, means, target)
 

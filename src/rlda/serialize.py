@@ -2,6 +2,18 @@
 
 Arrays travel as base64-encoded little-endian buffers with explicit dtype
 and shape, so documents are plain text yet byte-exact on round trip.
+
+Documents are written as schema version 2. A ``"chol"`` (target-shrinkage)
+model names its covariance kernel in ``"cov_kernel"``:
+
+- ``"spectral"``: the thin SVD of ``S`` (``vt``, ``eigenvalues``) and the
+  target's ``spread`` and ``theta2``, about ``n p`` numbers; written when
+  ``fit`` took the spectral route (``n - K < p``, fixed target).
+- ``"cholesky"``: the lower Cholesky ``factor`` of the dense ``p x p``
+  blend; written for custom targets and full-rank ``S``.
+
+``"svd"`` (ridge) documents are the same in both versions. Version 1
+documents, whose ``"chol"`` models always hold a ``factor``, still load.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .covariance import RegularizedCovariance
+from .covariance import RegularizedCovariance, SpectralCovariance
 from .datamodel import GroupMeans
 from .discriminant import RldaModel, SvdRidgeModel
 from .regmeans import RegularizedMeans
@@ -20,7 +32,8 @@ from .regmeans import RegularizedMeans
 __all__ = ["decode_array", "encode_array", "load_model", "model_to_dict", "save_model"]
 
 FORMAT = "rlda-model"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 def encode_array(arr: np.ndarray) -> dict:
@@ -36,6 +49,37 @@ def encode_array(arr: np.ndarray) -> dict:
 def decode_array(doc: dict) -> np.ndarray:
     raw = base64.b64decode(doc["data"])
     return np.frombuffer(raw, dtype=np.dtype(doc["dtype"])).reshape(doc["shape"]).copy()
+
+
+def _covariance_to_dict(cov: RegularizedCovariance | SpectralCovariance) -> dict:
+    if isinstance(cov, SpectralCovariance):
+        return {
+            "cov_kernel": "spectral",
+            "vt": encode_array(cov.vt),
+            "eigenvalues": encode_array(cov.eig),
+            "spread": cov.spread,
+            "theta2": cov.theta2,
+        }
+    return {"cov_kernel": "cholesky", "factor": encode_array(cov.factor)}
+
+
+def _covariance_from_dict(doc: dict) -> RegularizedCovariance | SpectralCovariance:
+    if doc.get("cov_kernel", "cholesky") == "spectral":
+        return SpectralCovariance(
+            vt=decode_array(doc["vt"]),
+            eig=decode_array(doc["eigenvalues"]),
+            spread=doc["spread"],
+            theta2=doc["theta2"],
+            lam=doc["cov_lambda"],
+        )
+    factor = decode_array(doc["factor"])
+    return RegularizedCovariance(
+        matrix=factor @ factor.T,
+        lam=doc["cov_lambda"],
+        factor=factor,
+        rule=doc["cov_rule"],
+        s_convention=doc["s_convention"],
+    )
 
 
 def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = None) -> dict:
@@ -54,11 +98,11 @@ def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = 
                 "reg_means": encode_array(model.reg_means.per_group),
                 "active_mask": encode_array(model.reg_means.active_mask.astype(np.uint8)),
                 "priors": encode_array(model.priors),
-                "factor": encode_array(model.cov.factor),
                 "cov_lambda": model.cov.lam,
                 "cov_rule": model.cov.rule,
                 "s_convention": model.cov.s_convention,
                 "config": dict(model.config, **(extra_config or {})),
+                **_covariance_to_dict(model.cov),
             }
         )
     elif isinstance(model, SvdRidgeModel):
@@ -89,28 +133,20 @@ def save_model(model, path, extra_config: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Load a persisted model; returns ``(model, config)``."""
+    """Load a persisted model (schema version 1 or 2); returns ``(model, config)``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a model document")
-    if doc.get("version") != SCHEMA_VERSION:
+    if doc.get("version") not in READABLE_VERSIONS:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
     if doc["algorithm"] == "chol":
-        factor = decode_array(doc["factor"])
-        cov = RegularizedCovariance(
-            matrix=factor @ factor.T,
-            lam=doc["cov_lambda"],
-            factor=factor,
-            rule=doc["cov_rule"],
-            s_convention=doc["s_convention"],
-        )
         per_group = decode_array(doc["reg_means"])
         mask = decode_array(doc["active_mask"]).astype(bool)
         model = RldaModel(
             reg_means=RegularizedMeans(per_group=per_group, active_mask=mask),
             pooled_mean=decode_array(doc["pooled_mean"]),
-            cov=cov,
+            cov=_covariance_from_dict(doc),
             priors=decode_array(doc["priors"]),
             group_names=tuple(doc["group_names"]),
             config=doc["config"],

@@ -21,6 +21,18 @@ def random_grouped(rng: np.random.Generator, counts, p: int, spread: float = 2.0
     return GroupedDataset(np.vstack(blocks), np.array(labels), names)
 
 
+def rank_deficient_dataset(seed: int, counts, p: int, duplicated: int):
+    """Grouped rows with n - K < p whose last ``duplicated`` columns copy earlier ones."""
+    from rlda.datamodel import GroupedDataset
+
+    rng = np.random.default_rng(seed)
+    d = random_grouped(rng, counts, p=p - duplicated, spread=1.0)
+    # Cycle through the base columns so the result has p columns even when
+    # more columns are duplicated than there are base columns.
+    values = np.hstack([d.values, d.values[:, np.arange(duplicated) % d.p]])
+    return GroupedDataset(values, d.labels, d.group_names)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

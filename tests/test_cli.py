@@ -42,6 +42,18 @@ class TestPipeline:
         assert doc["accuracy"] == 1.0
         assert set(doc["predictions"]) == {"low", "high"}
 
+    def test_wide_fit_persists_spectral_model(self, tmp_path):
+        data = tmp_path / "wide.csv"
+        assert run(["simulate", "--seed", 3, "--n", 6, "--m", 6, "--p", 40, "--data-out", data]) == 0
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--label", "group", "--target", "t2", "--lambda", "0.4",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        doc = read_json(model)
+        assert doc["version"] == 2 and doc["cov_kernel"] == "spectral" and "factor" not in doc
+        pred = tmp_path / "pred.json"
+        assert run(["predict", "--model", model, "--data", data, "--out", pred]) == 0
+        assert read_json(pred)["n"] == 12
+
     def test_fit_predict_svd(self, tmp_path):
         model = tmp_path / "model.json"
         pred = tmp_path / "pred.json"
@@ -222,6 +234,27 @@ class TestErrors:
         capsys.readouterr()
         assert run(["predict", "--model", model, "--data", bad]) == 1
         assert "row 3, column 'm2': non-numeric cell 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_predict_rejects_non_finite_unlabeled_query(self, tmp_path, capsys, cell):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.3",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"m1,m2,m3\n0,0,0\n8,8,{cell}\n", encoding="utf-8")
+        out = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", bad, "--out", out]) == 1
+        assert f"row 3, column 'm3': non-finite value '{cell}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_rejects_non_finite_custom_target(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("a,b,c\n1,0,0\n0,inf,0\n0,0,1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--target", target,
+                    "--lambda", "0.3", "--model", tmp_path / "m.json"]) == 1
+        assert "row 3, column 'b': non-finite value 'inf'" in capsys.readouterr().err
 
     def test_conflicting_label_column(self, tmp_path):
         assert run(["cv", "--data", FIXTURE, "--label", "wrong"]) == 1

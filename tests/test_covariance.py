@@ -15,12 +15,14 @@ from rlda.covariance import (
     mahalanobis_sq,
     pooled_covariance,
     ridge_covariance,
+    SpectralCovariance,
     shrink_covariance,
+    spectral_covariance,
     spectral_shrinkage,
 )
 from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate
 
-from conftest import random_grouped, random_spd
+from conftest import random_grouped, random_spd, rank_deficient_dataset
 
 
 def double_loop_pooled(values, labels, k):
@@ -223,16 +225,6 @@ class TestLwLambda:
         assert lw_lambda(d, target) == expected
 
 
-def rank_deficient_dataset(seed: int, counts, p: int, duplicated: int) -> GroupedDataset:
-    """Grouped rows with n - K < p whose last ``duplicated`` columns copy earlier ones."""
-    rng = np.random.default_rng(seed)
-    d = random_grouped(rng, counts, p=p - duplicated, spread=1.0)
-    # Cycle through the base columns so the result has p columns even when
-    # more columns are duplicated than there are base columns.
-    values = np.hstack([d.values, d.values[:, np.arange(duplicated) % d.p]])
-    return GroupedDataset(values, d.labels, d.group_names)
-
-
 class TestSpectralShrinkage:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -291,6 +283,42 @@ class TestSpectralShrinkage:
         with pytest.raises(ValueError) as from_kernel:
             spectral_shrinkage(d, group_means(d), target)
         assert str(from_kernel.value) == str(from_target.value)
+
+
+class TestSpectralCovariance:
+    @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.2)])
+    def test_matrix_and_quadratic_form_match_dense(self, rng, target):
+        d = random_grouped(rng, (4, 5), p=12)
+        means = group_means(d)
+        cov = spectral_covariance(d, means, target)(0.4)
+        dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, 0.4)
+        assert (cov.p, cov.lam, cov.rule, cov.s_convention) == (12, 0.4, dense.rule, WITHIN_GROUP)
+        assert_allclose(cov.matrix, dense.matrix, rtol=0, atol=1e-12)
+        for _ in range(3):
+            z = rng.standard_normal(12)
+            assert mahalanobis_sq(cov, z) == pytest.approx(mahalanobis_sq(dense, z), rel=1e-10)
+
+    def test_solves_a_vector_like_a_column(self, rng):
+        # n - K = 10 < p = 12 while the thin SVD keeps all p = n rows of V^T.
+        d = random_grouped(rng, (6, 6), p=12)
+        cov = spectral_covariance(d, group_means(d), ShrinkageTarget.equal_correlation(0.2))(0.3)
+        assert cov.vt.shape == (12, 12)
+        z = rng.standard_normal(12)
+        assert np.array_equal(cov.solve(z), cov.solve(z[:, None])[:, 0])
+
+    def test_lambda_zero_raises(self, rng):
+        d = random_grouped(rng, (4, 5), p=12)
+        with pytest.raises(NotPositiveDefiniteError, match="rank at most n - K < p=12"):
+            spectral_covariance(d, group_means(d), ShrinkageTarget.identity())(0.0)
+
+    def test_validation(self):
+        vt = np.eye(3)[:2]
+        with pytest.raises(ValueError, match="one value per row"):
+            SpectralCovariance(vt, np.ones(3), 1.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="spread must be positive"):
+            SpectralCovariance(vt, np.ones(2), 0.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="lam must lie"):
+            SpectralCovariance(vt, np.ones(2), 1.0, 0.0, 1.5)
 
 
 class TestMahalanobis:

@@ -11,6 +11,7 @@ from rlda.datamodel import (
     group_means,
     group_means_to_json,
     load_csv,
+    load_matrix_csv,
     save_csv,
     simulate,
     sparse_shift,
@@ -106,6 +107,29 @@ class TestGroupMeans:
         assert doc["group_names"] == ["a", "b"]
 
 
+class TestLoadMatrixCsv:
+    def write(self, tmp_path, text):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_reads_matrix_and_header(self, tmp_path):
+        matrix, header = load_matrix_csv(self.write(tmp_path, "a, b\n1,2\n3, 4\n"))
+        assert header == ["a", "b"]
+        assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        path = self.write(tmp_path, f"a,b,c\n1,2,3\n4,5,6\n7,8,{cell}\n")
+        with pytest.raises(ValueError, match=f"row 4, column 'c': non-finite value '{cell}'"):
+            load_matrix_csv(path)
+
+    def test_non_numeric_cell_names_location(self, tmp_path):
+        path = self.write(tmp_path, "a,b\n1,2\n3,x\n")
+        with pytest.raises(ValueError, match="row 3, column 'b': non-numeric cell 'x'"):
+            load_matrix_csv(path)
+
+
 class TestLoadCsv:
     def write(self, tmp_path, text):
         path = tmp_path / "data.csv"
@@ -137,6 +161,17 @@ class TestLoadCsv:
     def test_nan_cell_rejected(self, tmp_path):
         path = self.write(tmp_path, "f1,grp\nnan,a\n2,b\n")
         with pytest.raises(ValueError, match="non-finite"):
+            load_csv(path, "grp")
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999", "NaN"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        path = self.write(tmp_path, f"f1,f2,grp\n1,2,a\n3,{cell},b\n")
+        with pytest.raises(ValueError, match=f"row 3, column 'f2': non-finite value '{cell}'"):
+            load_csv(path, "grp")
+
+    def test_first_bad_cell_reported(self, tmp_path):
+        path = self.write(tmp_path, "f1,f2,grp\n1,nan,a\nx,2,b\n")
+        with pytest.raises(ValueError, match="row 2, column 'f2': non-finite"):
             load_csv(path, "grp")
 
     def test_single_group_rejected(self, tmp_path):

@@ -1,12 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rlda._linalg import solve_spd
 from rlda.covariance import (
     GRAM_POOLED_MEAN,
+    WITHIN_GROUP,
+    NotPositiveDefiniteError,
     RegularizedCovariance,
     ShrinkageTarget,
+    SpectralCovariance,
     mahalanobis_sq,
     pooled_covariance,
     shrink_covariance,
@@ -26,7 +33,9 @@ from rlda.discriminant import (
 from rlda.regmeans import MeanRegularizer, RegularizedMeans
 from rlda.serialize import load_model, model_to_dict, save_model
 
-from conftest import random_grouped
+from conftest import random_grouped, rank_deficient_dataset
+
+DATA = Path(__file__).parent / "data"
 
 
 def toy_model(means_rows, priors, cov_matrix=None):
@@ -94,6 +103,65 @@ class TestFit:
         assert model.config["lambda"] == 0.3
         assert model.config["mean_reg"] == "l1"
         assert model.config["target"]["kind"] == "equal-correlation"
+
+
+class TestSpectralFit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        extra=st.integers(1, 15),
+        duplicated=st.integers(0, 4),
+        lam=st.floats(1e-3, 1.0),
+        theta2=st.one_of(st.none(), st.floats(-0.02, 0.6)),
+        kind=st.sampled_from(["none", "l2", "hard"]),
+    )
+    def test_matches_dense_route_and_explicit_inverse(self, seed, counts, extra, duplicated, lam, theta2, kind):
+        # K in {2, 3, 4}, n - K < p, duplicated columns: the spectral fit
+        # against the dense shrink_covariance blend and explicit-inverse scores.
+        p = sum(counts) - len(counts) + extra + duplicated
+        data = rank_deficient_dataset(seed, counts, p, duplicated)
+        target = ShrinkageTarget.identity() if theta2 is None else ShrinkageTarget.equal_correlation(theta2)
+        try:
+            dense = shrink_covariance(pooled_covariance(data, group_means(data), WITHIN_GROUP), target, lam).matrix
+        except ValueError:  # target not positive definite at this variance scale
+            assume(False)
+        model = fit(data, target, lam, MeanRegularizer(kind, 0.3))
+        assert isinstance(model.cov, SpectralCovariance)
+        assert_allclose(model.cov.matrix, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((p, 3))
+        expected_solve = solve_spd(dense, b)
+        eig = np.linalg.eigvalsh(dense)
+        cond = eig[-1] / eig[0]
+        assert np.abs(model.cov.solve(b) - expected_solve).max() <= 1e-11 * cond * np.abs(expected_solve).max()
+
+        queries = np.vstack([rng.standard_normal((4, p)), data.values[:3]])
+        means = model.reg_means.per_group
+        inv = np.linalg.inv(dense)
+        a = inv @ means.T
+        expected = queries @ a - 0.5 * np.sum(means.T * a, axis=0) + np.log(model.priors)
+        scale = (np.abs(queries).max() + np.abs(means).max()) * np.abs(a).sum(axis=0).max() + 1.0
+        tol = 1e-11 * cond * scale
+        assert np.abs(discriminant_scores(model, queries) - expected).max() <= tol
+
+    @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.2)])
+    def test_lambda_zero_on_singular_s_raises(self, rng, target):
+        data = random_grouped(rng, (4, 5), p=12)
+        with pytest.raises(NotPositiveDefiniteError, match="lam=0.0"):
+            fit(data, target, 0.0)
+
+    def test_route_follows_degrees_of_freedom_and_target(self, rng):
+        # n - K = 9 against p = 10 (spectral) and p = 9 (dense); custom
+        # targets always take the dense route.
+        wide = random_grouped(rng, (5, 6), p=10)
+        square = random_grouped(rng, (5, 6), p=9)
+        assert isinstance(fit(wide, ShrinkageTarget.identity(), 0.2).cov, SpectralCovariance)
+        assert isinstance(fit(wide, ShrinkageTarget.equal_correlation(0.1), 0.2).cov, SpectralCovariance)
+        assert isinstance(fit(square, ShrinkageTarget.identity(), 0.2).cov, RegularizedCovariance)
+        custom = ShrinkageTarget.custom(2.0 * np.eye(10))
+        assert isinstance(fit(wide, custom, 0.2).cov, RegularizedCovariance)
 
 
 class TestScores:
@@ -353,6 +421,56 @@ class TestSerialization:
         assert_array_equal(classify(model, queries), classify(back, queries))
         assert back.reg_means.n_active == model.reg_means.n_active
         assert config["mean_reg"] == "hard"
+
+    def test_spectral_round_trip_is_bit_identical(self, rng, tmp_path):
+        data = random_grouped(rng, (5, 6, 4), p=40)
+        model = fit(data, ShrinkageTarget.equal_correlation(0.1), 0.3, MeanRegularizer("hard", 0.5))
+        assert isinstance(model.cov, SpectralCovariance)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["version"] == 2 and doc["cov_kernel"] == "spectral" and "factor" not in doc
+        back, _ = load_model(path)
+        assert isinstance(back.cov, SpectralCovariance)
+        queries = np.vstack([rng.standard_normal((20, 40)), data.values])
+        assert_array_equal(discriminant_scores(back, queries), discriminant_scores(model, queries))
+        assert_array_equal(classify(back, queries), classify(model, queries))
+
+    @pytest.mark.parametrize(
+        "counts,p,target",
+        [((8, 8), 5, ShrinkageTarget.identity()), ((4, 5), 12, ShrinkageTarget.custom(2.0 * np.eye(12)))],
+        ids=["full-rank", "custom-target"],
+    )
+    def test_dense_models_store_the_factor(self, rng, tmp_path, counts, p, target):
+        model = fit(random_grouped(rng, counts, p=p), target, 0.3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["version"] == 2 and doc["cov_kernel"] == "cholesky" and "vt" not in doc
+        back, _ = load_model(path)
+        assert_array_equal(back.cov.factor, model.cov.factor)
+
+    def test_reads_schema_v1_cholesky_model(self):
+        # Written by the schema-v1 release from a 9-row, 12-column fit with
+        # an equal-correlation target and hard thresholding.
+        path = DATA / "model-v1-chol.json"
+        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 1
+        expected = json.loads((DATA / "model-v1-chol-expected.json").read_text(encoding="utf-8"))
+        model, config = load_model(path)
+        assert isinstance(model.cov, RegularizedCovariance)
+        assert config["mean_reg"] == "hard" and model.reg_means.n_active == 11
+        queries = np.array(expected["queries"])
+        assert_array_equal(classify(model, queries), expected["labels"])
+        assert_allclose(discriminant_scores(model, queries), expected["scores"], rtol=1e-12, atol=1e-12)
+
+    def test_rejects_unknown_schema_version(self, rng, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fit(random_grouped(rng, (5, 5), p=4), ShrinkageTarget.identity(), 0.2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["version"] = 7
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported model version 7"):
+            load_model(path)
 
     def test_svd_round_trip(self, rng, tmp_path):
         data = random_grouped(rng, (6, 6), p=15)
