@@ -49,7 +49,7 @@ print("Cholesky route labels:", labels_chol)
 print("SVD route labels     :", labels_svd)
 print("agree:", bool(np.all(labels_chol == labels_svd)), "\n")
 
-# --- a rough timing feel (run `rlda bench` for medians over repetitions) ------
+# --- a rough timing feel (perfbench/run.py gives medians over repetitions) ---
 t0 = time.perf_counter()
 for _ in range(20):
     fit(data, ShrinkageTarget.identity(), 0.3)

@@ -62,7 +62,6 @@ from .covariance import (
     ridge_covariance,
     shrink_covariance,
     spectral_covariance,
-    spectral_shrinkage,
 )
 from .regmeans import (
     MeanRegularizer,
@@ -118,7 +117,6 @@ __all__ = [
     "ridge_covariance",
     "shrink_covariance",
     "spectral_covariance",
-    "spectral_shrinkage",
     "MeanRegularizer",
     "RegularizedMeans",
     "hard_threshold_scalar",

@@ -1,4 +1,4 @@
-"""Command-line surface: simulate, fit, predict, cv, experiment, quantize-demo, bayes, bench.
+"""Command-line surface: simulate, fit, predict, cv, experiment, quantize-demo, bayes.
 
 Every subcommand emits a JSON document (stdout, or ``--out FILE``) that
 echoes the tool version, the seed, and the fully resolved configuration;
@@ -12,18 +12,16 @@ import argparse
 import csv
 import json
 import sys
-import time
 
 import numpy as np
 
 from . import __version__
 from ._linalg import NotPositiveDefiniteError
 from .bayes import GaussianPrior, posterior_mean_general
-from .covariance import GRAM_POOLED_MEAN, ShrinkageTarget, lw_lambda, pooled_covariance, shrink_covariance
+from .covariance import ShrinkageTarget, lw_lambda
 from .datamodel import (
     GroupedDataset,
     SimulationConfig,
-    group_means,
     load_csv,
     load_matrix_csv,
     save_csv,
@@ -32,7 +30,7 @@ from .datamodel import (
 )
 from .discriminant import RldaModel, classify, classify_alg2, fit, fit_svd_ridge, resolve_priors
 from .quantization import QuantizationScenario, demo_quantization
-from .regmeans import MeanRegularizer, regularize_means
+from .regmeans import MeanRegularizer
 from .selection import CvConfig, cross_validate, render_experiment_text, run_simulated_experiment
 from .serialize import load_model, save_model
 
@@ -166,9 +164,10 @@ def _cmd_fit(args) -> int:
             raise ValueError("--algorithm svd needs a numeric --lambda (cv/lw apply to chol)") from None
         if args.delta == "cv":
             raise ValueError("--algorithm svd needs a numeric --delta")
+        delta = float(args.delta) if args.delta is not None else 0.0
+        MeanRegularizer("l2", delta)  # the blend weight every predict applies; check it before writing
         mode = "paper-literal" if args.mode == "paper" else "exact"
         model = fit_svd_ridge(data, lam, mode=mode)
-        delta = float(args.delta) if args.delta is not None else 0.0
         priors = resolve_priors(_priors_from_args(args.priors), data.group_counts)
         save_model(
             model,
@@ -307,65 +306,6 @@ def _cmd_bayes(args) -> int:
     return 0
 
 
-# -------------------------------------------------------------------- bench
-
-
-def _bench_instance(rng: np.random.Generator, p: int, n: int) -> tuple[GroupedDataset, np.ndarray]:
-    values = rng.standard_normal((n, p))
-    labels = np.arange(n) % 2
-    values[labels == 1, : min(5, p)] += 2.0
-    queries = rng.standard_normal((20, p))
-    return GroupedDataset(values, labels, ("a", "b")), queries
-
-
-def _cmd_bench(args) -> int:
-    lam = 0.5
-    results = []
-    for size in args.sizes:
-        p_str, n_str = size.lower().split("x")
-        p, n = int(p_str), int(n_str)
-        chol_times, svd_times = [], []
-        for rep in range(args.reps):
-            rng = np.random.default_rng(np.random.SeedSequence((args.seed, p, n, rep)))
-            data, queries = _bench_instance(rng, p, n)
-            means = group_means(data)
-
-            t0 = time.perf_counter()
-            s = pooled_covariance(data, means, GRAM_POOLED_MEAN)
-            cov = shrink_covariance(s, ShrinkageTarget.identity(), 1.0 - lam, s_convention=GRAM_POOLED_MEAN)
-            model = RldaModel(
-                reg_means=regularize_means(means, MeanRegularizer.none()),
-                pooled_mean=means.pooled,
-                cov=cov,
-                priors=data.group_counts / data.n,
-                group_names=data.group_names,
-                config={},
-            )
-            classify(model, queries)
-            chol_times.append(time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
-            svd_model = fit_svd_ridge(data, lam, mode="exact")
-            classify_alg2(svd_model, 0.0, "empirical", queries)
-            svd_times.append(time.perf_counter() - t0)
-        chol_median = float(np.median(chol_times))
-        svd_median = float(np.median(svd_times))
-        results.append(
-            {
-                "p": p,
-                "n": n,
-                "cholesky_median_s": chol_median,
-                "svd_median_s": svd_median,
-                "svd_over_cholesky": svd_median / chol_median if chol_median > 0 else None,
-            }
-        )
-        _note(f"p={p} n={n}: cholesky {chol_median * 1e3:.2f} ms, svd {svd_median * 1e3:.2f} ms")
-    doc = _base_doc(args)
-    doc.update({"results": results})
-    _emit(doc, args.out)
-    return 0
-
-
 # ------------------------------------------------------------------- parser
 
 
@@ -467,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-cov-csv", default=None, help="CSV of the prior covariance")
     add_out(p)
     p.set_defaults(func=_cmd_bayes)
-
-    p = sub.add_parser("bench", help="median runtime of the Cholesky route vs the SVD route")
-    p.add_argument("--sizes", nargs="+", default=["200x100"], help="instance sizes as PxN")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    add_out(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -8,14 +8,15 @@ regularized value so they cannot be mixed accidentally:
 - ``"gram-pooled-mean"``: the unnormalized Gram matrix of pooled-mean-
   centered rows; the kernel of the SVD ridge classifier.
 
-A shrunk covariance is one of two objects with the same ``lam``, ``p``,
-``matrix`` and ``solve``. :class:`RegularizedCovariance` carries the dense
-matrix with its lower Cholesky factor, so solves and quadratic forms never
-invert anything. When ``S`` has low rank (``n - K < p``) and the target is
-fixed, :class:`SpectralCovariance` keeps only the thin SVD of ``S`` and
-applies the inverse blend through the one low-rank solver
-:func:`_low_rank_solver`, which also serves the SVD ridge classifier; its
-dense matrix is built only when asked for.
+A regularized covariance is one of two objects with the same ``lam``,
+``p``, ``matrix`` and ``solve``. :class:`RegularizedCovariance` keeps the
+lower Cholesky factor of a dense blend, so solves and quadratic forms never
+invert anything. :class:`SpectralCovariance` is the one low-rank kernel:
+``V diag(eig) V^T`` blended with a fixed target and inverted through
+:func:`_shrunk_inverse`. It serves the target-shrunk covariance when ``S``
+has low rank (``n - K < p``), the cross-validation grid, and the SVD ridge
+classifier (the identity blend at ``1 - lam`` on the Gram convention).
+Both build their dense ``matrix`` only when it is read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "ridge_covariance",
     "shrink_covariance",
     "spectral_covariance",
-    "spectral_shrinkage",
 ]
 
 WITHIN_GROUP = "within-group"
@@ -128,16 +128,15 @@ class ShrinkageTarget:
 
 @dataclass(frozen=True)
 class RegularizedCovariance:
-    """A positive definite covariance with its lower Cholesky factor.
+    """A positive definite covariance held as its lower Cholesky factor.
 
     ``rule`` records whether target shrinkage ``(1-lam) S + lam T`` or the
     ridge form ``lam S + (1-lam) I`` produced the matrix; ``s_convention``
     records the scaling of the ``S`` that went in.
     """
 
-    matrix: np.ndarray
-    lam: float
     factor: np.ndarray
+    lam: float
     rule: str
     s_convention: str | None = None
 
@@ -146,20 +145,22 @@ class RegularizedCovariance:
             raise ValueError("lam must lie in [0, 1]")
         if self.rule not in ("target-shrink", "ridge"):
             raise ValueError(f"unknown rule {self.rule!r}")
-        matrix = np.asarray(self.matrix, dtype=float)
         factor = np.asarray(self.factor, dtype=float)
-        matrix.setflags(write=False)
         factor.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "factor", factor)
 
     @property
     def p(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``M^-1 b`` for a p-vector or a ``p x k`` block, by forward and back substitution."""
         return solve_cholesky(self.factor, b)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``M = L L^T``, built on every read (``O(p^3)``)."""
+        return self.factor @ self.factor.T
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,14 @@ class SpectralCovariance:
     ``spread = 1``, ``theta2 = 0``). :meth:`solve` applies ``M^-1`` in
     ``O(p r k)`` for ``r`` rows of ``vt`` and ``k`` columns, with
     Sherman-Morrison for the rank-one ``lam theta2 11^T``; :attr:`matrix`
-    forms the dense ``M`` only when read.
+    forms the dense ``M`` only when read. ``s_convention`` records the
+    scaling of ``S``: the SVD ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is
+    the identity blend at ``1 - lam`` on the ``"gram-pooled-mean"`` scale.
 
     Raises
     ------
+    ValueError
+        If ``eig`` is negative or increasing somewhere, or does not match ``vt``.
     NotPositiveDefiniteError
         At ``lam = 0``, where ``M = S`` is singular.
     """
@@ -184,14 +189,17 @@ class SpectralCovariance:
     spread: float
     theta2: float
     lam: float
+    s_convention: str = WITHIN_GROUP
     rule = "target-shrink"
-    s_convention = WITHIN_GROUP
 
     def __post_init__(self):
         vt = np.ascontiguousarray(self.vt, dtype=float)
         eig = np.asarray(self.eig, dtype=float)
         if vt.ndim != 2 or eig.shape != (vt.shape[0],):
             raise ValueError("eig must hold one value per row of vt")
+        # Once the values are non-increasing, the last one is the smallest.
+        if eig.size and ((eig[1:] > eig[:-1]).any() or eig[-1] < 0):
+            raise ValueError("eigenvalues must be nonnegative and non-increasing")
         if self.spread <= 0.0:
             raise ValueError("spread must be positive")
         if not 0.0 <= self.lam <= 1.0:
@@ -268,9 +276,9 @@ def _within_group_residuals(data: GroupedDataset, means: GroupMeans) -> tuple[np
     return data.values - means.per_group[data.labels], dof
 
 
-def _factor_with_jitter(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _factor_with_jitter(matrix: np.ndarray, what: str) -> np.ndarray:
     try:
-        return matrix, cholesky_lower(matrix, what)
+        return cholesky_lower(matrix, what)
     except NotPositiveDefiniteError:
         # One retry for float-boundary cases sitting on the PD edge. A matrix
         # that is rank deficient beyond float noise stays an error: the bump
@@ -278,8 +286,7 @@ def _factor_with_jitter(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.n
         jitter = 1e-10 * np.trace(matrix) / matrix.shape[0]
         if jitter <= 0 or np.linalg.matrix_rank(matrix) < matrix.shape[0]:
             raise
-        bumped = matrix + jitter * np.eye(matrix.shape[0])
-        return bumped, cholesky_lower(bumped, what)
+        return cholesky_lower(matrix + jitter * np.eye(matrix.shape[0]), what)
 
 
 def shrink_covariance(
@@ -301,8 +308,8 @@ def shrink_covariance(
     p = s.shape[0]
     t = target.materialize(p, default_sigma2=float(np.mean(np.diag(s))) if p else None)
     blended = (1.0 - lam) * s + lam * t
-    matrix, factor = _factor_with_jitter(blended, f"shrunk covariance (lam={lam})")
-    return RegularizedCovariance(matrix=matrix, lam=lam, factor=factor, rule="target-shrink", s_convention=s_convention)
+    factor = _factor_with_jitter(blended, f"shrunk covariance (lam={lam})")
+    return RegularizedCovariance(factor=factor, lam=lam, rule="target-shrink", s_convention=s_convention)
 
 
 def _low_rank_solver(vt: np.ndarray, in_span: np.ndarray, inv_c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -370,25 +377,6 @@ def spectral_covariance(
     return lambda lam: SpectralCovariance(vt, eig, spread, theta2, lam)
 
 
-def spectral_shrinkage(
-    data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
-) -> Callable[[float], Callable[[np.ndarray], np.ndarray] | None]:
-    """Inverses of ``(1 - lam) S + lam T`` for every ``lam`` from one thin SVD.
-
-    The solvers of :func:`spectral_covariance`: returns a function of
-    ``lam`` giving a function that applies ``M^-1`` to a ``p x k`` block,
-    or ``None`` at ``lam = 0``, where ``M = S`` is singular.
-
-    Raises
-    ------
-    ValueError
-        For a custom target, for ``n - K >= p``, or for an
-        equal-correlation target that is not positive definite.
-    """
-    covariance = spectral_covariance(data, means, target)
-    return lambda lam: None if lam == 0.0 else covariance(lam).solve
-
-
 def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None) -> RegularizedCovariance:
     """The ridge form ``lam S + (1 - lam) I`` (roles of ``lam`` reversed).
 
@@ -399,8 +387,8 @@ def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None)
         raise ValueError("lam must lie in [0, 1]")
     s = ensure_symmetric(s, "S")
     blended = lam * s + (1.0 - lam) * np.eye(s.shape[0])
-    matrix, factor = _factor_with_jitter(blended, f"ridge covariance (lam={lam})")
-    return RegularizedCovariance(matrix=matrix, lam=lam, factor=factor, rule="ridge", s_convention=s_convention)
+    factor = _factor_with_jitter(blended, f"ridge covariance (lam={lam})")
+    return RegularizedCovariance(factor=factor, lam=lam, rule="ridge", s_convention=s_convention)
 
 
 def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:

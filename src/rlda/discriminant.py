@@ -12,11 +12,14 @@ the cross-validation grid, scores through :func:`_scores`, given a solver
 that applies ``M^-1``; the routes differ in the solver alone.
 
 Two fitting routes are provided. The target-shrinkage route (``fit``)
-keeps the thin SVD of ``S`` when ``n - K < p`` and the target is fixed, as
-the cross-validation grid does, and a Cholesky factor of the dense blend
+keeps a :class:`~rlda.covariance.SpectralCovariance` (the thin SVD of
+``S``) when ``n - K < p`` and the target is fixed, as the
+cross-validation grid does, and a Cholesky factor of the dense blend
 otherwise (custom targets, full-rank ``S``). The SVD route for the ridge
 form factorizes the centered ``n x p`` data matrix instead of the
-``p x p`` covariance; its solver is the same low-rank inverse.
+``p x p`` covariance and holds the result as the same spectral object:
+``lam Xc^T Xc + (1 - lam) I`` is the identity blend at ``1 - lam`` with
+eigenvalues ``sv^2``.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
+    GRAM_POOLED_MEAN,
     WITHIN_GROUP,
     RegularizedCovariance,
     ShrinkageTarget,
     SpectralCovariance,
     _low_rank_solver,
-    _shrunk_inverse,
     _uses_spectral_kernel,
     pooled_covariance,
     shrink_covariance,
@@ -231,21 +234,21 @@ def classify_alg1(
 
 @dataclass(frozen=True)
 class SvdRidgeModel:
-    """SVD factorization of the pooled-mean-centered data for ridge scoring.
+    """The ridge kernel of the pooled-mean-centered data, for ridge scoring.
 
-    ``right_vectors`` is the thin ``p x n`` matrix of right singular
-    vectors; ``singular_values`` holds the ``n`` computed values (the
-    remaining ``p - n`` are zero by construction and handled implicitly).
-    ``mode`` selects the scoring rule: ``"exact"`` inverts
-    ``lam * Xc^T Xc + (1 - lam) I`` exactly through the factorization,
-    ``"paper-literal"`` whitens the projections with the column variances
-    instead of the squared singular values (kept as a diagnostic; the j-th
-    column variance is paired with the j-th singular direction, so the two
-    rules coincide only for standardized columns and small ``lam``).
+    ``cov`` is the :class:`~rlda.covariance.SpectralCovariance` of
+    ``lam * Xc^T Xc + (1 - lam) I``: the thin SVD ``Xc = U diag(sv) V^T``
+    gives ``vt = V^T`` and ``eig = sv^2`` (the remaining ``p - n``
+    eigenvalues are zero by construction and handled implicitly), blended
+    with the identity at ``1 - lam``. ``mode`` selects the scoring rule:
+    ``"exact"`` applies ``cov.solve``, ``"paper-literal"`` whitens the
+    projections with the column variances instead of the eigenvalues (kept
+    as a diagnostic; the j-th column variance is paired with the j-th
+    singular direction, so the two rules coincide only for standardized
+    columns and small ``lam``).
     """
 
-    right_vectors: np.ndarray
-    singular_values: np.ndarray
+    cov: SpectralCovariance
     column_variances: np.ndarray
     lam: float
     mode: str
@@ -255,19 +258,20 @@ class SvdRidgeModel:
     def __post_init__(self):
         if self.mode not in ("exact", "paper-literal"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError("lam must lie in [0, 1) for the ridge form")
-        sv = np.asarray(self.singular_values, dtype=float)
-        if np.any(sv < 0) or np.any(np.diff(sv) > 1e-12):
-            raise ValueError("singular values must be nonnegative and non-increasing")
-        for name in ("right_vectors", "singular_values", "column_variances"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        column_var = np.asarray(self.column_variances, dtype=float)
+        column_var.setflags(write=False)
+        object.__setattr__(self, "column_variances", column_var)
 
     @property
     def p(self) -> int:
-        return self.right_vectors.shape[0]
+        return self.cov.p
+
+
+def _ridge_covariance(vt: np.ndarray, sv: np.ndarray, lam: float) -> SpectralCovariance:
+    """``lam Xc^T Xc + (1 - lam) I`` from the thin SVD ``Xc = U diag(sv) V^T``, ``vt = V^T``."""
+    if not 0.0 <= lam < 1.0:
+        raise ValueError("lam must lie in [0, 1) for the ridge form")
+    return SpectralCovariance(vt, sv**2, 1.0, 0.0, 1.0 - lam, s_convention=GRAM_POOLED_MEAN)
 
 
 def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdRidgeModel:
@@ -288,8 +292,7 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     column_var = centered.var(axis=0, ddof=1) if data.n > 1 else np.zeros(data.p)
     return SvdRidgeModel(
-        right_vectors=vt.T,
-        singular_values=sv,
+        cov=_ridge_covariance(vt, sv, lam),
         column_variances=column_var,
         lam=lam,
         mode=mode,
@@ -299,16 +302,16 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
 
 
 def _ridge_solver(model: SvdRidgeModel):
-    """Solver of the model's kernel from its factorization, for ``p x k`` blocks.
+    """Solver of the model's kernel, for ``p x k`` blocks.
 
-    Exact mode inverts ``lam Xc^T Xc + (1 - lam) I``; ``"paper-literal"``
-    swaps the in-span weights for ``1 / (lam colvar_j + 1 - lam)`` and
-    drops the residual term.
+    Exact mode is ``model.cov.solve``; ``"paper-literal"`` swaps the
+    in-span weights for ``1 / (lam colvar_j + 1 - lam)`` and drops the
+    residual term.
     """
-    vt = model.right_vectors.T
-    lam = model.lam
     if model.mode == "exact":
-        return _shrunk_inverse(vt, lam * model.singular_values**2, 1.0 - lam)
+        return model.cov.solve
+    vt = model.cov.vt
+    lam = model.lam
     return _low_rank_solver(vt, 1.0 / (lam * model.column_variances[: vt.shape[0]] + 1.0 - lam), 0.0)
 
 

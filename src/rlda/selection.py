@@ -1,17 +1,18 @@
 """Cross-validated hyperparameter selection and the simulation benchmark.
 
 The grid evaluator scores every (fold, intensity, mean rule, threshold)
-cell from one kernel per training fold. When the fold has fewer degrees of
-freedom than variables (``n - K < p``) and the target is the identity or
-the equal-correlation matrix, that kernel is :func:`spectral_shrinkage`:
-one thin SVD of the residuals serves every intensity, and the singular
-``lam = 0`` cells are skipped without a factorization. Otherwise each
-intensity gets one dense Cholesky factorization. Either way the regularized
-mean rows of all rules and thresholds are built once per fold and solved
-as one block, so the 1000-dimensional benchmark takes about a second per
-seed on one core. Fold assignment is computed once up front from the seed,
-so results do not depend on evaluation order and repeated runs are
-bit-identical.
+cell from one kernel per training fold: a map from the intensity ``lam``
+to the regularized covariance. When the fold has fewer degrees of freedom
+than variables (``n - K < p``) and the target is the identity or the
+equal-correlation matrix, that kernel is
+:func:`~rlda.covariance.spectral_covariance`: one thin SVD of the
+residuals serves every intensity, and the singular ``lam = 0`` cells fail
+without a factorization. Otherwise each intensity gets one dense Cholesky
+factorization. Either way the regularized mean rows of all rules and
+thresholds are built once per fold and solved as one block, so the
+1000-dimensional benchmark takes about a second per seed on one core.
+Fold assignment is computed once up front from the seed, so results do
+not depend on evaluation order and repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .covariance import (
     lw_lambda,
     pooled_covariance,
     shrink_covariance,
-    spectral_shrinkage,
+    spectral_covariance,
 )
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
 from .discriminant import _scores
@@ -158,20 +159,9 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
 
 
 def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
-    """Per-intensity solver through a Cholesky factor of the shrunk covariance.
-
-    Returns a function of ``lam`` giving a function that applies ``M^-1``,
-    or ``None`` when ``M`` fails to factorize.
-    """
+    """Per-intensity Cholesky factor of the shrunk covariance, as a function of ``lam``."""
     s = pooled_covariance(train, means, WITHIN_GROUP)
-
-    def inverse(lam: float):
-        try:
-            return shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP).solve
-        except NotPositiveDefiniteError:
-            return None
-
-    return inverse
+    return lambda lam: shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP)
 
 
 def _evaluate_cells(
@@ -193,7 +183,7 @@ def _evaluate_cells(
 
     def kernel(train: GroupedDataset, means):
         if _uses_spectral_kernel(train, target):
-            return spectral_shrinkage(train, means, target)
+            return spectral_covariance(train, means, target)
         return _dense_kernel(train, means, target)
 
     return _grid_accuracies(data, fold_sets, lambda_grid, kind_grids, kernel)
@@ -208,9 +198,11 @@ def _grid_accuracies(
 ) -> dict[str, np.ndarray]:
     """The cell table of :func:`_evaluate_cells` from a per-fold ``kernel(train, means)``.
 
-    For each fold the mean rows of every (rule, delta) cell are stacked into
-    one ``p x (cells K)`` block ``m^T``; each intensity solves ``a = M^-1 m^T``
-    once and scores all cells with :func:`~rlda.discriminant._scores`.
+    The kernel maps ``lam`` to the covariance ``M``. For each fold the mean
+    rows of every (rule, delta) cell are stacked into one ``p x (cells K)``
+    block ``m^T``; each intensity solves ``a = M^-1 m^T`` once and scores
+    all cells with :func:`~rlda.discriminant._scores`. An intensity whose
+    ``M`` is not positive definite leaves its cells NaN.
     """
     out = {kind: np.full((len(fold_sets), len(lambda_grid), len(grid)), np.nan) for kind, grid in kind_grids.items()}
     cells = [(kind, di, delta) for kind, grid in kind_grids.items() for di, delta in enumerate(grid)]
@@ -218,7 +210,7 @@ def _grid_accuracies(
     for f, test_idx in enumerate(fold_sets):
         train = data.subset(np.setdiff1d(all_rows, test_idx, assume_unique=True))
         means = group_means(train)
-        inverse = kernel(train, means)
+        covariance = kernel(train, means)
         k = train.n_groups
         m_t = np.concatenate(
             [regularize_means(means, MeanRegularizer(kind, delta)).per_group for kind, _, delta in cells]
@@ -227,10 +219,11 @@ def _grid_accuracies(
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
         for li, lam in enumerate(lambda_grid):
-            solve = inverse(lam)
-            if solve is None:
+            try:
+                cov = covariance(lam)
+            except NotPositiveDefiniteError:
                 continue
-            scores = _scores(solve, m_t, test_values, log_priors).reshape(len(test_idx), len(cells), k)
+            scores = _scores(cov.solve, m_t, test_values, log_priors).reshape(len(test_idx), len(cells), k)
             acc = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
             for (kind, di, _), value in zip(cells, acc):
                 out[kind][f, li, di] = value

@@ -10,10 +10,15 @@ model names its covariance kernel in ``"cov_kernel"``:
   target's ``spread`` and ``theta2``, about ``n p`` numbers; written when
   ``fit`` took the spectral route (``n - K < p``, fixed target).
 - ``"cholesky"``: the lower Cholesky ``factor`` of the dense ``p x p``
-  blend; written for custom targets and full-rank ``S``.
+  blend; written for custom targets and full-rank ``S``. Loading keeps the
+  factor alone; the dense matrix is formed only if read.
 
-``"svd"`` (ridge) documents are the same in both versions. Version 1
-documents, whose ``"chol"`` models always hold a ``factor``, still load.
+``"svd"`` (ridge) documents are the same in both versions: the model's
+spectral kernel is written as ``right_vectors = vt^T`` and
+``singular_values = sqrt(eig)`` and read back as ``eig = sv^2``, which
+round-trips every singular value exactly (barring under- or overflow of
+``sv^2``). Version 1 documents, whose ``"chol"`` models always hold a
+``factor``, still load.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from . import __version__
 from .covariance import RegularizedCovariance, SpectralCovariance
 from .datamodel import GroupMeans
-from .discriminant import RldaModel, SvdRidgeModel
+from .discriminant import RldaModel, SvdRidgeModel, _ridge_covariance
 from .regmeans import RegularizedMeans
 
 __all__ = ["decode_array", "encode_array", "load_model", "model_to_dict", "save_model"]
@@ -71,12 +76,11 @@ def _covariance_from_dict(doc: dict) -> RegularizedCovariance | SpectralCovarian
             spread=doc["spread"],
             theta2=doc["theta2"],
             lam=doc["cov_lambda"],
+            s_convention=doc["s_convention"],
         )
-    factor = decode_array(doc["factor"])
     return RegularizedCovariance(
-        matrix=factor @ factor.T,
+        factor=decode_array(doc["factor"]),
         lam=doc["cov_lambda"],
-        factor=factor,
         rule=doc["cov_rule"],
         s_convention=doc["s_convention"],
     )
@@ -113,8 +117,8 @@ def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = 
                 "pooled_mean": encode_array(model.means.pooled),
                 "per_group_means": encode_array(model.means.per_group),
                 "group_counts": encode_array(model.means.counts.astype(np.int64)),
-                "right_vectors": encode_array(model.right_vectors),
-                "singular_values": encode_array(model.singular_values),
+                "right_vectors": encode_array(model.cov.vt.T),
+                "singular_values": encode_array(np.sqrt(model.cov.eig)),
                 "column_variances": encode_array(model.column_variances),
                 "cov_lambda": model.lam,
                 "mode": model.mode,
@@ -159,8 +163,9 @@ def load_model(path):
             counts=decode_array(doc["group_counts"]),
         )
         model = SvdRidgeModel(
-            right_vectors=decode_array(doc["right_vectors"]),
-            singular_values=decode_array(doc["singular_values"]),
+            cov=_ridge_covariance(
+                decode_array(doc["right_vectors"]).T, decode_array(doc["singular_values"]), doc["cov_lambda"]
+            ),
             column_variances=decode_array(doc["column_variances"]),
             lam=doc["cov_lambda"],
             mode=doc["mode"],

@@ -249,7 +249,7 @@ def test_criterion_09_positive_definiteness_and_intensity_range():
     factorized = 0
     for lam in lams:
         cov = shrink_covariance(s, ShrinkageTarget.identity(), float(lam))
-        assert_allclose(cov.factor @ cov.factor.T, cov.matrix, rtol=1e-8, atol=1e-10)
+        assert_allclose(cov.factor @ cov.factor.T, (1 - lam) * s + lam * np.eye(50), rtol=1e-8, atol=1e-10)
         factorized += 1
     intensities = []
     for _ in range(25):

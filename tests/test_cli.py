@@ -175,29 +175,6 @@ class TestSmallCommands:
         assert doc["mean"] == pytest.approx([1.0, 0.0])
         assert doc["weight_kind"] == "matrix"
 
-    def test_bench_report(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert run(["bench", "--sizes", "40x20", "--reps", 2, "--seed", 1, "--out", out]) == 0
-        doc = read_json(out)
-        row = doc["results"][0]
-        assert row["p"] == 40 and row["n"] == 20
-        assert row["cholesky_median_s"] > 0
-        assert row["svd_median_s"] > 0
-        assert row["svd_over_cholesky"] is not None
-
-    def test_bench_instance_stream_deterministic(self):
-        import numpy as np
-
-        from rlda.cli import _bench_instance
-
-        streams = []
-        for _ in range(2):
-            rng = np.random.default_rng(np.random.SeedSequence((1, 40, 20, 0)))
-            data, queries = _bench_instance(rng, 40, 20)
-            streams.append((data.values.copy(), queries.copy()))
-        assert np.array_equal(streams[0][0], streams[1][0])
-        assert np.array_equal(streams[0][1], streams[1][1])
-
 
 class TestErrors:
     def test_predict_without_model_is_usage_error(self):
@@ -213,6 +190,14 @@ class TestErrors:
         code = run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd",
                     "--lambda", "cv", "--model", tmp_path / "m.json"])
         assert code == 1
+
+    def test_svd_checks_delta_at_fit_time(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd",
+                    "--lambda", "0.5", "--delta", "1.5", "--model", model]) == 1
+        assert "l2 blend weight must lie in [0, 1]" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("algorithm", ["chol", "svd"])
     def test_predict_checks_query_width(self, tmp_path, capsys, algorithm):

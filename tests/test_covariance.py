@@ -18,7 +18,6 @@ from rlda.covariance import (
     SpectralCovariance,
     shrink_covariance,
     spectral_covariance,
-    spectral_shrinkage,
 )
 from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate
 
@@ -92,7 +91,7 @@ class TestShrink:
     def test_factor_reconstructs_matrix(self, rng):
         s = random_spd(rng, 5)
         out = shrink_covariance(s, ShrinkageTarget.identity(), 0.2)
-        assert_allclose(out.factor @ out.factor.T, out.matrix, rtol=1e-8)
+        assert_allclose(out.factor @ out.factor.T, 0.8 * s + 0.2 * np.eye(5), rtol=1e-8)
         assert np.allclose(out.factor, np.tril(out.factor))
 
     def test_pd_preserved_for_rank_deficient_s(self, rng):
@@ -247,7 +246,7 @@ class TestSpectralShrinkage:
             assume(False)
         b = np.random.default_rng(seed).standard_normal((p, 3))
         expected = solve_spd(matrix, b)
-        got = spectral_shrinkage(d, means, target)(lam)(b)
+        got = spectral_covariance(d, means, target)(lam).solve(b)
         eig = np.linalg.eigvalsh(matrix)
         tol = 1e-11 * eig[-1] / eig[0] * np.abs(expected).max()
         assert np.abs(got - expected).max() <= tol
@@ -255,25 +254,26 @@ class TestSpectralShrinkage:
     @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.2)])
     def test_lambda_zero_is_singular(self, rng, target):
         d = random_grouped(rng, (4, 5), p=12)
-        assert spectral_shrinkage(d, group_means(d), target)(0.0) is None
+        with pytest.raises(NotPositiveDefiniteError):
+            spectral_covariance(d, group_means(d), target)(0.0)
 
     def test_lambda_one_applies_target_inverse(self, rng):
         d = random_grouped(rng, (4, 5), p=12)
         target = ShrinkageTarget.equal_correlation(0.3, sigma2=2.0)
         b = rng.standard_normal((12, 2))
-        got = spectral_shrinkage(d, group_means(d), target)(1.0)(b)
+        got = spectral_covariance(d, group_means(d), target)(1.0).solve(b)
         assert_allclose(got, np.linalg.solve(target.materialize(12), b), rtol=1e-12, atol=1e-12)
 
     def test_rejects_unsupported_inputs(self, rng):
         d = random_grouped(rng, (4, 5), p=12)
         means = group_means(d)
         with pytest.raises(ValueError, match="identity and equal-correlation"):
-            spectral_shrinkage(d, means, ShrinkageTarget.custom(np.eye(12)))
+            spectral_covariance(d, means, ShrinkageTarget.custom(np.eye(12)))
         tall = random_grouped(rng, (8, 8), p=5)
         with pytest.raises(ValueError, match="n - K < p"):
-            spectral_shrinkage(tall, group_means(tall), ShrinkageTarget.identity())
+            spectral_covariance(tall, group_means(tall), ShrinkageTarget.identity())
         with pytest.raises(ValueError, match="lam must lie"):
-            spectral_shrinkage(d, means, ShrinkageTarget.identity())(1.5)
+            spectral_covariance(d, means, ShrinkageTarget.identity())(1.5)
 
     def test_non_positive_definite_target_raises_like_materialize(self, rng):
         d = random_grouped(rng, (4, 5), p=12)
@@ -281,7 +281,7 @@ class TestSpectralShrinkage:
         with pytest.raises(ValueError) as from_target:
             target.materialize(12)
         with pytest.raises(ValueError) as from_kernel:
-            spectral_shrinkage(d, group_means(d), target)
+            spectral_covariance(d, group_means(d), target)
         assert str(from_kernel.value) == str(from_target.value)
 
 
@@ -320,10 +320,15 @@ class TestSpectralCovariance:
         with pytest.raises(ValueError, match="lam must lie"):
             SpectralCovariance(vt, np.ones(2), 1.0, 0.0, 1.5)
 
+    @pytest.mark.parametrize("eig", [[1.0, -1e-300], [1.0, 1.0 + 1e-15], [-1.0, -2.0]])
+    def test_rejects_negative_or_increasing_eigenvalues(self, eig):
+        with pytest.raises(ValueError, match="eigenvalues must be nonnegative and non-increasing"):
+            SpectralCovariance(np.eye(3)[:2], eig, 1.0, 0.0, 0.5)
+
 
 class TestMahalanobis:
     def identity_cov(self, p):
-        return RegularizedCovariance(matrix=np.eye(p), lam=0.0, factor=np.eye(p), rule="target-shrink")
+        return RegularizedCovariance(factor=np.eye(p), lam=0.0, rule="target-shrink")
 
     def test_euclidean_case(self):
         assert mahalanobis_sq(self.identity_cov(2), [3.0, 4.0]) == pytest.approx(25.0)

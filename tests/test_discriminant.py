@@ -31,7 +31,7 @@ from rlda.discriminant import (
     svd_ridge_sq_distances,
 )
 from rlda.regmeans import MeanRegularizer, RegularizedMeans
-from rlda.serialize import load_model, model_to_dict, save_model
+from rlda.serialize import decode_array, encode_array, load_model, model_to_dict, save_model
 
 from conftest import random_grouped, rank_deficient_dataset
 
@@ -43,8 +43,7 @@ def toy_model(means_rows, priors, cov_matrix=None):
     means_rows = np.asarray(means_rows, dtype=float)
     k, p = means_rows.shape
     cov_matrix = np.eye(p) if cov_matrix is None else np.asarray(cov_matrix)
-    factor = np.linalg.cholesky(cov_matrix)
-    cov = RegularizedCovariance(matrix=cov_matrix, lam=0.0, factor=factor, rule="target-shrink")
+    cov = RegularizedCovariance(factor=np.linalg.cholesky(cov_matrix), lam=0.0, rule="target-shrink")
     return RldaModel(
         reg_means=RegularizedMeans(means_rows, np.ones(p, dtype=bool)),
         pooled_mean=means_rows.mean(axis=0),
@@ -402,6 +401,12 @@ class TestAlg2:
         assert_array_equal(lab_svd[clear], np.argmin(objective, axis=1)[clear])
         assert_array_equal(lab_svd[clear], lab_chol[clear])
 
+    def test_model_holds_the_ridge_kernel_as_a_spectral_covariance(self, rng):
+        data = random_grouped(rng, (6, 7), p=15)
+        cov = fit_svd_ridge(data, 0.35).cov
+        assert isinstance(cov, SpectralCovariance)
+        assert (cov.lam, cov.spread, cov.theta2, cov.s_convention) == (1.0 - 0.35, 1.0, 0.0, GRAM_POOLED_MEAN)
+
     def test_model_validation(self, rng):
         data = random_grouped(rng, (5, 5), p=12)
         with pytest.raises(ValueError, match="unknown mode"):
@@ -483,6 +488,32 @@ class TestSerialization:
             classify_alg2(model, 0.2, [0.5, 0.5], queries),
             classify_alg2(back, config["delta"], config["priors"], queries),
         )
+
+    def test_svd_document_keeps_singular_values_and_round_trips_the_kernel(self, rng, tmp_path):
+        data = random_grouped(rng, (6, 6), p=15)
+        model = fit_svd_ridge(data, 0.35, mode="paper-literal")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["version"] == 2 and doc["cov_lambda"] == 0.35
+        _, sv, vt = np.linalg.svd(data.values - model.means.pooled, full_matrices=False)
+        assert_array_equal(decode_array(doc["singular_values"]), sv)
+        assert_array_equal(decode_array(doc["right_vectors"]), vt.T)
+        back, _ = load_model(path)
+        assert (back.lam, back.mode, back.cov.lam) == (model.lam, model.mode, model.cov.lam)
+        assert_array_equal(back.cov.vt, model.cov.vt)
+        assert_array_equal(back.cov.eig, model.cov.eig)
+
+    def test_rejects_spectral_document_with_negative_eigenvalue(self, rng, tmp_path):
+        model = fit(random_grouped(rng, (5, 6, 4), p=40), ShrinkageTarget.identity(), 0.3)
+        doc = model_to_dict(model)
+        eig = decode_array(doc["eigenvalues"])
+        eig[-1] = -1e-3
+        doc["eigenvalues"] = encode_array(eig)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="eigenvalues must be nonnegative and non-increasing"):
+            load_model(path)
 
     def test_byte_identical_documents(self, rng, tmp_path):
         import json

@@ -293,7 +293,7 @@ class TestSpectralRoute:
         def no_spectral(*args, **kwargs):
             raise AssertionError("the spectral kernel must not run when n - K >= p")
 
-        monkeypatch.setattr(selection, "spectral_shrinkage", no_spectral)
+        monkeypatch.setattr(selection, "spectral_covariance", no_spectral)
         data = random_grouped(rng, (30, 30), p=6, spread=1.0)
         fold_sets = make_folds(data, 3, seed=2)
         acc = _evaluate_cells(data, TARGETS[1], fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
