@@ -139,7 +139,24 @@ def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[Rlda
     return model, chosen
 
 
+def _check_route_options(args) -> None:
+    """Reject the ``fit`` options that the chosen ``--algorithm`` would silently ignore."""
+    if args.algorithm == "svd":
+        if args.mean_reg in ("l1", "hard"):
+            raise ValueError(
+                f"--mean-reg {args.mean_reg} does not apply to --algorithm svd, whose --delta is an l2 blend weight"
+            )
+        if args.target != "t1":
+            raise ValueError(
+                f"--target {args.target} does not apply to --algorithm svd, "
+                "whose ridge kernel shrinks toward the identity"
+            )
+    elif args.mode != "exact":
+        raise ValueError(f"--mode {args.mode} applies to --algorithm svd only")
+
+
 def _cmd_fit(args) -> int:
+    _check_route_options(args)
     data = load_csv(args.data, args.label)
     doc = _base_doc(args)
     if args.algorithm == "chol":

@@ -11,11 +11,12 @@ regularized value so they cannot be mixed accidentally:
 A regularized covariance is one of two objects with the same ``lam``,
 ``p``, ``matrix`` and ``solve``. :class:`RegularizedCovariance` keeps the
 lower Cholesky factor of a dense blend, so solves and quadratic forms never
-invert anything. :class:`SpectralCovariance` is the one low-rank kernel:
-``V diag(eig) V^T`` blended with a fixed target and inverted through
-:func:`_shrunk_inverse`. It serves the target-shrunk covariance when ``S``
-has low rank (``n - K < p``), the cross-validation grid, and the SVD ridge
-classifier (the identity blend at ``1 - lam`` on the Gram convention).
+invert anything. :class:`SpectralCovariance` is the one spectral kernel:
+``V diag(eig) V^T`` blended with a fixed target and inverted through its
+eigenpairs. It serves the cross-validation grid for every fixed target,
+the target-shrunk covariance of ``fit`` when ``S`` has low rank
+(``n - K < p``), and the SVD ridge classifier (the identity blend at
+``1 - lam`` on the Gram convention).
 Both build their dense ``matrix`` only when it is read.
 """
 
@@ -165,23 +166,30 @@ class RegularizedCovariance:
 
 @dataclass(frozen=True)
 class SpectralCovariance:
-    """The target-shrunk ``M = (1 - lam) S + lam T`` from the thin SVD of a low-rank ``S``.
+    """The target-shrunk ``M = (1 - lam) S + lam T`` from the eigenpairs of ``S``.
 
-    ``S = V diag(eig) V^T`` with orthonormal rows ``vt = V^T``; the fixed
-    target is ``T = spread I + theta2 11^T`` (the identity has
-    ``spread = 1``, ``theta2 = 0``). :meth:`solve` applies ``M^-1`` in
-    ``O(p r k)`` for ``r`` rows of ``vt`` and ``k`` columns, with
-    Sherman-Morrison for the rank-one ``lam theta2 11^T``; :attr:`matrix`
-    forms the dense ``M`` only when read. ``s_convention`` records the
-    scaling of ``S``: the SVD ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is
-    the identity blend at ``1 - lam`` on the ``"gram-pooled-mean"`` scale.
+    ``S = V diag(eig) V^T`` with orthonormal rows ``vt = V^T``: the thin
+    SVD of a low-rank ``S`` (``r < p`` rows) or the full eigendecomposition
+    (``r = p``). The fixed target is ``T = spread I + theta2 11^T`` (the
+    identity has ``spread = 1``, ``theta2 = 0``). :meth:`solve` applies
+    ``M^-1`` in ``O(p r k)`` for ``k`` columns, with Sherman-Morrison for
+    the rank-one ``lam theta2 11^T``; :attr:`matrix` forms the dense ``M``
+    only when read. ``s_convention`` records the scaling of ``S``: the SVD
+    ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at
+    ``1 - lam`` on the ``"gram-pooled-mean"`` scale.
+
+    Rank rule: ``lam = 0`` (``M = S``) is feasible exactly when ``r = p``
+    and ``eig[-1] > p eps eig[0]``, the default tolerance of
+    ``numpy.linalg.matrix_rank``. With ``r = p`` the inverse is
+    ``V diag(1 / ((1 - lam) eig + lam spread)) V^T``, defined at
+    ``lam = 0``; with ``r < p`` it is :func:`_shrunk_inverse`.
 
     Raises
     ------
     ValueError
         If ``eig`` is negative or increasing somewhere, or does not match ``vt``.
     NotPositiveDefiniteError
-        At ``lam = 0``, where ``M = S`` is singular.
+        At ``lam = 0`` when ``S`` fails the rank rule.
     """
 
     vt: np.ndarray
@@ -204,16 +212,26 @@ class SpectralCovariance:
             raise ValueError("spread must be positive")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
+        r, p = vt.shape
         if self.lam == 0.0:
-            raise NotPositiveDefiniteError(
-                f"shrunk covariance (lam=0.0) is not positive definite: S has rank at most n - K < p={vt.shape[1]}"
-            )
+            if r < p:
+                raise NotPositiveDefiniteError(
+                    f"shrunk covariance (lam=0.0) is not positive definite: S has rank at most n - K < p={p}"
+                )
+            if not eig[-1] > p * np.finfo(float).eps * eig[0]:
+                raise NotPositiveDefiniteError(
+                    f"shrunk covariance (lam=0.0) is not positive definite: S is singular "
+                    f"(smallest eigenvalue {eig[-1]:.3g}, largest {eig[0]:.3g}, p={p})"
+                )
         vt.setflags(write=False)
         eig.setflags(write=False)
         object.__setattr__(self, "vt", vt)
         object.__setattr__(self, "eig", eig)
         lam = self.lam
-        base_solve = _shrunk_inverse(vt, (1.0 - lam) * eig, lam * self.spread)
+        if r == p:  # I - V V^T = 0: no out-of-span term and no cancellation
+            base_solve = _low_rank_solver(vt, 1.0 / ((1.0 - lam) * eig + lam * self.spread), 0.0)
+        else:
+            base_solve = _shrunk_inverse(vt, (1.0 - lam) * eig, lam * self.spread)
         if self.theta2 == 0.0:
             solve = base_solve
         else:
@@ -334,41 +352,53 @@ def _shrunk_inverse(vt: np.ndarray, scaled: np.ndarray, c: float) -> Callable[[n
 
 
 def _uses_spectral_kernel(data: GroupedDataset, target: ShrinkageTarget) -> bool:
-    """The kernel rule shared by ``fit`` and the CV grid: a fixed target and ``n - K < p``."""
+    """The kernel rule of ``fit``: a fixed target and ``n - K < p``.
+
+    The CV grid takes the spectral kernel for every fixed target, since one
+    decomposition serves all its intensities. A single intensity amortizes
+    nothing, and for ``n - K >= p`` one ``O(p^3)`` ``eigh`` costs about
+    twenty Cholesky factorizations, so ``fit`` keeps the dense blend there.
+    """
     return target.kind != "custom" and data.n - data.n_groups < data.p
 
 
 def spectral_covariance(
     data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
 ) -> Callable[[float], SpectralCovariance]:
-    """Every ``(1 - lam) S + lam T`` of ``data`` from one thin SVD, as a function of ``lam``.
+    """Every ``(1 - lam) S + lam T`` of ``data`` from one decomposition, as a function of ``lam``.
 
     ``S`` is the within-group pooled covariance of ``data``, which has rank
-    at most ``n - K``; this kernel is for the case ``n - K < p``, where ``S``
-    is singular. With ``R / sqrt(n - K) = U diag(s) V^T``, the blend
-    ``M = (1 - lam) S + c I = V diag((1 - lam) s^2) V^T + c I`` is inverted
-    by :func:`_shrunk_inverse`, so applying ``M^-1`` to a ``p x k`` block
-    costs ``O(p n k)``. The identity target has ``c = lam``.
+    at most ``n - K``. When ``n - K < p`` the decomposition is the thin SVD
+    ``R / sqrt(n - K) = U diag(s) V^T`` of the residuals, with ``eig = s^2``
+    and ``min(n, p)`` rows of ``V^T``; otherwise it is ``eigh(S)`` of the
+    ``S`` that :func:`pooled_covariance` forms, reordered to descending with
+    round-off negatives clipped to zero (an SVD of the tall residuals would
+    cost more than the per-intensity factorizations it replaces). Either
+    way ``M = V diag((1 - lam) eig) V^T + c I + lam theta2 11^T`` is
+    inverted by :class:`SpectralCovariance`, so applying ``M^-1`` to a
+    ``p x k`` block costs ``O(p r k)``. The identity target has ``c = lam``.
     The equal-correlation target ``(sigma2 - theta2) I + theta2 11^T`` has
     ``c = lam (sigma2 - theta2)`` and adds the rank-one term
     ``lam theta2 11^T``, applied by Sherman-Morrison; its default
-    ``sigma2`` is ``mean(diag S) = sum(s^2) / p``, as in
+    ``sigma2`` is ``mean(diag S) = sum(eig) / p``, as in
     :func:`shrink_covariance`.
 
     Raises
     ------
     ValueError
-        For a custom target, for ``n - K >= p``, or for an
-        equal-correlation target that is not positive definite.
+        For a custom target, or for an equal-correlation target that is
+        not positive definite.
     """
     if target.kind == "custom":
         raise ValueError("the spectral kernel supports the identity and equal-correlation targets")
     resid, dof = _within_group_residuals(data, means)
     p = data.p
-    if dof >= p:
-        raise ValueError(f"the spectral kernel needs n - K < p (n - K={dof}, p={p}); use shrink_covariance")
-    _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
-    eig = sv * sv
+    if dof < p:
+        _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
+        eig = sv * sv
+    else:
+        eig, v = np.linalg.eigh(resid.T @ resid / dof)
+        eig, vt = np.maximum(eig[::-1], 0.0), np.ascontiguousarray(v[:, ::-1].T)
     if target.kind == "identity":
         spread, theta2 = 1.0, 0.0
     else:

@@ -13,9 +13,10 @@ that applies ``M^-1``; the routes differ in the solver alone.
 
 Two fitting routes are provided. The target-shrinkage route (``fit``)
 keeps a :class:`~rlda.covariance.SpectralCovariance` (the thin SVD of
-``S``) when ``n - K < p`` and the target is fixed, as the
-cross-validation grid does, and a Cholesky factor of the dense blend
-otherwise (custom targets, full-rank ``S``). The SVD route for the ridge
+``S``) when ``n - K < p`` and the target is fixed, and a Cholesky factor
+of the dense blend otherwise (custom targets, and full-rank ``S``, where
+the cross-validation grid decomposes ``S`` once for all its intensities
+but a single intensity is cheaper to factorize). The SVD route for the ridge
 form factorizes the centered ``n x p`` data matrix instead of the
 ``p x p`` covariance and holds the result as the same spectral object:
 ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at ``1 - lam`` with
@@ -126,8 +127,7 @@ def fit(
     shrinks the within-group pooled covariance toward ``target`` with
     intensity ``lam``. When ``n - K < p`` and the target is fixed (identity
     or equal-correlation), the covariance is a :class:`SpectralCovariance`
-    holding the thin SVD of ``S``, as in the cross-validation grid;
-    otherwise the dense blend is factorized.
+    holding the thin SVD of ``S``; otherwise the dense blend is factorized.
 
     Raises
     ------

@@ -32,8 +32,9 @@ class MeanRegularizer:
     """One of the mean rules: ``none``, ``l2`` (blend), ``l1`` (soft), ``hard``.
 
     ``delta`` is the blend weight for ``l2`` (in [0, 1]) and the threshold
-    for ``l1``/``hard`` (any nonnegative value; means are unbounded, so no
-    upper range is enforced there).
+    for ``l1``/``hard`` (any finite nonnegative value; means are unbounded,
+    so no upper range is enforced there). A non-finite ``delta`` is
+    rejected for every kind.
     """
 
     kind: str
@@ -42,6 +43,9 @@ class MeanRegularizer:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown mean regularizer {self.kind!r}; pick one of {KINDS}")
+        if not np.isfinite(self.delta):
+            what = "threshold" if self.kind in ("l1", "hard") else "parameter"
+            raise ValueError(f"{self.kind} mean-rule {what} delta must be finite, got {self.delta}")
         if self.kind == "l2" and not 0.0 <= self.delta <= 1.0:
             raise ValueError("l2 blend weight must lie in [0, 1]")
         if self.kind in ("l1", "hard") and self.delta < 0:

@@ -2,15 +2,16 @@
 
 The grid evaluator scores every (fold, intensity, mean rule, threshold)
 cell from one kernel per training fold: a map from the intensity ``lam``
-to the regularized covariance. When the fold has fewer degrees of freedom
-than variables (``n - K < p``) and the target is the identity or the
+to the regularized covariance. When the target is the identity or the
 equal-correlation matrix, that kernel is
-:func:`~rlda.covariance.spectral_covariance`: one thin SVD of the
-residuals serves every intensity, and the singular ``lam = 0`` cells fail
-without a factorization. Otherwise each intensity gets one dense Cholesky
-factorization. Either way the regularized mean rows of all rules and
-thresholds are built once per fold and solved as one block, so the
-1000-dimensional benchmark takes about a second per seed on one core.
+:func:`~rlda.covariance.spectral_covariance`: one decomposition of the
+fold's pooled covariance (a thin SVD of the residuals when ``n - K < p``,
+``eigh(S)`` otherwise) serves every intensity, and a singular ``lam = 0``
+cell fails by a stated rank rule, without a factorization. Only a custom
+target gets one dense Cholesky factorization per intensity. Either way
+the regularized mean rows of all rules and thresholds are built once per
+fold and solved as one block, so the 1000-dimensional benchmark takes
+about 0.35-0.55 s per seed on one core.
 Fold assignment is computed once up front from the seed, so results do
 not depend on evaluation order and repeated runs are bit-identical.
 """
@@ -25,7 +26,6 @@ from ._linalg import NotPositiveDefiniteError
 from .covariance import (
     WITHIN_GROUP,
     ShrinkageTarget,
-    _uses_spectral_kernel,
     lw_lambda,
     pooled_covariance,
     shrink_covariance,
@@ -174,15 +174,15 @@ def _evaluate_cells(
     """Fold accuracies for every (lambda, delta) cell of every mean rule.
 
     Returns one array of shape ``(folds, len(lambda_grid), len(deltas))``
-    per mean rule; cells whose covariance is singular stay NaN. A training
-    fold with ``n - K < p`` and a fixed (identity or equal-correlation)
-    target uses the spectral kernel; custom targets and full-rank ``S``
-    use a dense Cholesky factorization per intensity. Both give the same
-    table up to floating-point rounding of the scores.
+    per mean rule; cells whose covariance is singular stay NaN. A fixed
+    (identity or equal-correlation) target uses the spectral kernel for
+    any ``n``; a custom target uses a dense Cholesky factorization per
+    intensity. Both give the same table up to floating-point rounding of
+    the scores.
     """
 
     def kernel(train: GroupedDataset, means):
-        if _uses_spectral_kernel(train, target):
+        if target.kind != "custom":
             return spectral_covariance(train, means, target)
         return _dense_kernel(train, means, target)
 

@@ -199,6 +199,49 @@ class TestErrors:
         assert "l2 blend weight must lie in [0, 1]" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_cv_rejects_non_finite_threshold(self, tmp_path, capsys, value):
+        out = tmp_path / "cv.json"
+        capsys.readouterr()
+        assert run(["cv", "--data", FIXTURE, "--label", "cohort", "--mean-reg", "hard",
+                    "--delta-grid", value, "--out", out]) == 1
+        assert f"hard mean-rule threshold delta must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_fit_rejects_non_finite_threshold(self, tmp_path, capsys, value):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--mean-reg", "l1",
+                    "--lambda", "0.5", "--delta", value, "--model", model]) == 1
+        assert f"l1 mean-rule threshold delta must be finite, got {value}" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("mean_reg", ["l1", "hard"])
+    def test_svd_rejects_threshold_mean_rules(self, tmp_path, capsys, mean_reg):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd", "--lambda", "0.5",
+                    "--mean-reg", mean_reg, "--delta", "0.4", "--model", model]) == 1
+        assert f"--mean-reg {mean_reg} does not apply to --algorithm svd" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_svd_rejects_a_shrinkage_target(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd", "--lambda", "0.5",
+                    "--target", "t2", "--model", model]) == 1
+        assert "--target t2 does not apply to --algorithm svd" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_chol_rejects_paper_mode(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5",
+                    "--mode", "paper", "--model", model]) == 1
+        assert "--mode paper applies to --algorithm svd only" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("algorithm", ["chol", "svd"])
     def test_predict_checks_query_width(self, tmp_path, capsys, algorithm):
         model = tmp_path / "model.json"

@@ -20,6 +20,7 @@ from rlda.covariance import (
     spectral_covariance,
 )
 from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate
+from rlda.selection import default_lambda_grid
 
 from conftest import random_grouped, random_spd, rank_deficient_dataset
 
@@ -269,11 +270,33 @@ class TestSpectralShrinkage:
         means = group_means(d)
         with pytest.raises(ValueError, match="identity and equal-correlation"):
             spectral_covariance(d, means, ShrinkageTarget.custom(np.eye(12)))
-        tall = random_grouped(rng, (8, 8), p=5)
-        with pytest.raises(ValueError, match="n - K < p"):
-            spectral_covariance(tall, group_means(tall), ShrinkageTarget.identity())
         with pytest.raises(ValueError, match="lam must lie"):
             spectral_covariance(d, means, ShrinkageTarget.identity())(1.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(3, 30), min_size=2, max_size=4),
+        p=st.integers(1, 25),
+        lam=st.sampled_from(default_lambda_grid()),
+        theta2=st.one_of(st.none(), st.floats(-0.02, 0.6)),
+    )
+    def test_tall_design_matches_dense_solve(self, seed, counts, p, lam, theta2):
+        # n - K >= p: one eigh(S) serves every intensity, lambda = 0 included.
+        assume(sum(counts) - len(counts) >= p)
+        d = random_grouped(np.random.default_rng(seed), counts, p=p, spread=1.0)
+        target = ShrinkageTarget.identity() if theta2 is None else ShrinkageTarget.equal_correlation(theta2)
+        means = group_means(d)
+        try:
+            dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, lam)
+        except ValueError:  # target not positive definite at this variance scale
+            assume(False)
+        b = np.random.default_rng(seed).standard_normal((p, 3))
+        cov = spectral_covariance(d, means, target)(lam)
+        assert cov.vt.shape == (p, p)
+        expected = dense.solve(b)
+        # Relative to the solution's scale: single entries may cancel to near zero.
+        assert np.abs(cov.solve(b) - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_non_positive_definite_target_raises_like_materialize(self, rng):
         d = random_grouped(rng, (4, 5), p=12)
@@ -288,15 +311,16 @@ class TestSpectralShrinkage:
 class TestSpectralCovariance:
     @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.2)])
     def test_matrix_and_quadratic_form_match_dense(self, rng, target):
-        d = random_grouped(rng, (4, 5), p=12)
-        means = group_means(d)
-        cov = spectral_covariance(d, means, target)(0.4)
-        dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, 0.4)
-        assert (cov.p, cov.lam, cov.rule, cov.s_convention) == (12, 0.4, dense.rule, WITHIN_GROUP)
-        assert_allclose(cov.matrix, dense.matrix, rtol=0, atol=1e-12)
-        for _ in range(3):
-            z = rng.standard_normal(12)
-            assert mahalanobis_sq(cov, z) == pytest.approx(mahalanobis_sq(dense, z), rel=1e-10)
+        for counts in ((4, 5), (20, 25)):  # n - K < p: thin SVD; n - K >= p: eigh(S)
+            d = random_grouped(rng, counts, p=12)
+            means = group_means(d)
+            cov = spectral_covariance(d, means, target)(0.4)
+            dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, 0.4)
+            assert (cov.p, cov.lam, cov.rule, cov.s_convention) == (12, 0.4, dense.rule, WITHIN_GROUP)
+            assert_allclose(cov.matrix, dense.matrix, rtol=0, atol=1e-12)
+            for _ in range(3):
+                z = rng.standard_normal(12)
+                assert mahalanobis_sq(cov, z) == pytest.approx(mahalanobis_sq(dense, z), rel=1e-10)
 
     def test_solves_a_vector_like_a_column(self, rng):
         # n - K = 10 < p = 12 while the thin SVD keeps all p = n rows of V^T.
@@ -310,6 +334,17 @@ class TestSpectralCovariance:
         d = random_grouped(rng, (4, 5), p=12)
         with pytest.raises(NotPositiveDefiniteError, match="rank at most n - K < p=12"):
             spectral_covariance(d, group_means(d), ShrinkageTarget.identity())(0.0)
+
+    def test_rank_rule_at_lambda_zero(self):
+        # Feasible exactly when r = p and eig[-1] > p * eps * eig[0] (numpy's matrix_rank tolerance).
+        edge = 3 * np.finfo(float).eps
+        feasible = SpectralCovariance(np.eye(3), [1.0, 0.5, edge * 1.5], 1.0, 0.0, 0.0)
+        assert feasible.solve(np.ones(3))[2] == 1.0 / (edge * 1.5)
+        for eig in ([1.0, 0.5, edge], [1.0, 0.5, 0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
+                SpectralCovariance(np.eye(3), eig, 1.0, 0.0, 0.0)
+        assert np.linalg.matrix_rank(np.diag([1.0, 0.5, edge])) == 2
+        assert np.linalg.matrix_rank(np.diag([1.0, 0.5, edge * 1.5])) == 3
 
     def test_validation(self):
         vt = np.eye(3)[:2]

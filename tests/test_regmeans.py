@@ -142,3 +142,10 @@ class TestRegularizeMeans:
             MeanRegularizer("hard", -0.2)
         with pytest.raises(ValueError, match="one entry per variable"):
             RegularizedMeans(np.zeros((2, 3)), np.array([True, False]))
+
+    @pytest.mark.parametrize("kind", ["none", "l2", "l1", "hard"])
+    @pytest.mark.parametrize("delta", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_delta(self, kind, delta):
+        what = "threshold" if kind in ("l1", "hard") else "parameter"
+        with pytest.raises(ValueError, match=f"{kind} mean-rule {what} delta must be finite, got {delta}"):
+            MeanRegularizer(kind, delta)

@@ -238,15 +238,16 @@ TARGETS = [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(theta2=
 
 
 class TestSpectralRoute:
-    """The n < p spectral route must reproduce the dense Cholesky cell tables exactly."""
+    """The spectral route must reproduce the dense Cholesky cell tables exactly, for n < p and n - K >= p."""
 
-    def assert_tables_equal(self, data, fold_sets, kind_grids):
+    def assert_tables_equal(self, data, fold_sets, kind_grids, lambda_zero_feasible=False):
         for target in TARGETS:
             spectral = _evaluate_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
             dense = dense_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
             for kind in kind_grids:
                 assert np.array_equal(spectral[kind], dense[kind], equal_nan=True), (target.kind, kind)
-                assert np.isnan(spectral[kind][:, 0]).all()  # lambda = 0: singular S
+                # lambda = 0 is S itself: singular when n - K < p, feasible for a full-rank S.
+                assert np.isnan(spectral[kind][:, 0]).all() != lambda_zero_feasible
                 assert not np.isnan(spectral[kind][:, 1:]).any()
 
     def test_paper_configuration(self):
@@ -260,6 +261,39 @@ class TestSpectralRoute:
         data = random_grouped(rng, (9, 12, 10), p=40, spread=0.4)
         fold_sets = make_folds(data, 3, seed=6)
         self.assert_tables_equal(data, fold_sets, {"none": (0.0,), "l2": (0.0, 0.5), "l1": (0.1, 0.6)})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tall_design(self, seed):
+        # n - K = 396 >= p = 40: the folds take eigh(S) and lambda = 0 is feasible.
+        data = random_grouped(np.random.default_rng(seed), (100, 100, 100, 100), p=40, spread=0.3)
+        kind_grids = {kind: default_delta_grid(kind, data) for kind in ("none", "l2", "l1", "hard")}
+        self.assert_tables_equal(data, make_folds(data, 5, seed), kind_grids, lambda_zero_feasible=True)
+
+    def test_tall_three_groups(self, rng):
+        data = random_grouped(rng, (40, 50, 45), p=20, spread=0.4)
+        fold_sets = make_folds(data, 3, seed=6)
+        kind_grids = {"none": (0.0,), "l2": (0.0, 0.5), "l1": (0.1, 0.6)}
+        self.assert_tables_equal(data, fold_sets, kind_grids, lambda_zero_feasible=True)
+
+    @pytest.mark.parametrize("column", ["duplicated", "constant"])
+    def test_tall_singular_s_fails_lambda_zero_by_the_rank_rule(self, column):
+        # n - K >= p, yet S is singular: the last column copies the first, or is constant.
+        data = random_grouped(np.random.default_rng(4), (60, 60), p=11, spread=0.3)
+        extra = data.values[:, :1] if column == "duplicated" else np.full((data.n, 1), 2.0)
+        data = GroupedDataset(np.hstack([data.values, extra]), data.labels, data.group_names)
+        fold_sets = make_folds(data, 4, seed=4)
+        lams, kind_grids = (0.0, 0.05, 0.5), {"none": (0.0,), "l2": (0.5,)}
+        for target in TARGETS:
+            spectral = _evaluate_cells(data, target, fold_sets, lams, kind_grids)
+            dense = dense_cells(data, target, fold_sets, lams, kind_grids)
+            for kind in kind_grids:
+                assert np.isnan(spectral[kind][:, 0]).all()
+                assert np.array_equal(spectral[kind][:, 1:], dense[kind][:, 1:])
+                assert not np.isnan(spectral[kind][:, 1:]).any()
+                if column == "constant":
+                    # An exactly zero row of S fails the dense factorization too. A duplicated
+                    # column leaves a round-off pivot that the dense Cholesky may accept.
+                    assert np.isnan(dense[kind][:, 0]).all()
 
     def test_lambda_zero_skips_rank_check(self, rng, monkeypatch):
         def no_rank(*args, **kwargs):
@@ -287,14 +321,23 @@ class TestSpectralRoute:
         sigmas = [float(re.fullmatch(pattern, str(e)).group(1)) for e in errors]
         assert sigmas[0] == pytest.approx(sigmas[1], rel=1e-12)
 
-    def test_full_rank_folds_keep_dense_route(self, rng, monkeypatch):
+    def test_fixed_targets_take_spectral_route_at_any_n(self, rng, monkeypatch):
         import rlda.selection as selection
 
-        def no_spectral(*args, **kwargs):
-            raise AssertionError("the spectral kernel must not run when n - K >= p")
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} must not run here")
 
-        monkeypatch.setattr(selection, "spectral_covariance", no_spectral)
-        data = random_grouped(rng, (30, 30), p=6, spread=1.0)
+            return call
+
+        data = random_grouped(rng, (30, 30), p=6, spread=1.0)  # n - K >= p
         fold_sets = make_folds(data, 3, seed=2)
-        acc = _evaluate_cells(data, TARGETS[1], fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
+        monkeypatch.setattr(selection, "_dense_kernel", refuse("the dense kernel"))
+        for target in TARGETS:
+            acc = _evaluate_cells(data, target, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
+            assert not np.isnan(acc).any()
+        monkeypatch.undo()
+        monkeypatch.setattr(selection, "spectral_covariance", refuse("the spectral kernel"))
+        custom = ShrinkageTarget.custom(np.eye(6) + 0.1)
+        acc = _evaluate_cells(data, custom, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
         assert not np.isnan(acc).any()
