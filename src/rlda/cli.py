@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from ._linalg import NotPositiveDefiniteError
-from .bayes import GaussianPrior, posterior_mean_general
+from .bayes import GaussianPrior, posterior_mean_conjugate_scalar, posterior_mean_general
 from .covariance import ShrinkageTarget, lw_lambda
 from .datamodel import (
     GroupedDataset,
@@ -308,15 +308,13 @@ def _cmd_bayes(args) -> int:
     xbar = np.array(_parse_floats(args.xbar))
     theta = np.array(_parse_floats(args.theta))
     if args.c is not None:
-        prior = GaussianPrior.scaled(theta, args.c)
-        sigma = np.eye(xbar.size)  # unused by the scalar form
+        summary = posterior_mean_conjugate_scalar(xbar, args.n, args.c, theta)  # needs no covariance
     else:
         if not (args.sigma_csv and args.prior_cov_csv):
             raise ValueError("provide either --c or both --sigma-csv and --prior-cov-csv")
         sigma, _ = load_matrix_csv(args.sigma_csv)
         prior_cov, _ = load_matrix_csv(args.prior_cov_csv)
-        prior = GaussianPrior.full(theta, prior_cov)
-    summary = posterior_mean_general(xbar, args.n, sigma, prior)
+        summary = posterior_mean_general(xbar, args.n, sigma, GaussianPrior.full(theta, prior_cov))
     doc = _base_doc(args)
     doc.update(summary.to_dict())
     _emit(doc, args.out)

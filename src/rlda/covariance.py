@@ -17,7 +17,8 @@ eigenpairs. It serves the cross-validation grid for every fixed target,
 the target-shrunk covariance of ``fit`` when ``S`` has low rank
 (``n - K < p``), and the SVD ridge classifier (the identity blend at
 ``1 - lam`` on the Gram convention).
-Both build their dense ``matrix`` only when it is read.
+Both build their dense ``matrix`` only when it is read, and both judge
+``lam = 0`` (``M = S``) by one rank rule, with no jitter.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ class SpectralCovariance:
     ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at
     ``1 - lam`` on the ``"gram-pooled-mean"`` scale.
 
-    Rank rule: ``lam = 0`` (``M = S``) is feasible exactly when ``r = p``
-    and ``eig[-1] > p eps eig[0]``, the default tolerance of
+    Rank rule, shared with :func:`shrink_covariance`: ``lam = 0``
+    (``M = S``) is feasible exactly when ``r = p`` and
+    ``eig[-1] > p eps eig[0]``, the default tolerance of
     ``numpy.linalg.matrix_rank``. With ``r = p`` the inverse is
     ``V diag(1 / ((1 - lam) eig + lam spread)) V^T``, defined at
     ``lam = 0``; with ``r < p`` it is :func:`_shrunk_inverse`.
@@ -218,11 +220,7 @@ class SpectralCovariance:
                 raise NotPositiveDefiniteError(
                     f"shrunk covariance (lam=0.0) is not positive definite: S has rank at most n - K < p={p}"
                 )
-            if not eig[-1] > p * np.finfo(float).eps * eig[0]:
-                raise NotPositiveDefiniteError(
-                    f"shrunk covariance (lam=0.0) is not positive definite: S is singular "
-                    f"(smallest eigenvalue {eig[-1]:.3g}, largest {eig[0]:.3g}, p={p})"
-                )
+            _require_full_rank(eig, "shrunk covariance (lam=0.0)")
         vt.setflags(write=False)
         eig.setflags(write=False)
         object.__setattr__(self, "vt", vt)
@@ -294,17 +292,21 @@ def _within_group_residuals(data: GroupedDataset, means: GroupMeans) -> tuple[np
     return data.values - means.per_group[data.labels], dof
 
 
-def _factor_with_jitter(matrix: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return cholesky_lower(matrix, what)
-    except NotPositiveDefiniteError:
-        # One retry for float-boundary cases sitting on the PD edge. A matrix
-        # that is rank deficient beyond float noise stays an error: the bump
-        # must not manufacture positive definiteness out of singularity.
-        jitter = 1e-10 * np.trace(matrix) / matrix.shape[0]
-        if jitter <= 0 or np.linalg.matrix_rank(matrix) < matrix.shape[0]:
-            raise
-        return cholesky_lower(matrix + jitter * np.eye(matrix.shape[0]), what)
+def _require_full_rank(eig: np.ndarray, what: str) -> None:
+    """Raise unless ``S`` (non-increasing eigenvalues ``eig``) passes the ``lam = 0`` rank rule."""
+    p = eig.size
+    if not eig[-1] > p * np.finfo(float).eps * eig[0]:
+        raise NotPositiveDefiniteError(
+            f"{what} is not positive definite: S is singular "
+            f"(smallest eigenvalue {eig[-1]:.3g}, largest {eig[0]:.3g}, p={p})"
+        )
+
+
+def _blend_factor(s: np.ndarray, t: np.ndarray, lam: float, what: str) -> np.ndarray:
+    """Lower Cholesky factor of ``(1 - lam) S + lam T``; at ``lam = 0``, ``S`` must pass the rank rule first."""
+    if lam == 0.0:
+        _require_full_rank(np.linalg.eigvalsh(s)[::-1], what)
+    return cholesky_lower((1.0 - lam) * s + lam * t, what)
 
 
 def shrink_covariance(
@@ -315,18 +317,16 @@ def shrink_covariance(
 ) -> RegularizedCovariance:
     """Blend ``(1 - lam) S + lam T`` and factorize the result.
 
-    ``lam = 0`` returns ``S`` itself and ``lam = 1`` the target. A failed
-    factorization (for instance ``lam = 0`` with singular ``S``) raises the
-    recoverable :class:`NotPositiveDefiniteError` after a single jittered
-    retry.
+    ``lam = 0`` returns ``S`` itself, which must first pass the rank rule
+    of :class:`SpectralCovariance`, and ``lam = 1`` the target. Nothing is
+    jittered: a failure raises the recoverable :class:`NotPositiveDefiniteError`.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     s = ensure_symmetric(s, "S")
     p = s.shape[0]
     t = target.materialize(p, default_sigma2=float(np.mean(np.diag(s))) if p else None)
-    blended = (1.0 - lam) * s + lam * t
-    factor = _factor_with_jitter(blended, f"shrunk covariance (lam={lam})")
+    factor = _blend_factor(s, t, lam, f"shrunk covariance (lam={lam})")
     return RegularizedCovariance(factor=factor, lam=lam, rule="target-shrink", s_convention=s_convention)
 
 
@@ -408,16 +408,15 @@ def spectral_covariance(
 
 
 def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None) -> RegularizedCovariance:
-    """The ridge form ``lam S + (1 - lam) I`` (roles of ``lam`` reversed).
+    """The ridge form ``lam S + (1 - lam) I``: the identity blend at ``1 - lam``.
 
-    Positive definite for any ``lam < 1``; ``lam = 1`` is accepted exactly
-    when ``S`` itself factorizes.
+    Positive definite for any ``lam < 1``; ``lam = 1`` (``M = S``) follows
+    the rank rule of :func:`shrink_covariance` at intensity ``0``.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     s = ensure_symmetric(s, "S")
-    blended = lam * s + (1.0 - lam) * np.eye(s.shape[0])
-    factor = _factor_with_jitter(blended, f"ridge covariance (lam={lam})")
+    factor = _blend_factor(s, np.eye(s.shape[0]), 1.0 - lam, f"ridge covariance (lam={lam})")
     return RegularizedCovariance(factor=factor, lam=lam, rule="ridge", s_convention=s_convention)
 
 

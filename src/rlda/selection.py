@@ -6,9 +6,9 @@ to the regularized covariance. When the target is the identity or the
 equal-correlation matrix, that kernel is
 :func:`~rlda.covariance.spectral_covariance`: one decomposition of the
 fold's pooled covariance (a thin SVD of the residuals when ``n - K < p``,
-``eigh(S)`` otherwise) serves every intensity, and a singular ``lam = 0``
-cell fails by a stated rank rule, without a factorization. Only a custom
-target gets one dense Cholesky factorization per intensity. Either way
+``eigh(S)`` otherwise) serves every intensity. Only a custom target gets
+one dense Cholesky factorization per intensity. Both judge ``lam = 0``
+(``M = S``) by one rank rule, so a singular ``S`` leaves it NaN. Either way
 the regularized mean rows of all rules and thresholds are built once per
 fold and solved as one block, so the 1000-dimensional benchmark takes
 about 0.35-0.55 s per seed on one core.
@@ -177,8 +177,8 @@ def _evaluate_cells(
     per mean rule; cells whose covariance is singular stay NaN. A fixed
     (identity or equal-correlation) target uses the spectral kernel for
     any ``n``; a custom target uses a dense Cholesky factorization per
-    intensity. Both give the same table up to floating-point rounding of
-    the scores.
+    intensity. Both give the same table, ``lam = 0`` verdicts included,
+    up to floating-point rounding of the scores.
     """
 
     def kernel(train: GroupedDataset, means):
@@ -249,7 +249,8 @@ def _selected(
             if best is None or value >= best[0]:
                 best = (value, li, di)
     if best is None:
-        raise NotPositiveDefiniteError("no feasible grid cell: every intensity failed to factorize")
+        cause = "; lambda=0 leaves M = S, which is singular on some training fold" if 0.0 in lambda_grid else ""
+        raise NotPositiveDefiniteError(f"no feasible grid cell: every intensity fails on some training fold{cause}")
     _, li, di = best
     n_active = regularize_means(means, MeanRegularizer(kind, delta_grid[di])).n_active
     delta = None if kind == "none" else float(delta_grid[di])
@@ -361,21 +362,20 @@ def run_simulated_experiment(
     kind_grids = {kind: default_delta_grid(kind, data) for kind in reg_kinds}
     means = group_means(data)
 
-    # One evaluation pass per target covers the CV rows of all mean rules.
-    cv_acc = {name: _evaluate_cells(data, target, fold_sets, lambda_grid, kind_grids) for name, target in targets.items()}
-    lw_rows = {}
+    # One pass per target covers the CV rows of all mean rules and, in a last column, the lw row.
+    acc, lam_hats = {}, {}
     for name, target in targets.items():
-        lam_hat = lw_lambda(data, target)
-        acc = _evaluate_cells(data, target, fold_sets, (lam_hat,), {"none": (0.0,)})["none"]
-        lw_rows[name] = (lam_hat, acc[:, 0, 0])
+        lam_hats[name] = lw_lambda(data, target)
+        acc[name] = _evaluate_cells(data, target, fold_sets, lambda_grid + (lam_hats[name],), kind_grids)
 
     rows = []
     for target_name, kind, selection in _EXPERIMENT_ROWS:
         if selection == "lw":
-            lam, fold_acc = lw_rows[target_name]
+            lam, fold_acc = lam_hats[target_name], acc[target_name]["none"][:, -1, 0]
             delta, n_vars = None, int(p)
         else:
-            lam, delta, fold_acc, n_vars = _selected(cv_acc[target_name][kind], lambda_grid, kind_grids[kind], kind, means)
+            cv_acc = acc[target_name][kind][:, :-1]  # the analytic intensity never wins a CV row
+            lam, delta, fold_acc, n_vars = _selected(cv_acc, lambda_grid, kind_grids[kind], kind, means)
         rows.append(
             {
                 "target": target_name,

@@ -33,6 +33,14 @@ def rank_deficient_dataset(seed: int, counts, p: int, duplicated: int):
     return GroupedDataset(values, d.labels, d.group_names)
 
 
+def duplicated_column_dataset(seed: int):
+    """Two tall groups (n - K >= p) whose last column copies the first, so ``S`` is exactly singular."""
+    from rlda.datamodel import GroupedDataset
+
+    d = random_grouped(np.random.default_rng(seed), (60, 60), p=11, spread=0.3)
+    return GroupedDataset(np.hstack([d.values, d.values[:, :1]]), d.labels, d.group_names)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

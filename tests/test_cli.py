@@ -1,9 +1,13 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from rlda.cli import main
+from rlda.datamodel import save_csv
+
+from conftest import duplicated_column_dataset
 
 FIXTURE = Path(__file__).parent / "data" / "separable.csv"
 
@@ -175,6 +179,20 @@ class TestSmallCommands:
         assert doc["mean"] == pytest.approx([1.0, 0.0])
         assert doc["weight_kind"] == "matrix"
 
+    def test_bayes_scalar_form_allocates_no_p_by_p_matrix(self, tmp_path):
+        p = 4000
+        out = tmp_path / "bayes.json"
+        tracemalloc.start()
+        try:
+            code = run(["bayes", "--xbar", ",".join(["1"] * p), "--n", 4, "--theta", ",".join(["0"] * p),
+                        "--c", 1.0, "--out", out])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 20 * 2**20  # one p x p float matrix would take 128 MB
+        assert read_json(out)["mean"] == pytest.approx([0.8] * p)
+
 
 class TestErrors:
     def test_predict_without_model_is_usage_error(self):
@@ -283,6 +301,30 @@ class TestErrors:
         assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--target", target,
                     "--lambda", "0.3", "--model", tmp_path / "m.json"]) == 1
         assert "row 3, column 'b': non-finite value 'inf'" in capsys.readouterr().err
+
+    def test_fit_lambda_zero_rejects_singular_tall_s(self, tmp_path, capsys):
+        # n - K >= p takes the dense kernel; the last column copies the first, so S is singular.
+        data = tmp_path / "tall.csv"
+        save_csv(duplicated_column_dataset(seed=2), data, label_column="group")
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", data, "--label", "group", "--lambda", "0", "--model", model]) == 1
+        assert "shrunk covariance (lam=0.0) is not positive definite: S is singular" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", [["cv", "--lambda-grid", "0"], ["fit", "--lambda", "0", "--delta", "cv"]])
+    def test_all_infeasible_grid_names_its_cause(self, tmp_path, capsys, command):
+        data = tmp_path / "wide.csv"
+        assert run(["simulate", "--seed", 3, "--n", 6, "--m", 6, "--p", 40, "--data-out", data,
+                    "--out", tmp_path / "sim.json"]) == 0
+        written = tmp_path / "written.json"
+        destination = ["--out", written] if command[0] == "cv" else ["--model", written]
+        capsys.readouterr()
+        assert run([*command, "--data", data, "--label", "group", *destination]) == 1
+        err = capsys.readouterr().err
+        assert "no feasible grid cell" in err
+        assert "lambda=0 leaves M = S, which is singular on some training fold" in err
+        assert not written.exists()
 
     def test_conflicting_label_column(self, tmp_path):
         assert run(["cv", "--data", FIXTURE, "--label", "wrong"]) == 1

@@ -22,7 +22,7 @@ from rlda.covariance import (
 from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate
 from rlda.selection import default_lambda_grid
 
-from conftest import random_grouped, random_spd, rank_deficient_dataset
+from conftest import duplicated_column_dataset, random_grouped, random_spd, rank_deficient_dataset
 
 
 def double_loop_pooled(values, labels, k):
@@ -89,6 +89,36 @@ class TestShrink:
         out = shrink_covariance(singular, ShrinkageTarget.identity(), 0.3)
         assert out.lam == 0.3
 
+    def test_duplicated_column_fails_lambda_zero_by_the_rank_rule(self):
+        # Cholesky of this exactly singular S ends on a round-off pivot that
+        # can come out positive; the rank rule rejects S as the spectral kernel does.
+        d = duplicated_column_dataset(seed=2)
+        s = pooled_covariance(d, group_means(d), WITHIN_GROUP)
+        message = r"shrunk covariance \(lam=0.0\) is not positive definite: S is singular \(smallest eigenvalue"
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            shrink_covariance(s, ShrinkageTarget.identity(), 0.0)
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            spectral_covariance(d, group_means(d), ShrinkageTarget.identity())(0.0)
+        assert shrink_covariance(s, ShrinkageTarget.identity(), 0.05).lam == 0.05
+
+    def test_rank_rule_edge_matches_spectral_kernel(self):
+        # The dense route draws the line where SpectralCovariance does: eig[-1] > p * eps * eig[0].
+        edge = 3 * np.finfo(float).eps
+        out = shrink_covariance(np.diag([1.0, 0.5, edge * 1.5]), ShrinkageTarget.identity(), 0.0)
+        assert_allclose(out.matrix, np.diag([1.0, 0.5, edge * 1.5]))
+        with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
+            shrink_covariance(np.diag([1.0, 0.5, edge]), ShrinkageTarget.identity(), 0.0)
+
+    def test_singular_s_fails_without_a_retry(self, monkeypatch):
+        def no_rank(*args, **kwargs):
+            raise AssertionError("no rank check may run after a failed factorization")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+        with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
+            shrink_covariance(np.ones((3, 3)), ShrinkageTarget.identity(), 0.0)
+        with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
+            ridge_covariance(np.ones((3, 3)), 1.0)
+
     def test_factor_reconstructs_matrix(self, rng):
         s = random_spd(rng, 5)
         out = shrink_covariance(s, ShrinkageTarget.identity(), 0.2)
@@ -135,6 +165,15 @@ class TestRidge:
     def test_lambda_one_with_singular_s_fails(self):
         with pytest.raises(NotPositiveDefiniteError):
             ridge_covariance(np.ones((3, 3)), 1.0)
+
+    def test_lambda_one_with_duplicated_column_fails_by_the_rank_rule(self):
+        d = duplicated_column_dataset(seed=2)
+        s = pooled_covariance(d, group_means(d), WITHIN_GROUP)
+        with pytest.raises(
+            NotPositiveDefiniteError, match=r"ridge covariance \(lam=1.0\) is not positive definite: S is singular"
+        ):
+            ridge_covariance(s, 1.0)
+        assert ridge_covariance(s, 0.95).rule == "ridge"
 
     def test_equivalent_to_shrink_with_swapped_intensity(self, rng):
         s = random_spd(rng, 4)

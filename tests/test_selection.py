@@ -290,10 +290,8 @@ class TestSpectralRoute:
                 assert np.isnan(spectral[kind][:, 0]).all()
                 assert np.array_equal(spectral[kind][:, 1:], dense[kind][:, 1:])
                 assert not np.isnan(spectral[kind][:, 1:]).any()
-                if column == "constant":
-                    # An exactly zero row of S fails the dense factorization too. A duplicated
-                    # column leaves a round-off pivot that the dense Cholesky may accept.
-                    assert np.isnan(dense[kind][:, 0]).all()
+                # The dense route applies the same rank rule at lambda = 0.
+                assert np.isnan(dense[kind][:, 0]).all()
 
     def test_lambda_zero_skips_rank_check(self, rng, monkeypatch):
         def no_rank(*args, **kwargs):
