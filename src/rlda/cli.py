@@ -153,6 +153,8 @@ def _check_route_options(args) -> None:
             )
     elif args.mode != "exact":
         raise ValueError(f"--mode {args.mode} applies to --algorithm svd only")
+    elif args.mean_reg == "none" and args.delta not in (None, "cv"):
+        raise ValueError(f"--delta {args.delta} does not apply to --mean-reg none, which leaves the means as they are")
 
 
 def _cmd_fit(args) -> int:

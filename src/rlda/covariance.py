@@ -13,10 +13,10 @@ A regularized covariance is one of two objects with the same ``lam``,
 lower Cholesky factor of a dense blend, so solves and quadratic forms never
 invert anything. :class:`SpectralCovariance` is the one spectral kernel:
 ``V diag(eig) V^T`` blended with a fixed target and inverted through its
-eigenpairs. It serves the cross-validation grid for every fixed target,
-the target-shrunk covariance of ``fit`` when ``S`` has low rank
-(``n - K < p``), and the SVD ridge classifier (the identity blend at
-``1 - lam`` on the Gram convention).
+eigenpairs; it also holds the SVD ridge classifier (the identity blend at
+``1 - lam`` on the Gram convention). Which of the two a target-shrunk
+covariance takes, in ``fit`` and in the cross-validation grid alike, is
+decided by :func:`_shrinkage_kernel` alone.
 Both build their dense ``matrix`` only when it is read, and both judge
 ``lam = 0`` (``M = S``) by one rank rule, with no jitter.
 """
@@ -351,17 +351,6 @@ def _shrunk_inverse(vt: np.ndarray, scaled: np.ndarray, c: float) -> Callable[[n
     return _low_rank_solver(vt, -scaled / (c * (scaled + c)), 1.0 / c)
 
 
-def _uses_spectral_kernel(data: GroupedDataset, target: ShrinkageTarget) -> bool:
-    """The kernel rule of ``fit``: a fixed target and ``n - K < p``.
-
-    The CV grid takes the spectral kernel for every fixed target, since one
-    decomposition serves all its intensities. A single intensity amortizes
-    nothing, and for ``n - K >= p`` one ``O(p^3)`` ``eigh`` costs about
-    twenty Cholesky factorizations, so ``fit`` keeps the dense blend there.
-    """
-    return target.kind != "custom" and data.n - data.n_groups < data.p
-
-
 def spectral_covariance(
     data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
 ) -> Callable[[float], SpectralCovariance]:
@@ -407,6 +396,29 @@ def spectral_covariance(
     return lambda lam: SpectralCovariance(vt, eig, spread, theta2, lam)
 
 
+def _shrinkage_kernel(
+    data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget, intensities: int
+) -> Callable[[float], RegularizedCovariance | SpectralCovariance]:
+    """The kernel rule: ``(1 - lam) S + lam T`` of ``data`` as a function of ``lam``.
+
+    This is the one place that picks the kernel's form, from the input
+    alone. A fixed target (identity or equal-correlation) takes
+    :func:`spectral_covariance` when ``S`` has low rank (``n - K < p``) or
+    when more than one of ``intensities`` will be read, since one
+    decomposition then serves them all. Otherwise the dense blend of
+    :func:`pooled_covariance` is factorized per intensity by
+    :func:`shrink_covariance`: the only form for a custom target, and the
+    cheaper one for a single intensity on a full-rank ``S``, where one
+    ``O(p^3)`` ``eigh`` costs about twenty Cholesky factorizations. Both
+    forms judge ``lam = 0`` by the same rank rule, so the choice changes
+    cost, not verdicts.
+    """
+    if target.kind != "custom" and (data.n - data.n_groups < data.p or intensities > 1):
+        return spectral_covariance(data, means, target)
+    s = pooled_covariance(data, means, WITHIN_GROUP)
+    return lambda lam: shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP)
+
+
 def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None) -> RegularizedCovariance:
     """The ridge form ``lam S + (1 - lam) I``: the identity blend at ``1 - lam``.
 
@@ -437,13 +449,8 @@ def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:
     """
     if target.kind == "custom":
         raise ValueError("lw_lambda supports the identity and equal-correlation targets")
-    if data.n < 2:
-        raise ValueError("lw_lambda needs at least 2 observations")
-    resid = data.values - group_means(data).per_group[data.labels]
+    resid, dof = _within_group_residuals(data, group_means(data))
     n = data.n
-    dof = n - data.n_groups
-    if dof < 1:
-        raise ValueError("lw_lambda needs more observations than groups")
     scatter = resid.T @ resid
     s = scatter / dof
 

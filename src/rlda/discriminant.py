@@ -12,15 +12,13 @@ the cross-validation grid, scores through :func:`_scores`, given a solver
 that applies ``M^-1``; the routes differ in the solver alone.
 
 Two fitting routes are provided. The target-shrinkage route (``fit``)
-keeps a :class:`~rlda.covariance.SpectralCovariance` (the thin SVD of
-``S``) when ``n - K < p`` and the target is fixed, and a Cholesky factor
-of the dense blend otherwise (custom targets, and full-rank ``S``, where
-the cross-validation grid decomposes ``S`` once for all its intensities
-but a single intensity is cheaper to factorize). The SVD route for the ridge
-form factorizes the centered ``n x p`` data matrix instead of the
-``p x p`` covariance and holds the result as the same spectral object:
-``lam Xc^T Xc + (1 - lam) I`` is the identity blend at ``1 - lam`` with
-eigenvalues ``sv^2``.
+keeps whichever covariance form the kernel rule,
+:func:`~rlda.covariance._shrinkage_kernel`, picks for a single intensity:
+a :class:`~rlda.covariance.SpectralCovariance` or the Cholesky factor of
+the dense blend. The SVD route for the ridge form factorizes the centered
+``n x p`` data matrix instead of the ``p x p`` covariance and holds the
+result as the same spectral object: ``lam Xc^T Xc + (1 - lam) I`` is the
+identity blend at ``1 - lam`` with eigenvalues ``sv^2``.
 """
 
 from __future__ import annotations
@@ -36,10 +34,9 @@ from .covariance import (
     ShrinkageTarget,
     SpectralCovariance,
     _low_rank_solver,
-    _uses_spectral_kernel,
+    _shrinkage_kernel,
     pooled_covariance,
     shrink_covariance,
-    spectral_covariance,
 )
 from .datamodel import GroupedDataset, GroupMeans, group_means
 from .regmeans import MeanRegularizer, RegularizedMeans, regularize_means
@@ -125,9 +122,8 @@ def fit(
 
     Computes group and pooled means, applies the mean regularizer, and
     shrinks the within-group pooled covariance toward ``target`` with
-    intensity ``lam``. When ``n - K < p`` and the target is fixed (identity
-    or equal-correlation), the covariance is a :class:`SpectralCovariance`
-    holding the thin SVD of ``S``; otherwise the dense blend is factorized.
+    intensity ``lam``, in the form that
+    :func:`~rlda.covariance._shrinkage_kernel` picks for one intensity.
 
     Raises
     ------
@@ -142,10 +138,7 @@ def fit(
     mean_reg = mean_reg or MeanRegularizer.none()
     means = group_means(data)
     reg = regularize_means(means, mean_reg)
-    if _uses_spectral_kernel(data, target):
-        cov = spectral_covariance(data, means, target)(lam)
-    else:
-        cov = shrink_covariance(pooled_covariance(data, means, WITHIN_GROUP), target, lam, s_convention=WITHIN_GROUP)
+    cov = _shrinkage_kernel(data, means, target, 1)(lam)
     priors = resolve_priors(priors_spec, data.group_counts)
     config = {
         "target": target.describe(),

@@ -2,16 +2,12 @@
 
 The grid evaluator scores every (fold, intensity, mean rule, threshold)
 cell from one kernel per training fold: a map from the intensity ``lam``
-to the regularized covariance. When the target is the identity or the
-equal-correlation matrix, that kernel is
-:func:`~rlda.covariance.spectral_covariance`: one decomposition of the
-fold's pooled covariance (a thin SVD of the residuals when ``n - K < p``,
-``eigh(S)`` otherwise) serves every intensity. Only a custom target gets
-one dense Cholesky factorization per intensity. Both judge ``lam = 0``
-(``M = S``) by one rank rule, so a singular ``S`` leaves it NaN. Either way
-the regularized mean rows of all rules and thresholds are built once per
-fold and solved as one block, so the 1000-dimensional benchmark takes
-about 0.35-0.55 s per seed on one core.
+to the regularized covariance, in the form that
+:func:`~rlda.covariance._shrinkage_kernel` picks for the grid's length.
+Both forms judge ``lam = 0`` (``M = S``) by one rank rule, so a singular
+``S`` leaves it NaN. Either way the regularized mean rows of all rules and
+thresholds are built once per fold and solved as one block, so the
+1000-dimensional benchmark takes about 0.35-0.55 s per seed on one core.
 Fold assignment is computed once up front from the seed, so results do
 not depend on evaluation order and repeated runs are bit-identical.
 """
@@ -23,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NotPositiveDefiniteError
-from .covariance import (
-    WITHIN_GROUP,
-    ShrinkageTarget,
-    lw_lambda,
-    pooled_covariance,
-    shrink_covariance,
-    spectral_covariance,
-)
+from .covariance import ShrinkageTarget, _shrinkage_kernel, lw_lambda
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
 from .discriminant import _scores
 from .regmeans import MeanRegularizer, regularize_means
@@ -51,10 +40,8 @@ THRESHOLD_QUANTILES = (0.0, 0.5, 0.75, 0.9, 0.95, 0.99)
 L2_DELTA_GRID = tuple(np.round(np.arange(0.0, 0.9 + 1e-9, 0.1), 1))
 
 
-def default_lambda_grid(rule: str = "target-shrink") -> tuple[float, ...]:
-    """Intensity grid: 0 to 1 in steps of 0.05 (ridge stops at 0.95)."""
-    if rule == "ridge":
-        return LAMBDA_STEP_GRID[:-1]
+def default_lambda_grid() -> tuple[float, ...]:
+    """Intensity grid: 0 to 1 in steps of 0.05."""
     return LAMBDA_STEP_GRID
 
 
@@ -85,13 +72,10 @@ class CvConfig:
     delta_grid: tuple[float, ...] | None = None
     seed: int = 0
     stratified: bool = True
-    selection_rule: str = "best-mean-accuracy"
 
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
-        if self.selection_rule != "best-mean-accuracy":
-            raise ValueError("only the best-mean-accuracy selection rule is supported")
         for name in ("lambda_grid", "delta_grid"):
             grid = getattr(self, name)
             if grid is not None:
@@ -158,12 +142,6 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 
-def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
-    """Per-intensity Cholesky factor of the shrunk covariance, as a function of ``lam``."""
-    s = pooled_covariance(train, means, WITHIN_GROUP)
-    return lambda lam: shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP)
-
-
 def _evaluate_cells(
     data: GroupedDataset,
     target: ShrinkageTarget,
@@ -174,17 +152,15 @@ def _evaluate_cells(
     """Fold accuracies for every (lambda, delta) cell of every mean rule.
 
     Returns one array of shape ``(folds, len(lambda_grid), len(deltas))``
-    per mean rule; cells whose covariance is singular stay NaN. A fixed
-    (identity or equal-correlation) target uses the spectral kernel for
-    any ``n``; a custom target uses a dense Cholesky factorization per
-    intensity. Both give the same table, ``lam = 0`` verdicts included,
-    up to floating-point rounding of the scores.
+    per mean rule; cells whose covariance is singular stay NaN. Each
+    training fold's kernel comes from
+    :func:`~rlda.covariance._shrinkage_kernel`, told how many intensities
+    the grid holds; its two forms give the same table, ``lam = 0`` verdicts
+    included, up to floating-point rounding of the scores.
     """
 
-    def kernel(train: GroupedDataset, means):
-        if target.kind != "custom":
-            return spectral_covariance(train, means, target)
-        return _dense_kernel(train, means, target)
+    def kernel(train: GroupedDataset, means: GroupMeans):
+        return _shrinkage_kernel(train, means, target, len(lambda_grid))
 
     return _grid_accuracies(data, fold_sets, lambda_grid, kind_grids, kernel)
 

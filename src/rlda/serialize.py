@@ -4,14 +4,14 @@ Arrays travel as base64-encoded little-endian buffers with explicit dtype
 and shape, so documents are plain text yet byte-exact on round trip.
 
 Documents are written as schema version 2. A ``"chol"`` (target-shrinkage)
-model names its covariance kernel in ``"cov_kernel"``:
+model names its covariance kernel in ``"cov_kernel"``, the form that
+:func:`~rlda.covariance._shrinkage_kernel` picked for ``fit``:
 
 - ``"spectral"``: the thin SVD of ``S`` (``vt``, ``eigenvalues``) and the
-  target's ``spread`` and ``theta2``, about ``n p`` numbers; written when
-  ``fit`` took the spectral route (``n - K < p``, fixed target).
+  target's ``spread`` and ``theta2``, about ``n p`` numbers.
 - ``"cholesky"``: the lower Cholesky ``factor`` of the dense ``p x p``
-  blend; written for custom targets and full-rank ``S``. Loading keeps the
-  factor alone; the dense matrix is formed only if read.
+  blend. Loading keeps the factor alone; the dense matrix is formed only
+  if read.
 
 ``"svd"`` (ridge) documents are the same in both versions: the model's
 spectral kernel is written as ``right_vectors = vt^T`` and
@@ -137,17 +137,31 @@ def save_model(model, path, extra_config: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Load a persisted model (schema version 1 or 2); returns ``(model, config)``."""
+    """Load a persisted model (schema version 1 or 2); returns ``(model, config)``.
+
+    Any other file raises ``ValueError`` naming ``path`` and the cause.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: malformed model document: not a JSON object")
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a model document")
     if doc.get("version") not in READABLE_VERSIONS:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
+    try:
+        return _model_from_dict(doc, path), doc["config"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed model document: missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed model document: a value has the wrong type ({exc})") from None
+
+
+def _model_from_dict(doc: dict, path) -> RldaModel | SvdRidgeModel:
     if doc["algorithm"] == "chol":
         per_group = decode_array(doc["reg_means"])
         mask = decode_array(doc["active_mask"]).astype(bool)
-        model = RldaModel(
+        return RldaModel(
             reg_means=RegularizedMeans(per_group=per_group, active_mask=mask),
             pooled_mean=decode_array(doc["pooled_mean"]),
             cov=_covariance_from_dict(doc),
@@ -155,14 +169,13 @@ def load_model(path):
             group_names=tuple(doc["group_names"]),
             config=doc["config"],
         )
-        return model, doc["config"]
     if doc["algorithm"] == "svd":
         means = GroupMeans(
             pooled=decode_array(doc["pooled_mean"]),
             per_group=decode_array(doc["per_group_means"]),
             counts=decode_array(doc["group_counts"]),
         )
-        model = SvdRidgeModel(
+        return SvdRidgeModel(
             cov=_ridge_covariance(
                 decode_array(doc["right_vectors"]).T, decode_array(doc["singular_values"]), doc["cov_lambda"]
             ),
@@ -172,5 +185,4 @@ def load_model(path):
             means=means,
             group_names=tuple(doc["group_names"]),
         )
-        return model, doc["config"]
     raise ValueError(f"{path}: unknown algorithm {doc['algorithm']!r}")

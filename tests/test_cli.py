@@ -326,6 +326,34 @@ class TestErrors:
         assert "lambda=0 leaves M = S, which is singular on some training fold" in err
         assert not written.exists()
 
+    @pytest.mark.parametrize(
+        "document,cause",
+        [
+            ('{"format": "rlda-model", "version": 2}', "malformed model document: missing key 'algorithm'"),
+            ("[1, 2]", "malformed model document: not a JSON object"),
+            ('{"format": "rlda-model", "version": 2, "algorithm": "chol", "reg_means": 5}',
+             "malformed model document: a value has the wrong type"),
+        ],
+        ids=["missing-key", "not-an-object", "wrong-type"],
+    )
+    def test_predict_names_a_malformed_model(self, tmp_path, capsys, document, cause):
+        model = tmp_path / "model.json"
+        model.write_text(document, encoding="utf-8")
+        out = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", FIXTURE, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{model}: {cause}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_fit_rejects_a_delta_without_a_mean_rule(self, tmp_path, capsys):
+        model, out = tmp_path / "m.json", tmp_path / "fit.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", tmp_path / "never-read.csv", "--label", "cohort", "--lambda", "0.5",
+                    "--delta", "0.7", "--model", model, "--out", out]) == 1
+        assert "--delta 0.7 does not apply to --mean-reg none" in capsys.readouterr().err
+        assert not model.exists() and not out.exists()
+
     def test_conflicting_label_column(self, tmp_path):
         assert run(["cv", "--data", FIXTURE, "--label", "wrong"]) == 1
 

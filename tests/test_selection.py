@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from rlda.covariance import ShrinkageTarget
+from rlda import covariance
+from rlda.covariance import WITHIN_GROUP, ShrinkageTarget, pooled_covariance, shrink_covariance
 from rlda.datamodel import GroupedDataset
 from rlda.discriminant import classify, fit
 from rlda.regmeans import MeanRegularizer
 from rlda.selection import (
     CvConfig,
-    _dense_kernel,
     _evaluate_cells,
     _grid_accuracies,
     cross_validate,
@@ -160,15 +160,12 @@ class TestCrossValidate:
             CvConfig(folds=1)
         with pytest.raises(ValueError, match="non-empty"):
             CvConfig(lambda_grid=())
-        with pytest.raises(ValueError, match="selection rule"):
-            CvConfig(selection_rule="median")
 
 
 class TestDefaultGrids:
     def test_lambda_grid_spans_unit_interval(self):
         grid = default_lambda_grid()
         assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21
-        assert default_lambda_grid("ridge")[-1] == 0.95
 
     def test_threshold_grid_uses_quantiles(self, rng):
         from rlda.datamodel import group_means
@@ -222,6 +219,12 @@ class TestExperiment:
         assert "accuracy" in lines[0]
 
 
+def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
+    """Per-intensity Cholesky factor of the shrunk covariance, as a function of ``lam``."""
+    s = pooled_covariance(train, means, WITHIN_GROUP)
+    return lambda lam: shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP)
+
+
 def dense_cells(data, target, fold_sets, lambda_grid, kind_grids):
     """The cell table through one Cholesky factorization per (fold, intensity)."""
     return _grid_accuracies(data, fold_sets, lambda_grid, kind_grids, lambda train, means: _dense_kernel(train, means, target))
@@ -235,6 +238,13 @@ def paper_design(seed: int, p: int):
 
 
 TARGETS = [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(theta2=0.15)]
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} must not run here")
+
+    return call
 
 
 class TestSpectralRoute:
@@ -320,22 +330,53 @@ class TestSpectralRoute:
         assert sigmas[0] == pytest.approx(sigmas[1], rel=1e-12)
 
     def test_fixed_targets_take_spectral_route_at_any_n(self, rng, monkeypatch):
-        import rlda.selection as selection
-
-        def refuse(name):
-            def call(*args, **kwargs):
-                raise AssertionError(f"{name} must not run here")
-
-            return call
-
         data = random_grouped(rng, (30, 30), p=6, spread=1.0)  # n - K >= p
         fold_sets = make_folds(data, 3, seed=2)
-        monkeypatch.setattr(selection, "_dense_kernel", refuse("the dense kernel"))
+        monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
         for target in TARGETS:
             acc = _evaluate_cells(data, target, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
             assert not np.isnan(acc).any()
         monkeypatch.undo()
-        monkeypatch.setattr(selection, "spectral_covariance", refuse("the spectral kernel"))
+        monkeypatch.setattr(covariance, "spectral_covariance", refuse("the spectral kernel"))
         custom = ShrinkageTarget.custom(np.eye(6) + 0.1)
         acc = _evaluate_cells(data, custom, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
         assert not np.isnan(acc).any()
+
+
+class TestKernelRule:
+    """On full-rank ``S`` a one-point grid takes the dense kernel; two or more points take the spectral one."""
+
+    @pytest.fixture
+    def tall(self, rng):
+        data = random_grouped(rng, (40, 40, 40), p=10, spread=0.5)  # n - K >= p on every training fold
+        return data, make_folds(data, 4, seed=5)
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
+    def test_one_intensity_takes_the_dense_kernel(self, tall, monkeypatch, target):
+        data, fold_sets = tall
+        monkeypatch.setattr(covariance, "spectral_covariance", refuse("the spectral kernel"))
+        for lam in (0.0, 0.3):
+            acc = _evaluate_cells(data, target, fold_sets, (lam,), {"none": (0.0,), "l2": (0.5,)})
+            assert not np.isnan(acc["none"]).any() and not np.isnan(acc["l2"]).any()
+
+    @pytest.mark.parametrize("lambda_grid", [(0.0, 0.3), (0.1, 0.2, 0.3)])
+    @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
+    def test_several_intensities_take_the_spectral_kernel(self, tall, monkeypatch, target, lambda_grid):
+        data, fold_sets = tall
+        monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
+        acc = _evaluate_cells(data, target, fold_sets, lambda_grid, {"none": (0.0,)})["none"]
+        assert not np.isnan(acc).any()
+
+    @pytest.mark.parametrize("kind", ["none", "l2", "l1", "hard"])
+    @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
+    def test_one_point_report_equals_the_spectral_report(self, tall, monkeypatch, target, kind):
+        import rlda.selection as selection
+
+        data, _ = tall
+        for lam in (0.0, 0.05, 0.5):
+            cv = CvConfig(folds=4, seed=5, lambda_grid=(lam,))
+            dense = cross_validate(data, target, kind, cv).to_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(selection, "_shrinkage_kernel", lambda d, m, t, _: covariance.spectral_covariance(d, m, t))
+                spectral = cross_validate(data, target, kind, cv).to_dict()
+            assert dense == spectral, (lam, kind)
