@@ -56,7 +56,7 @@ class GaussianPrior:
         if self.precision_scale is not None and self.precision_scale <= 0:
             raise ValueError("precision_scale must be positive")
         if self.theta is not None:
-            theta = np.asarray(self.theta, dtype=float).reshape(-1)
+            theta = _finite_vector(self.theta, "theta")
             theta.setflags(write=False)
             object.__setattr__(self, "theta", theta)
         if self.covariance is not None:
@@ -115,7 +115,15 @@ class PosteriorSummary:
 def _validate_sample(xbar, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("sample count n must be at least 1")
-    return np.asarray(xbar, dtype=float).reshape(-1)
+    return _finite_vector(xbar, "xbar")
+
+
+def _finite_vector(values, name: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=float).reshape(-1)
+    bad = vec[~np.isfinite(vec)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+    return vec
 
 
 def posterior_mean_conjugate_scalar(xbar, n: int, c: float, theta) -> PosteriorSummary:
@@ -136,9 +144,9 @@ def posterior_mean_conjugate_scalar(xbar, n: int, c: float, theta) -> PosteriorS
         Prior mean.
     """
     xbar = _validate_sample(xbar, n)
-    if c <= 0:
-        raise ValueError("c must be positive")
-    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if not 0 < c < np.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+    theta = _finite_vector(theta, "theta")
     if theta.shape != xbar.shape:
         raise ValueError("theta must match xbar in length")
     delta = c / (n + c)

@@ -23,6 +23,7 @@ Both build their dense ``matrix`` only when it is read, and both judge
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,6 +84,10 @@ class ShrinkageTarget:
         elif self.kind == "equal-correlation":
             if self.theta2 is None:
                 raise ValueError("equal-correlation target needs theta2")
+            for name in ("theta2", "sigma2"):
+                value = getattr(self, name)
+                if value is not None and not np.isfinite(value):
+                    raise ValueError(f"equal-correlation target needs a finite {name}, got {value}")
 
     @classmethod
     def identity(cls) -> "ShrinkageTarget":
@@ -174,17 +179,21 @@ class SpectralCovariance:
     (``r = p``). The fixed target is ``T = spread I + theta2 11^T`` (the
     identity has ``spread = 1``, ``theta2 = 0``). :meth:`solve` applies
     ``M^-1`` in ``O(p r k)`` for ``k`` columns, with Sherman-Morrison for
-    the rank-one ``lam theta2 11^T``; :attr:`matrix` forms the dense ``M``
-    only when read. ``s_convention`` records the scaling of ``S``: the SVD
-    ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at
-    ``1 - lam`` on the ``"gram-pooled-mean"`` scale.
+    the rank-one ``lam theta2 11^T``. Its weights, :attr:`base_weights` and
+    :meth:`rank_one_weight`, are ``O(r)`` and also serve callers that work
+    in the basis ``vt`` themselves; the solver is built on the first
+    :meth:`solve`, and :attr:`matrix` forms the dense ``M`` only when read.
+    ``s_convention`` records the scaling of ``S``: the SVD ridge kernel
+    ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at ``1 - lam`` on
+    the ``"gram-pooled-mean"`` scale.
 
     Rank rule, shared with :func:`shrink_covariance`: ``lam = 0``
     (``M = S``) is feasible exactly when ``r = p`` and
     ``eig[-1] > p eps eig[0]``, the default tolerance of
     ``numpy.linalg.matrix_rank``. With ``r = p`` the inverse is
     ``V diag(1 / ((1 - lam) eig + lam spread)) V^T``, defined at
-    ``lam = 0``; with ``r < p`` it is :func:`_shrunk_inverse`.
+    ``lam = 0``; with ``r < p`` it adds the out-of-span term
+    ``(I - V V^T) / (lam spread)`` (see :attr:`base_weights`).
 
     Raises
     ------
@@ -225,21 +234,35 @@ class SpectralCovariance:
         eig.setflags(write=False)
         object.__setattr__(self, "vt", vt)
         object.__setattr__(self, "eig", eig)
-        lam = self.lam
-        if r == p:  # I - V V^T = 0: no out-of-span term and no cancellation
-            base_solve = _low_rank_solver(vt, 1.0 / ((1.0 - lam) * eig + lam * self.spread), 0.0)
-        else:
-            base_solve = _shrunk_inverse(vt, (1.0 - lam) * eig, lam * self.spread)
+
+    @property
+    def base_weights(self) -> tuple[np.ndarray, float]:
+        """``(w, 1/c)`` with ``B^-1 = V diag(w) V^T + (1/c) I`` for the base kernel ``B = M - lam theta2 11^T``.
+
+        ``B = V diag((1 - lam) eig) V^T + c I`` with ``c = lam spread``.
+        With ``r < p``, ``B^-1 = V diag(1 / ((1 - lam) eig + c)) V^T + (I - V V^T) / c``,
+        and ``w = 1 / ((1 - lam) eig + c) - 1 / c`` is written without
+        cancellation. With ``r = p``, ``I - V V^T = 0``: ``w`` is the inverse
+        eigenvalue, defined at ``lam = 0``, and ``1/c`` reads 0.
+        """
+        scaled, c = (1.0 - self.lam) * self.eig, self.lam * self.spread
+        if self.eig.size == self.p:
+            return 1.0 / (scaled + c), 0.0
+        return -scaled / (c * (scaled + c)), 1.0 / c
+
+    def rank_one_weight(self, one_b_one: float) -> float:
+        """Sherman-Morrison: ``M^-1 = B^-1 - weight u u^T`` with ``u = B^-1 1`` and ``one_b_one = 1^T u``."""
+        return self.lam * self.theta2 / (1.0 + self.lam * self.theta2 * one_b_one)
+
+    @functools.cached_property
+    def _solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``M^-1`` on ``p x k`` blocks, built on the first solve."""
+        base_solve = _low_rank_solver(self.vt, *self.base_weights)
         if self.theta2 == 0.0:
-            solve = base_solve
-        else:
-            u = base_solve(np.ones((self.p, 1)))[:, 0]  # (base kernel)^-1 1
-            weight = lam * self.theta2 / (1.0 + lam * self.theta2 * np.sum(u))
-
-            def solve(b: np.ndarray) -> np.ndarray:
-                return base_solve(b) - np.outer(u, weight * (u @ b))
-
-        object.__setattr__(self, "_solve", solve)
+            return base_solve
+        u = base_solve(np.ones((self.p, 1)))[:, 0]  # B^-1 1
+        weight = self.rank_one_weight(np.sum(u))
+        return lambda b: base_solve(b) - np.outer(u, weight * (u @ b))
 
     @property
     def p(self) -> int:
@@ -338,17 +361,6 @@ def _low_rank_solver(vt: np.ndarray, in_span: np.ndarray, inv_c: float) -> Calla
     """
     weights = in_span[:, None]
     return lambda b: vt.T @ (weights * (vt @ b)) + inv_c * b
-
-
-def _shrunk_inverse(vt: np.ndarray, scaled: np.ndarray, c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Solver of ``M = V diag(scaled) V^T + c I`` for orthonormal rows ``vt = V^T``:
-
-        M^-1 = V diag(1 / (scaled + c)) V^T + (I - V V^T) / c ,
-
-    with the in-span weights ``1 / (scaled + c) - 1 / c`` written without
-    cancellation.
-    """
-    return _low_rank_solver(vt, -scaled / (c * (scaled + c)), 1.0 / c)
 
 
 def spectral_covariance(

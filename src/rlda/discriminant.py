@@ -7,9 +7,11 @@ The discriminant score of group ``k`` at a query point ``z`` is
 with ``m_k`` the (possibly regularized) group mean and ``M`` the
 regularized kernel. Adding the class-independent ``-0.5 z^T M^-1 z``
 shows that maximizing the score is the same as minimizing
-``0.5 (m_k - z)^T M^-1 (m_k - z) - log pi_k``. Every classifier here, and
-the cross-validation grid, scores through :func:`_scores`, given a solver
-that applies ``M^-1``; the routes differ in the solver alone.
+``0.5 (m_k - z)^T M^-1 (m_k - z) - log pi_k``. Every classifier here
+scores through :func:`_scores`, given a solver that applies ``M^-1``; the
+routes differ in the solver alone. The expression itself lives in
+:func:`_score_blocks`, which the cross-validation grid also calls with the
+two blocks it builds in a spectral kernel's eigenbasis.
 
 Two fitting routes are provided. The target-shrinkage route (``fit``)
 keeps whichever covariance form the kernel rule,
@@ -167,13 +169,22 @@ def _as_query_matrix(z) -> tuple[np.ndarray, bool]:
 
 
 def _scores(solve, means_t: np.ndarray, queries: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
-    """``Z a - 0.5 sum(m^T * a) + log pi`` with ``a = solve(m^T)``: scores of every column of ``m^T``.
+    """Scores of every column of ``m^T`` with ``a = solve(m^T)``; see :func:`_score_blocks`.
 
     ``means_t`` is the ``p x K`` block of group means, ``queries`` the
     ``m x p`` block ``Z``; returns the ``m x K`` scores.
     """
     a = solve(means_t)
-    return queries @ a - 0.5 * np.sum(means_t * a, axis=0) + log_priors
+    return _score_blocks(queries @ a, np.sum(means_t * a, axis=0), log_priors)
+
+
+def _score_blocks(cross: np.ndarray, quad: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
+    """``Z a - 0.5 sum(m^T * a) + log pi`` from the ``m x K`` block ``cross = Z a`` and ``quad = sum(m^T * a)``.
+
+    ``a = M^-1 m^T``; a caller that has both blocks without ``a`` itself
+    (the cross-validation grid, in a kernel's eigenbasis) scores here too.
+    """
+    return cross - 0.5 * quad + log_priors
 
 
 def _best(scores: np.ndarray, single: bool):

@@ -50,10 +50,10 @@ class QuantizationScenario:
     psi: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.delta2 < 0:
-            raise ValueError("delta2 must be nonnegative")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not 0 <= self.delta2 < np.inf:
+            raise ValueError(f"delta2 must be nonnegative and finite, got {self.delta2}")
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         fixed = self.mu is not None
@@ -64,6 +64,8 @@ class QuantizationScenario:
             mu = np.asarray(self.mu, dtype=float).reshape(-1)
             if mu.shape != (self.p,):
                 raise ValueError("mu must be a length-p vector")
+            if not np.isfinite(mu).all():
+                raise ValueError("mu must be finite")
             mu.setflags(write=False)
             object.__setattr__(self, "mu", mu)
         else:
@@ -140,6 +142,8 @@ def demo_quantization(
     """
     if replications < 1:
         raise ValueError("replications must be positive")
+    if fit_delta2 is not None and not np.isfinite(fit_delta2):
+        raise ValueError(f"fit_delta2 must be finite, got {fit_delta2}")
     rng = np.random.default_rng(seed)
     n, p = scenario.n, scenario.p
     sigma = float(np.sqrt(scenario.sigma2))

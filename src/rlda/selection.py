@@ -6,8 +6,12 @@ to the regularized covariance, in the form that
 :func:`~rlda.covariance._shrinkage_kernel` picks for the grid's length.
 Both forms judge ``lam = 0`` (``M = S``) by one rank rule, so a singular
 ``S`` leaves it NaN. Either way the regularized mean rows of all rules and
-thresholds are built once per fold and solved as one block, so the
-1000-dimensional benchmark takes about 0.35-0.55 s per seed on one core.
+thresholds are built once per fold as one block. A spectral kernel
+projects that block, the fold's test rows and the ones vector onto its
+eigenbasis once, after which each intensity scores every cell without a
+``p``-dimensional product; a dense kernel solves the block once per
+intensity. The 1000-dimensional benchmark takes about 0.2 s per seed on
+one core.
 Fold assignment is computed once up front from the seed, so results do
 not depend on evaluation order and repeated runs are bit-identical.
 """
@@ -19,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NotPositiveDefiniteError
-from .covariance import ShrinkageTarget, _shrinkage_kernel, lw_lambda
+from .covariance import ShrinkageTarget, SpectralCovariance, _shrinkage_kernel, lw_lambda
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
-from .discriminant import _scores
+from .discriminant import _score_blocks, _scores
 from .regmeans import MeanRegularizer, regularize_means
 
 __all__ = [
@@ -82,6 +86,9 @@ class CvConfig:
                 if len(grid) == 0:
                     raise ValueError(f"{name} must be non-empty")
                 object.__setattr__(self, name, tuple(float(v) for v in grid))
+        for lam in self.lambda_grid or ():
+            if not 0.0 <= lam <= 1.0:  # also false for nan
+                raise ValueError(f"lambda_grid values must lie in [0, 1], got {lam}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +183,15 @@ def _grid_accuracies(
 
     The kernel maps ``lam`` to the covariance ``M``. For each fold the mean
     rows of every (rule, delta) cell are stacked into one ``p x (cells K)``
-    block ``m^T``; each intensity solves ``a = M^-1 m^T`` once and scores
-    all cells with :func:`~rlda.discriminant._scores`. An intensity whose
-    ``M`` is not positive definite leaves its cells NaN.
+    block ``m^T``, and every intensity scores all cells at once through
+    :func:`~rlda.discriminant._score_blocks`. A
+    :class:`~rlda.covariance.SpectralCovariance` builds the two blocks from
+    :func:`_eigenbasis_blocks`, which projects the fold onto the shared
+    ``vt`` once, so an intensity costs ``O(n_test r cells K)`` and no
+    ``p``-dimensional product; a dense ``M`` solves ``a = M^-1 m^T``. An
+    intensity whose ``M`` is not positive definite leaves its cells NaN:
+    the covariance is still built per intensity, so its checks and the
+    ``lam = 0`` rank rule decide that on either form.
     """
     out = {kind: np.full((len(fold_sets), len(lambda_grid), len(grid)), np.nan) for kind, grid in kind_grids.items()}
     cells = [(kind, di, delta) for kind, grid in kind_grids.items() for di, delta in enumerate(grid)]
@@ -194,16 +207,61 @@ def _grid_accuracies(
         log_priors = np.tile(np.log(train.group_counts / train.n), len(cells))
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
+        blocks = None
         for li, lam in enumerate(lambda_grid):
             try:
                 cov = covariance(lam)
             except NotPositiveDefiniteError:
                 continue
-            scores = _scores(cov.solve, m_t, test_values, log_priors).reshape(len(test_idx), len(cells), k)
+            if isinstance(cov, SpectralCovariance):
+                if blocks is None:  # every intensity of the fold shares vt
+                    blocks = _eigenbasis_blocks(cov.vt, m_t, test_values)
+                scores = _score_blocks(*blocks(cov), log_priors)
+            else:
+                scores = _scores(cov.solve, m_t, test_values, log_priors)
+            scores = scores.reshape(len(test_idx), len(cells), k)
             acc = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
             for (kind, di, _), value in zip(cells, acc):
                 out[kind][f, li, di] = value
     return out
+
+
+def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray):
+    """``cov -> (Z a, sum(m^T * a))`` with ``a = M^-1 m^T``, for every spectral ``cov`` on ``vt``.
+
+    ``[m^T | Z^T | 1]`` is projected onto the ``r`` rows of ``vt`` once. With
+    ``M^-1 = B^-1 - beta u u^T`` and ``B^-1 = V diag(w) V^T + (1/c) I``
+    (:attr:`~rlda.covariance.SpectralCovariance.base_weights`,
+    :meth:`~rlda.covariance.SpectralCovariance.rank_one_weight`), each
+    block is a weighted product of projections plus ``1/c`` times a raw
+    product (``Z m^T``, ``sum(m^T * m^T)``, ``Z 1``, ``1^T m^T``); those
+    are kept only when ``r < p``, since ``1/c`` reads 0 otherwise.
+    """
+    r, p = vt.shape
+    cols = means_t.shape[1]
+    projected = vt @ np.hstack([means_t, queries.T, np.ones((p, 1))])
+    pm, pz, p1 = projected[:, :cols], projected[:, cols:-1], projected[:, -1]
+    if r < p:
+        zm, mm = queries @ means_t, np.sum(means_t * means_t, axis=0)
+        z1, m1 = queries.sum(axis=1), means_t.sum(axis=0)
+    else:
+        zm = mm = z1 = m1 = 0.0
+
+    def blocks(cov: SpectralCovariance) -> tuple[np.ndarray, np.ndarray]:
+        w, inv_c = cov.base_weights
+        wm = w[:, None] * pm
+        cross = pz.T @ wm + inv_c * zm
+        quad = np.sum(pm * wm, axis=0) + inv_c * mm
+        if cov.theta2 != 0.0:
+            w1 = w * p1
+            um = w1 @ pm + inv_c * m1  # u^T m^T with u = B^-1 1
+            zu = pz.T @ w1 + inv_c * z1  # Z u
+            beta = cov.rank_one_weight(w1 @ p1 + inv_c * p)
+            cross = cross - np.outer(zu, beta * um)
+            quad = quad - beta * um * um
+        return cross, quad
+
+    return blocks
 
 
 def _selected(
@@ -324,16 +382,16 @@ def run_simulated_experiment(
         row carrying accuracy mean/SD over folds, the chosen parameters,
         and the selected-variable count.
     """
+    targets = {  # checked before any data is drawn
+        "t1": ShrinkageTarget.identity(),
+        "t2": ShrinkageTarget.equal_correlation(theta2=theta2),
+    }
     config = SimulationConfig(
         n=n, m=m, p=p, sigma=sigma, c=c, shift=sparse_shift(p, shift_count, shift_value), seed=seed
     )
     data = simulate(config)
     fold_sets = make_folds(data, folds, seed, stratified=True)
     lambda_grid = tuple(lambda_grid) if lambda_grid is not None else default_lambda_grid()
-    targets = {
-        "t1": ShrinkageTarget.identity(),
-        "t2": ShrinkageTarget.equal_correlation(theta2=theta2),
-    }
     reg_kinds = ("none", "l2", "l1", "hard")
     kind_grids = {kind: default_delta_grid(kind, data) for kind in reg_kinds}
     means = group_means(data)

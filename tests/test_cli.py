@@ -363,3 +363,65 @@ class TestErrors:
         code = run(["bayes", "--xbar", "1", "--n", 2, "--theta", "0",
                     "--c", 1.0, "--sigma-csv", sigma])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["cv", "fit", "experiment"])
+    def test_non_finite_theta2_is_rejected(self, tmp_path, capsys, command):
+        written = tmp_path / "written.json"
+        args = {
+            "cv": ["cv", "--data", FIXTURE, "--label", "cohort", "--target", "t2", "--out", written],
+            "fit": ["fit", "--data", FIXTURE, "--label", "cohort", "--target", "t2", "--lambda", "cv",
+                    "--model", written, "--out", tmp_path / "fit.json"],
+            "experiment": ["experiment", "--seed", 1, "--n", 10, "--m", 10, "--p", 12, "--out", written],
+        }[command]
+        capsys.readouterr()
+        assert run([*args, "--theta2", "nan"]) == 1
+        assert "equal-correlation target needs a finite theta2, got nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid,bad", [("1.5", "1.5"), ("-0.1,0.5", "-0.1"), ("nan", "nan"), ("0.5,inf", "inf")])
+    def test_cv_range_checks_the_lambda_grid(self, tmp_path, capsys, grid, bad):
+        out = tmp_path / "cv.json"
+        capsys.readouterr()
+        assert run(["cv", "--data", FIXTURE, "--label", "cohort", f"--lambda-grid={grid}", "--out", out]) == 1
+        assert f"lambda_grid values must lie in [0, 1], got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (["--xbar", "1,nan", "--theta", "0,0"], "xbar must be finite, got nan"),
+            (["--xbar", "1,2", "--theta", "inf,0"], "theta must be finite, got inf"),
+            (["--xbar", "1,2", "--theta", "0,0", "--c", "nan"], "c must be positive and finite, got nan"),
+        ],
+        ids=["xbar", "theta", "c"],
+    )
+    def test_bayes_rejects_non_finite_input(self, tmp_path, capsys, option, message):
+        out = tmp_path / "bayes.json"
+        capsys.readouterr()
+        assert run(["bayes", "--c", 1.0, *option, "--n", 3, "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bayes_general_form_rejects_non_finite_theta(self, tmp_path, capsys):
+        eye = tmp_path / "eye.csv"
+        eye.write_text("a,b\n1,0\n0,1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["bayes", "--xbar", "1,2", "--n", 3, "--theta", "0,nan",
+                    "--sigma-csv", eye, "--prior-cov-csv", eye]) == 1
+        assert "theta must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ("--sigma2", "sigma2 must be positive and finite, got nan"),
+            ("--delta2", "delta2 must be nonnegative and finite, got nan"),
+            ("--fit-delta2", "fit_delta2 must be finite, got nan"),
+            ("--mu-value", "mu must be finite"),
+        ],
+    )
+    def test_quantize_demo_rejects_non_finite_variances(self, tmp_path, capsys, option, message):
+        out = tmp_path / "q.json"
+        capsys.readouterr()
+        assert run(["quantize-demo", "--seed", 1, "--n", 5, "--p", 3, "--reps", 10, option, "nan", "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -2,13 +2,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from rlda import covariance
+from rlda import covariance, selection
+from rlda._linalg import NotPositiveDefiniteError
 from rlda.covariance import WITHIN_GROUP, ShrinkageTarget, pooled_covariance, shrink_covariance
-from rlda.datamodel import GroupedDataset
-from rlda.discriminant import classify, fit
-from rlda.regmeans import MeanRegularizer
+from rlda.datamodel import GroupedDataset, group_means
+from rlda.discriminant import _score_blocks, _scores, classify, fit
+from rlda.regmeans import MeanRegularizer, regularize_means
 from rlda.selection import (
     CvConfig,
     _evaluate_cells,
@@ -160,6 +163,12 @@ class TestCrossValidate:
             CvConfig(folds=1)
         with pytest.raises(ValueError, match="non-empty"):
             CvConfig(lambda_grid=())
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), float("inf")])
+    def test_lambda_grid_is_range_checked_up_front(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"lambda_grid values must lie in [0, 1], got {bad}")):
+            CvConfig(lambda_grid=(0.5, bad))
+        CvConfig(lambda_grid=(0.0, 1.0))
 
 
 class TestDefaultGrids:
@@ -380,3 +389,73 @@ class TestKernelRule:
                 patch.setattr(selection, "_shrinkage_kernel", lambda d, m, t, _: covariance.spectral_covariance(d, m, t))
                 spectral = cross_validate(data, target, kind, cv).to_dict()
             assert dense == spectral, (lam, kind)
+
+
+class TestEigenbasisScores:
+    """A spectral kernel's grid scores, built in its eigenbasis, equal the scores through ``cov.solve``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 4),
+        per_group=st.integers(4, 12),
+        thin=st.booleans(),
+        gap=st.integers(1, 10),
+        theta2=st.one_of(st.none(), st.floats(-0.02, 0.6)),
+    )
+    def test_projected_scores_match_the_solver(self, seed, k, per_group, thin, gap, theta2):
+        rng = np.random.default_rng(seed)
+        n = k * per_group
+        is_test = np.arange(n) % 4 == 0
+        dof = int(np.sum(~is_test)) - k
+        p = dof + gap if thin else max(1, dof + 1 - gap)  # thin: n - K < p, square: n - K >= p
+        data = random_grouped(rng, (per_group,) * k, p=p, spread=1.0)
+        train, queries = data.subset(np.flatnonzero(~is_test)), data.values[is_test]
+        target = ShrinkageTarget.identity() if theta2 is None else ShrinkageTarget.equal_correlation(theta2)
+        means = group_means(train)
+        try:
+            kernel = covariance.spectral_covariance(train, means, target)
+        except ValueError:  # target not positive definite at this variance scale
+            assume(False)
+        rules = [MeanRegularizer("none", 0.0), MeanRegularizer("l2", 0.5), MeanRegularizer("hard", 0.3)]
+        means_t = np.concatenate([regularize_means(means, rule).per_group for rule in rules]).T
+        log_priors = np.tile(np.log(train.group_counts / train.n), len(rules))
+        blocks = selection._eigenbasis_blocks(kernel(1.0).vt, means_t, queries)
+        scale = max(np.linalg.norm(queries, axis=1).max(), np.linalg.norm(means_t, axis=0).max()) ** 2
+        projected, solved = [], []
+        for lam in default_lambda_grid():
+            try:
+                cov = kernel(lam)
+            except NotPositiveDefiniteError:
+                projected.append(np.nan)
+                solved.append(np.nan)
+                continue
+            got = _score_blocks(*blocks(cov), log_priors)
+            expected = _scores(cov.solve, means_t, queries, log_priors)
+            eig = np.linalg.eigvalsh(cov.matrix)
+            # Either route rounds like eps * cond(M) * |z| |m| / eig_max(M); 64 p leaves a wide margin.
+            tol = 64 * p * np.finfo(float).eps * (eig[-1] / eig[0]) * scale / eig[-1]
+            assert np.abs(got - expected).max() <= tol, lam
+            projected.append(got.sum())
+            solved.append(expected.sum())
+        assert np.isnan(projected).tolist() == np.isnan(solved).tolist()
+        # lambda = 0 is S itself: singular on a thin fold, where every other intensity is feasible.
+        assert np.isnan(projected[0]) == thin
+        assert not np.isnan(projected[1:]).any()
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
+    @pytest.mark.parametrize("counts,p", [((8, 8, 9), 40), ((40, 40, 40), 10)], ids=["thin", "square"])
+    def test_grid_projects_once_per_fold_and_never_solves(self, monkeypatch, target, counts, p):
+        data = random_grouped(np.random.default_rng(3), counts, p=p, spread=0.5)
+        fold_sets = make_folds(data, 4, seed=5)
+        kind_grids = {"none": (0.0,), "l2": (0.0, 0.5), "l1": (0.1,)}
+        dense = dense_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
+        projections = []
+        project = selection._eigenbasis_blocks
+        monkeypatch.setattr(selection, "_eigenbasis_blocks", lambda *args: projections.append(args) or project(*args))
+        monkeypatch.setattr(covariance.SpectralCovariance, "solve", refuse("SpectralCovariance.solve"))
+        monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
+        acc = _evaluate_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
+        assert len(projections) == len(fold_sets)
+        for kind in kind_grids:
+            assert np.array_equal(acc[kind], dense[kind], equal_nan=True), kind
