@@ -23,13 +23,16 @@ class NotPositiveDefiniteError(ValueError):
     """
 
 
-def ensure_symmetric(a: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
-    """Validate symmetry within ``tol`` (relative) and return the symmetrized matrix."""
+_SYMMETRY_TOL = 1e-8  # largest accepted max |a - a^T|, relative to max(1, max |a|)
+
+
+def ensure_symmetric(a: np.ndarray, name: str) -> np.ndarray:
+    """Validate symmetry within ``_SYMMETRY_TOL`` (relative) and return the symmetrized matrix."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > tol * scale:
+    if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric")
     return 0.5 * (a + a.T)
 

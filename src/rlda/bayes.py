@@ -13,7 +13,8 @@ evaluated without forming any explicit inverse: with A = Eta + Sigma/n,
 
 which needs a single SPD factorization of A. When the prior precision is a
 scalar multiple ``c`` of the data precision the weight collapses to the
-scalar ``delta = c / (n + c)`` and the covariance drops out entirely.
+scalar ``delta = c / (n + c)`` and the covariance drops out entirely; that
+case has its own function, :func:`posterior_mean_conjugate_scalar`.
 """
 
 from __future__ import annotations
@@ -38,41 +39,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian prior ``N_p(theta, Eta)`` on a mean vector.
+    """Gaussian prior ``N_p(theta, Eta)`` on a mean vector, with full SPD covariance ``Eta``.
 
-    Exactly one of ``covariance`` (full SPD prior covariance ``Eta``) and
-    ``precision_scale`` (the scalar ``c`` in prior precision ``c Sigma^-1``)
-    must be given. ``theta`` may be ``None`` only for the two-sample
-    estimator, where it resolves to the pooled mean of both samples.
+    ``theta`` may be ``None`` only for the two-sample estimator, where it
+    resolves to the pooled mean of both samples. A prior precision that is
+    a scalar multiple ``c Sigma^-1`` of the data precision needs no prior
+    object: :func:`posterior_mean_conjugate_scalar` takes ``c`` itself and
+    never reads ``Sigma``. The same prior stated here as ``Eta = Sigma / c``
+    gives the same posterior mean through :func:`posterior_mean_general`.
     """
 
     theta: np.ndarray | None
-    covariance: np.ndarray | None = None
-    precision_scale: float | None = None
+    covariance: np.ndarray
 
     def __post_init__(self):
-        if (self.covariance is None) == (self.precision_scale is None):
-            raise ValueError("exactly one of covariance and precision_scale must be set")
-        if self.precision_scale is not None and self.precision_scale <= 0:
-            raise ValueError("precision_scale must be positive")
         if self.theta is not None:
             theta = _finite_vector(self.theta, "theta")
             theta.setflags(write=False)
             object.__setattr__(self, "theta", theta)
-        if self.covariance is not None:
-            cov = ensure_symmetric(self.covariance, "prior covariance")
-            if self.theta is not None and cov.shape[0] != self.theta.shape[0]:
-                raise ValueError("prior covariance dimension must match theta")
-            cov.setflags(write=False)
-            object.__setattr__(self, "covariance", cov)
+        cov = ensure_symmetric(self.covariance, "prior covariance")
+        if self.theta is not None and cov.shape[0] != self.theta.shape[0]:
+            raise ValueError("prior covariance dimension must match theta")
+        cov.setflags(write=False)
+        object.__setattr__(self, "covariance", cov)
 
     @classmethod
     def full(cls, theta, covariance) -> "GaussianPrior":
         return cls(theta=theta, covariance=covariance)
-
-    @classmethod
-    def scaled(cls, theta, c: float) -> "GaussianPrior":
-        return cls(theta=theta, precision_scale=float(c))
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,7 @@ def posterior_mean_general(xbar, n: int, sigma, prior: GaussianPrior) -> Posteri
     Returns
     -------
     PosteriorSummary
-        Mean plus scalar or matrix shrinkage weight.
+        Mean plus the matrix shrinkage weight ``Delta``.
 
     Raises
     ------
@@ -184,10 +177,6 @@ def posterior_mean_general(xbar, n: int, sigma, prior: GaussianPrior) -> Posteri
     theta = prior.theta
     if theta.shape != xbar.shape:
         raise ValueError("prior mean must match xbar in length")
-    if prior.precision_scale is not None:
-        # Prior precision c * Sigma^-1: the covariance cancels.
-        return posterior_mean_conjugate_scalar(xbar, n, prior.precision_scale, theta)
-
     sigma = ensure_symmetric(sigma, "sigma")
     p = xbar.shape[0]
     if sigma.shape != (p, p):
@@ -263,7 +252,7 @@ def two_sample_posterior_means(
         raise ValueError("xbar and ybar must have equal length")
     if prior.theta is None:
         theta = (n * xbar + m * ybar) / (n + m)
-        prior = GaussianPrior(theta=theta, covariance=prior.covariance, precision_scale=prior.precision_scale)
+        prior = GaussianPrior(theta=theta, covariance=prior.covariance)
     return (
         posterior_mean_general(xbar, n, sigma, prior),
         posterior_mean_general(ybar, m, sigma, prior),

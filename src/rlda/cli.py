@@ -9,7 +9,6 @@ seed produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -22,6 +21,7 @@ from .covariance import ShrinkageTarget, lw_lambda
 from .datamodel import (
     GroupedDataset,
     SimulationConfig,
+    _csv_header,
     load_csv,
     load_matrix_csv,
     save_csv,
@@ -139,6 +139,12 @@ def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[Rlda
     return model, chosen
 
 
+def _check_target_options(args) -> None:
+    """Reject ``--target-sigma2`` where no equal-correlation target would read it."""
+    if args.target_sigma2 is not None and args.target != "t2":
+        raise ValueError(f"--target-sigma2 {args.target_sigma2} applies to --target t2 only")
+
+
 def _check_route_options(args) -> None:
     """Reject the ``fit`` options that the chosen ``--algorithm`` would silently ignore."""
     if args.algorithm == "svd":
@@ -159,6 +165,7 @@ def _check_route_options(args) -> None:
 
 def _cmd_fit(args) -> int:
     _check_route_options(args)
+    _check_target_options(args)
     data = load_csv(args.data, args.label)
     doc = _base_doc(args)
     if args.algorithm == "chol":
@@ -202,11 +209,6 @@ def _cmd_fit(args) -> int:
 # ------------------------------------------------------------------ predict
 
 
-def _csv_header(path) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [h.strip() for h in next(csv.reader(fh), [])]
-
-
 def _cmd_predict(args) -> int:
     model, config = load_model(args.model)
     label_column = args.label or config.get("label_column")
@@ -240,6 +242,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    _check_target_options(args)
     data = load_csv(args.data, args.label)
     target = _target_from_args(args)
     cv = CvConfig(

@@ -6,6 +6,11 @@ Conventions
 - Group labels are 0-based integer indices into ``group_names``; names are
   assigned by first appearance during ingestion, which keeps the encoding
   deterministic.
+- CSV files pass through one reader, ``_read_rows``, which rejects an
+  empty file, a ragged row and a file without data rows. :func:`load_csv`
+  (labeled) and :func:`load_matrix_csv` (unlabeled) add only their column
+  checks, and both parse cells in ``_numeric_matrix``, which names the
+  first bad cell by file row and column.
 - All containers are immutable after construction and safe to share across
   threads.
 """
@@ -13,7 +18,6 @@ Conventions
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +28,6 @@ __all__ = [
     "GroupMeans",
     "SimulationConfig",
     "group_means",
-    "group_means_to_json",
     "load_csv",
     "load_matrix_csv",
     "save_csv",
@@ -160,18 +163,6 @@ def group_means(data: GroupedDataset) -> GroupMeans:
     return GroupMeans(pooled=pooled, per_group=per_group, counts=data.group_counts.copy())
 
 
-def group_means_to_json(means: GroupMeans, group_names: tuple[str, ...] | None = None) -> str:
-    """Serialize group means as a JSON document for inspection."""
-    doc = {
-        "pooled": means.pooled.tolist(),
-        "per_group": means.per_group.tolist(),
-        "counts": means.counts.tolist(),
-    }
-    if group_names is not None:
-        doc["group_names"] = list(group_names)
-    return json.dumps(doc, sort_keys=True)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Two-group equicorrelated Gaussian design.
@@ -187,11 +178,11 @@ class SimulationConfig:
     p : int
         Dimension.
     sigma : float
-        Scale; must be positive.
+        Scale; must be positive and finite.
     c : float
         Equicorrelation in ``[0, 1)``.
     shift : ndarray of shape (p,)
-        Mean of the second group.
+        Mean of the second group; must be finite.
     seed : int
         64-bit seed; generation is bit-reproducible given the seed.
     """
@@ -207,13 +198,16 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.p < 1:
             raise ValueError("n, m, p must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.c < 1.0:
             raise ValueError("c must lie in [0, 1)")
         shift = np.asarray(self.shift, dtype=float)
         if shift.shape != (self.p,):
             raise ValueError("shift must be a length-p vector")
+        bad = shift[~np.isfinite(shift)]
+        if bad.size:
+            raise ValueError(f"shift must be finite, got {bad[0]}")
         shift.setflags(write=False)
         object.__setattr__(self, "shift", shift)
 
@@ -258,6 +252,34 @@ def simulate(config: SimulationConfig) -> GroupedDataset:
     return GroupedDataset(values=values, labels=labels, group_names=("x", "y"))
 
 
+def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the data rows of a comma-separated UTF-8 file.
+
+    Raises ``ValueError`` on an empty file, on a row whose cell count
+    differs from the header's (reporting its file row), and on a file
+    with no data rows.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        rows = list(reader)
+    for row_num, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, rows
+
+
+def _csv_header(path) -> list[str]:
+    """The stripped header of a CSV file, without reading its data rows; ``[]`` for an empty file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [h.strip() for h in next(csv.reader(fh), [])]
+
+
 def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
     """Load a grouped dataset from a headered, comma-separated UTF-8 file.
 
@@ -271,45 +293,29 @@ def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
     FileNotFoundError
         If the file does not exist.
     ValueError
-        On a missing or non-numeric cell (reporting row and column), a
-        missing label column, or fewer than ``min_groups`` groups.
+        On an empty file, a ragged row, no data rows, a missing label
+        column, no feature column, an empty label, a missing or
+        non-numeric cell (reporting row and column), or fewer than
+        ``min_groups`` groups.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ValueError(f"{path}: label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
-        feature_names = header[:label_idx] + header[label_idx + 1 :]
-        if not feature_names:
-            raise ValueError(f"{path}: no feature columns besides the label column")
-
-        rows: list[list[str]] = []
-        labels: list[int] = []
-        name_to_idx: dict[str, int] = {}
-        names: list[str] = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            name = row.pop(label_idx).strip()
-            if not name:
-                raise ValueError(f"{path}: row {row_num}, column {label_column!r}: empty label")
-            if name not in name_to_idx:
-                name_to_idx[name] = len(names)
-                names.append(name)
-            labels.append(name_to_idx[name])
-            rows.append(row)
-
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    header, rows = _read_rows(path)
+    if label_column not in header:
+        raise ValueError(f"{path}: label column {label_column!r} not found in header {header}")
+    label_idx = header.index(label_column)
+    feature_names = header[:label_idx] + header[label_idx + 1 :]
+    if not feature_names:
+        raise ValueError(f"{path}: no feature columns besides the label column")
+    groups: dict[str, int] = {}  # name -> index, in first-appearance order
+    labels: list[int] = []
+    for row_num, row in enumerate(rows, start=2):
+        name = row.pop(label_idx).strip()
+        if not name:
+            raise ValueError(f"{path}: row {row_num}, column {label_column!r}: empty label")
+        labels.append(groups.setdefault(name, len(groups)))
     values = _numeric_matrix(path, feature_names, rows)
-    if len(names) < min_groups:
-        raise ValueError(f"{path}: fewer than {min_groups} groups (found {len(names)})")
-    return GroupedDataset(values=values, labels=np.array(labels), group_names=tuple(names))
+    if len(groups) < min_groups:
+        raise ValueError(f"{path}: fewer than {min_groups} groups (found {len(groups)})")
+    return GroupedDataset(values=values, labels=np.array(labels), group_names=tuple(groups))
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -318,19 +324,7 @@ def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     Every cell must be numeric and finite; a bad cell is reported by row
     and column, as in :func:`load_csv`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    header, rows = _read_rows(path)
     return _numeric_matrix(path, header, rows), header
 
 

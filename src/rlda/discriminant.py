@@ -61,8 +61,8 @@ def resolve_priors(spec, counts: np.ndarray) -> np.ndarray:
     """Turn a priors argument into a validated probability vector.
 
     ``"empirical"`` gives the group proportions, ``"uniform"`` equal
-    weights; anything array-like is validated (strictly positive, summing
-    to one within 1e-8) and exactly renormalized.
+    weights; anything array-like is validated (finite, strictly positive,
+    summing to one within 1e-8) and exactly renormalized.
     """
     k = len(counts)
     if isinstance(spec, str):
@@ -76,6 +76,9 @@ def resolve_priors(spec, counts: np.ndarray) -> np.ndarray:
         pri = np.asarray(spec, dtype=float).reshape(-1)
         if pri.shape != (k,):
             raise ValueError(f"priors must have length {k}")
+        bad = pri[~np.isfinite(pri)]
+        if bad.size:
+            raise ValueError(f"priors must be finite, got {bad[0]}")
         if np.any(pri <= 0):
             raise ValueError("priors must be strictly positive")
         if abs(pri.sum() - 1.0) > 1e-8:
@@ -96,17 +99,13 @@ class RldaModel:
 
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=float)
-        if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-12:
+        if not (np.all(priors > 0) and abs(priors.sum() - 1.0) <= 1e-12):  # nan and inf fail it too
             raise ValueError("priors must be strictly positive and sum to 1")
         k, p = self.reg_means.per_group.shape
         if priors.shape != (k,) or self.pooled_mean.shape != (p,) or self.cov.p != p:
             raise ValueError("inconsistent dimensions between means, priors, and covariance")
         priors.setflags(write=False)
         object.__setattr__(self, "priors", priors)
-
-    @property
-    def n_groups(self) -> int:
-        return self.reg_means.per_group.shape[0]
 
     @property
     def p(self) -> int:

@@ -363,7 +363,6 @@ def run_simulated_experiment(
     shift_value: float = 3.0,
     theta2: float = 0.15,
     folds: int = 5,
-    lambda_grid: tuple[float, ...] | None = None,
 ) -> dict:
     """Run the two-group simulation benchmark and report every method row.
 
@@ -391,7 +390,7 @@ def run_simulated_experiment(
     )
     data = simulate(config)
     fold_sets = make_folds(data, folds, seed, stratified=True)
-    lambda_grid = tuple(lambda_grid) if lambda_grid is not None else default_lambda_grid()
+    lambda_grid = default_lambda_grid()
     reg_kinds = ("none", "l2", "l1", "hard")
     kind_grids = {kind: default_delta_grid(kind, data) for kind in reg_kinds}
     means = group_means(data)

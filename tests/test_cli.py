@@ -6,6 +6,7 @@ import pytest
 
 from rlda.cli import main
 from rlda.datamodel import save_csv
+from rlda.serialize import load_model
 
 from conftest import duplicated_column_dataset
 
@@ -19,6 +20,13 @@ def run(args):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def write_spd_target(tmp_path):
+    """A symmetric positive definite 3 x 3 custom target for the 3-variable fixture."""
+    path = tmp_path / "target.csv"
+    path.write_text("a,b,c\n2,0.5,0.1\n0.5,1.5,0.2\n0.1,0.2,1\n", encoding="utf-8")
+    return path
 
 
 class TestPipeline:
@@ -133,6 +141,30 @@ class TestPipeline:
         assert run(["predict", "--model", model, "--data", flipped, "--out", pred]) == 0
         assert read_json(pred)["accuracy"] == 1.0
 
+    def test_custom_target_cv_fit_predict(self, tmp_path):
+        target = write_spd_target(tmp_path)
+        cv = tmp_path / "cv.json"
+        assert run(["cv", "--data", FIXTURE, "--label", "cohort", "--target", target, "--folds", 3,
+                    "--seed", 1, "--out", cv]) == 0
+        assert read_json(cv)["accuracy_mean"] == 1.0
+        model, fit_out = tmp_path / "model.json", tmp_path / "fit.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--target", target, "--lambda", "cv",
+                    "--folds", 3, "--seed", 1, "--model", model, "--out", fit_out]) == 0
+        assert read_json(fit_out)["lambda"] == read_json(cv)["best_lambda"]
+        assert read_json(model)["config"]["target"] == {"kind": "custom"}
+        pred = tmp_path / "pred.json"
+        assert run(["predict", "--model", model, "--data", FIXTURE, "--out", pred]) == 0
+        assert read_json(pred)["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("algorithm", ["chol", "svd"])
+    def test_fit_stores_numeric_priors(self, tmp_path, algorithm):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", algorithm, "--lambda", "0.5",
+                    "--priors", "0.3,0.7", "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        loaded, config = load_model(model)
+        stored = loaded.priors if algorithm == "chol" else config["priors"]
+        assert list(stored) == pytest.approx([0.3, 0.7], abs=1e-15)
+
 
 class TestExperimentCommand:
     def test_small_experiment_report(self, tmp_path):
@@ -208,6 +240,69 @@ class TestErrors:
         code = run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd",
                     "--lambda", "cv", "--model", tmp_path / "m.json"])
         assert code == 1
+
+    def test_svd_needs_numeric_delta(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd",
+                    "--lambda", "0.5", "--delta", "cv", "--model", model]) == 1
+        assert "--algorithm svd needs a numeric --delta" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_lw_rejects_a_custom_target(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--target", write_spd_target(tmp_path),
+                    "--lambda", "lw", "--model", model]) == 1
+        assert "lw_lambda supports the identity and equal-correlation targets" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("algorithm", ["chol", "svd"])
+    @pytest.mark.parametrize("priors,bad", [("nan,0.5", "nan"), ("0.5,inf", "inf")])
+    def test_fit_rejects_non_finite_priors(self, tmp_path, capsys, algorithm, priors, bad):
+        model, out = tmp_path / "m.json", tmp_path / "fit.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", algorithm, "--lambda", "0.5",
+                    "--priors", priors, "--model", model, "--out", out]) == 1
+        assert f"priors must be finite, got {bad}" in capsys.readouterr().err
+        assert not model.exists() and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit", "--lambda", "0.5"],
+            ["fit", "--algorithm", "svd", "--lambda", "0.5"],
+            ["cv"],
+        ],
+        ids=["fit-chol", "fit-svd", "cv"],
+    )
+    def test_target_sigma2_needs_the_t2_target(self, tmp_path, capsys, command):
+        written = tmp_path / "written.json"
+        destination = ["--model", written] if command[0] == "fit" else ["--out", written]
+        capsys.readouterr()
+        assert run([*command, "--data", tmp_path / "never-read.csv", "--label", "cohort", "--target", "t1",
+                    "--target-sigma2", "2.0", *destination]) == 1
+        assert "--target-sigma2 2.0 applies to --target t2 only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--sigma", "nan", "sigma must be positive and finite, got nan"),
+            ("--sigma", "inf", "sigma must be positive and finite, got inf"),
+            ("--shift-value", "nan", "shift must be finite, got nan"),
+            ("--shift-value", "inf", "shift must be finite, got inf"),
+        ],
+        ids=["sigma-nan", "sigma-inf", "shift-nan", "shift-inf"],
+    )
+    def test_non_finite_design_is_named(self, tmp_path, capsys, command, option, value, message):
+        extra = ["--data-out", tmp_path / "d.csv"] if command == "simulate" else []
+        capsys.readouterr()
+        assert run([command, "--seed", 1, "--n", 10, "--m", 10, "--p", 12, *extra, option, value,
+                    "--out", tmp_path / "out.json"]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_svd_checks_delta_at_fit_time(self, tmp_path, capsys):
         model = tmp_path / "m.json"

@@ -1,4 +1,4 @@
-import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from rlda.datamodel import (
     GroupMeans,
     SimulationConfig,
     group_means,
-    group_means_to_json,
     load_csv,
     load_matrix_csv,
     save_csv,
@@ -100,12 +99,6 @@ class TestGroupMeans:
         with pytest.raises(ValueError, match="count-weighted"):
             GroupMeans(pooled=np.array([9.0]), per_group=np.array([[0.0], [1.0]]), counts=np.array([1, 1]))
 
-    def test_json_export(self):
-        d = GroupedDataset(np.array([[0.0], [2.0]]), np.array([0, 1]), ("a", "b"))
-        doc = json.loads(group_means_to_json(group_means(d), d.group_names))
-        assert doc["pooled"] == [1.0]
-        assert doc["group_names"] == ["a", "b"]
-
 
 class TestLoadMatrixCsv:
     def write(self, tmp_path, text):
@@ -127,6 +120,20 @@ class TestLoadMatrixCsv:
     def test_non_numeric_cell_names_location(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n3,x\n")
         with pytest.raises(ValueError, match="row 3, column 'b': non-numeric cell 'x'"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty file"),
+            ("a,b\n1,2\n3\n", "row 3 has 1 cells, expected 2"),
+            ("a,b\n", "no data rows"),
+        ],
+        ids=["empty", "ragged", "header-only"],
+    )
+    def test_malformed_file_is_named(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_matrix_csv(path)
 
 
@@ -209,6 +216,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 3 has 2 cells"):
             load_csv(path, "grp")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty file"),
+            ("f1,grp\n", "no data rows"),
+            ("f1,grp\n1,a\n2, \n", "row 3, column 'grp': empty label"),
+            ("grp\na\nb\n", "no feature columns besides the label column"),
+        ],
+        ids=["empty", "header-only", "empty-label", "no-feature-column"],
+    )
+    def test_malformed_file_is_named(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_csv(path, "grp")
+
 
 class TestSimulate:
     def benchmark_config(self, seed=11, **overrides):
@@ -260,6 +282,10 @@ class TestSimulate:
             SimulationConfig(n=2, m=2, p=2, sigma=0.0, c=0.5, shift=np.zeros(2), seed=0)
         with pytest.raises(ValueError, match="length-p"):
             SimulationConfig(n=2, m=2, p=2, sigma=1.0, c=0.5, shift=np.zeros(3), seed=0)
+        with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
+            SimulationConfig(n=2, m=2, p=2, sigma=np.inf, c=0.5, shift=np.zeros(2), seed=0)
+        with pytest.raises(ValueError, match="shift must be finite, got -inf"):
+            SimulationConfig(n=2, m=2, p=2, sigma=1.0, c=0.5, shift=np.array([0.0, -np.inf]), seed=0)
 
     def test_sparse_shift(self):
         assert_allclose(sparse_shift(4, 2, 1.5), [1.5, 1.5, 0.0, 0.0])
