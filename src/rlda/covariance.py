@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -363,26 +363,62 @@ def _low_rank_solver(vt: np.ndarray, in_span: np.ndarray, inv_c: float) -> Calla
     return lambda b: vt.T @ (weights * (vt @ b)) + inv_c * b
 
 
+def _fold_spectrum(data: GroupedDataset, means: GroupMeans) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs ``(vt, eig)`` of the within-group ``S`` of ``data``, largest first.
+
+    They depend on the data alone, so every fixed target of a fold binds to
+    one spectrum (:func:`_spectral_kernel`). ``S`` has rank at most
+    ``n - K``. When ``n - K < p`` the spectrum is the thin SVD
+    ``R / sqrt(n - K) = U diag(s) V^T`` of the residuals, with ``eig = s^2``
+    and ``min(n, p)`` rows of ``V^T``; otherwise it is ``eigh(S)`` of the
+    ``S`` that :func:`pooled_covariance` forms, reordered to descending with
+    round-off negatives clipped to zero (an SVD of the tall residuals would
+    cost more than the per-intensity factorizations it replaces).
+    """
+    resid, dof = _within_group_residuals(data, means)
+    if dof < data.p:
+        _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
+        return vt, sv * sv
+    eig, v = np.linalg.eigh(resid.T @ resid / dof)
+    return np.ascontiguousarray(v[:, ::-1].T), np.maximum(eig[::-1], 0.0)
+
+
+def _spectral_kernel(
+    spectrum: tuple[np.ndarray, np.ndarray], target: ShrinkageTarget
+) -> Callable[[float], SpectralCovariance]:
+    """Bind a fixed target to a fold spectrum ``(vt, eig)``: ``lam -> (1 - lam) S + lam T``.
+
+    The binding costs ``O(r)``: the identity target has ``spread = 1`` and
+    ``theta2 = 0``; the equal-correlation target has
+    ``spread = sigma2 - theta2``, with the default ``sigma2`` the average
+    variance ``mean(diag S) = sum(eig) / p``, and is checked positive
+    definite here.
+    """
+    vt, eig = spectrum
+    if target.kind == "identity":
+        spread, theta2 = 1.0, 0.0
+    else:
+        p = vt.shape[1]
+        sigma2, theta2 = target._equal_correlation_params(p, float(np.sum(eig) / p))
+        spread = sigma2 - theta2
+    return lambda lam: SpectralCovariance(vt, eig, spread, theta2, lam)
+
+
 def spectral_covariance(
     data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
 ) -> Callable[[float], SpectralCovariance]:
     """Every ``(1 - lam) S + lam T`` of ``data`` from one decomposition, as a function of ``lam``.
 
-    ``S`` is the within-group pooled covariance of ``data``, which has rank
-    at most ``n - K``. When ``n - K < p`` the decomposition is the thin SVD
-    ``R / sqrt(n - K) = U diag(s) V^T`` of the residuals, with ``eig = s^2``
-    and ``min(n, p)`` rows of ``V^T``; otherwise it is ``eigh(S)`` of the
-    ``S`` that :func:`pooled_covariance` forms, reordered to descending with
-    round-off negatives clipped to zero (an SVD of the tall residuals would
-    cost more than the per-intensity factorizations it replaces). Either
-    way ``M = V diag((1 - lam) eig) V^T + c I + lam theta2 11^T`` is
-    inverted by :class:`SpectralCovariance`, so applying ``M^-1`` to a
-    ``p x k`` block costs ``O(p r k)``. The identity target has ``c = lam``.
-    The equal-correlation target ``(sigma2 - theta2) I + theta2 11^T`` has
-    ``c = lam (sigma2 - theta2)`` and adds the rank-one term
-    ``lam theta2 11^T``, applied by Sherman-Morrison; its default
-    ``sigma2`` is ``mean(diag S) = sum(eig) / p``, as in
-    :func:`shrink_covariance`.
+    ``S`` is the within-group pooled covariance of ``data``; its spectrum
+    ``(vt, eig)`` comes from :func:`_fold_spectrum` and the target is bound
+    to it by :func:`_spectral_kernel`. ``M = V diag((1 - lam) eig) V^T + c I
+    + lam theta2 11^T`` is inverted by :class:`SpectralCovariance`, so
+    applying ``M^-1`` to a ``p x k`` block costs ``O(p r k)``. The identity
+    target has ``c = lam``. The equal-correlation target
+    ``(sigma2 - theta2) I + theta2 11^T`` has ``c = lam (sigma2 - theta2)``
+    and adds the rank-one term ``lam theta2 11^T``, applied by
+    Sherman-Morrison; its default ``sigma2`` is ``mean(diag S) = sum(eig) / p``,
+    as in :func:`shrink_covariance`.
 
     Raises
     ------
@@ -392,32 +428,21 @@ def spectral_covariance(
     """
     if target.kind == "custom":
         raise ValueError("the spectral kernel supports the identity and equal-correlation targets")
-    resid, dof = _within_group_residuals(data, means)
-    p = data.p
-    if dof < p:
-        _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
-        eig = sv * sv
-    else:
-        eig, v = np.linalg.eigh(resid.T @ resid / dof)
-        eig, vt = np.maximum(eig[::-1], 0.0), np.ascontiguousarray(v[:, ::-1].T)
-    if target.kind == "identity":
-        spread, theta2 = 1.0, 0.0
-    else:
-        sigma2, theta2 = target._equal_correlation_params(p, float(np.sum(eig) / p))
-        spread = sigma2 - theta2
-    return lambda lam: SpectralCovariance(vt, eig, spread, theta2, lam)
+    return _spectral_kernel(_fold_spectrum(data, means), target)
 
 
 def _shrinkage_kernel(
-    data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget, intensities: int
-) -> Callable[[float], RegularizedCovariance | SpectralCovariance]:
-    """The kernel rule: ``(1 - lam) S + lam T`` of ``data`` as a function of ``lam``.
+    data: GroupedDataset, means: GroupMeans, targets: Sequence[ShrinkageTarget], intensities: int
+) -> list[Callable[[float], RegularizedCovariance | SpectralCovariance]]:
+    """The kernel rule: for each of ``targets``, ``(1 - lam) S + lam T`` of ``data`` as a function of ``lam``.
 
     This is the one place that picks the kernel's form, from the input
-    alone. A fixed target (identity or equal-correlation) takes
-    :func:`spectral_covariance` when ``S`` has low rank (``n - K < p``) or
-    when more than one of ``intensities`` will be read, since one
-    decomposition then serves them all. Otherwise the dense blend of
+    alone. A fixed target (identity or equal-correlation) takes the
+    spectral form of :func:`spectral_covariance` when ``S`` has low rank
+    (``n - K < p``) or when more than one of ``intensities`` will be read
+    per target, since one decomposition then serves them all; every fixed
+    target binds to the same :func:`_fold_spectrum`, so several targets
+    cost one decomposition. Otherwise the dense blend of
     :func:`pooled_covariance` is factorized per intensity by
     :func:`shrink_covariance`: the only form for a custom target, and the
     cheaper one for a single intensity on a full-rank ``S``, where one
@@ -425,10 +450,15 @@ def _shrinkage_kernel(
     forms judge ``lam = 0`` by the same rank rule, so the choice changes
     cost, not verdicts.
     """
-    if target.kind != "custom" and (data.n - data.n_groups < data.p or intensities > 1):
-        return spectral_covariance(data, means, target)
-    s = pooled_covariance(data, means, WITHIN_GROUP)
-    return lambda lam: shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP)
+    decompose = data.n - data.n_groups < data.p or intensities > 1
+    spectral = [decompose and t.kind != "custom" for t in targets]
+    spectrum = _fold_spectrum(data, means) if any(spectral) else None
+    s = None if all(spectral) else pooled_covariance(data, means, WITHIN_GROUP)
+    return [
+        _spectral_kernel(spectrum, t) if use_spectrum
+        else functools.partial(shrink_covariance, s, t, s_convention=WITHIN_GROUP)
+        for t, use_spectrum in zip(targets, spectral)
+    ]
 
 
 def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None) -> RegularizedCovariance:
@@ -457,27 +487,56 @@ def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:
     with the entry variances estimated from the cross products of
     group-centered residuals. The estimate shrinks like 1/n, so it fades
     as evidence accumulates. Only the fixed targets (identity,
-    equal-correlation) are supported.
+    equal-correlation) are supported. This is the one-target call of
+    :func:`_lw_lambdas`, which shares the numerator and ``S`` between
+    targets.
     """
-    if target.kind == "custom":
+    return _lw_lambdas(data, (target,))[0]
+
+
+def _lw_lambdas(data: GroupedDataset, targets: Sequence[ShrinkageTarget]) -> list[float]:
+    """:func:`lw_lambda` of ``data`` for each of ``targets``, from one pass over the data.
+
+    ``S``, the entry variances and their sum do not depend on the target
+    and are computed once; only the denominator ``sum_ij (s_ij - t_ij)^2``
+    is per target. It is formed in one reused ``p x p`` buffer without
+    materializing ``T``, whose entries are exactly ``sigma2`` on the
+    diagonal and ``theta2`` off it (``1`` and ``0`` for the identity). Every
+    floating-point operation keeps the order of the explicit formula, so
+    each value is bit-identical to it; the pass peaks at four ``p x p``
+    arrays whatever the number of targets.
+    """
+    if any(target.kind == "custom" for target in targets):
         raise ValueError("lw_lambda supports the identity and equal-correlation targets")
     resid, dof = _within_group_residuals(data, group_means(data))
-    n = data.n
+    n, p = data.n, data.p
     scatter = resid.T @ resid
     s = scatter / dof
+    default_sigma2 = float(np.mean(np.diag(s)))
 
     # Entrywise sampling variance of s from the cross-product summands
-    # w_kij = r_ki r_kj: sum_k (w_kij - wbar_ij)^2 = (R*R)^T (R*R) - n wbar^2.
+    # w_kij = r_ki r_kj: sum_k (w_kij - wbar_ij)^2 = (R*R)^T (R*R) - n wbar^2,
+    # accumulated in place as (n wbar) wbar.
     sq = resid * resid
     sum_w_sq = sq.T @ sq
-    wbar = scatter / n
-    var_s = (n / ((n - 1.0) * dof * dof)) * (sum_w_sq - n * wbar * wbar)
+    wbar = np.divide(scatter, n, out=scatter)
+    buf = np.multiply(n, wbar)
+    buf *= wbar
+    np.subtract(sum_w_sq, buf, out=buf)
+    buf *= n / ((n - 1.0) * dof * dof)
+    sum_var_s = np.sum(buf)
 
-    t = target.materialize(data.p, default_sigma2=float(np.mean(np.diag(s))))
-    denom = float(np.sum((s - t) ** 2))
-    if denom <= 0.0:
-        return 0.0
-    return float(np.clip(np.sum(var_s) / denom, 0.0, 1.0))
+    lams = []
+    for target in targets:
+        if target.kind == "identity":
+            sigma2, theta2 = 1.0, 0.0
+        else:
+            sigma2, theta2 = target._equal_correlation_params(p, default_sigma2)
+        np.subtract(s, theta2, out=buf)
+        np.fill_diagonal(buf, s.diagonal() - sigma2)
+        denom = float(np.sum(np.square(buf, out=buf)))
+        lams.append(0.0 if denom <= 0.0 else float(np.clip(sum_var_s / denom, 0.0, 1.0)))
+    return lams
 
 
 def mahalanobis_sq(cov: RegularizedCovariance | SpectralCovariance, d) -> float:

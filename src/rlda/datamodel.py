@@ -212,12 +212,18 @@ class SimulationConfig:
         object.__setattr__(self, "shift", shift)
 
 
-def sparse_shift(p: int, nonzero: int = 5, value: float = 3.0) -> np.ndarray:
-    """A p-vector whose first ``nonzero`` coordinates equal ``value``."""
-    if not 0 <= nonzero <= p:
-        raise ValueError("nonzero must lie in [0, p]")
+def sparse_shift(p: int, shift_count: int = 5, value: float = 3.0) -> np.ndarray:
+    """A p-vector whose first ``shift_count`` coordinates equal ``value``.
+
+    ``p`` is checked first and ``shift_count`` against it, so a simulation
+    built on this shift names the dimension or the count that is wrong.
+    """
+    if p < 1:
+        raise ValueError(f"p must be positive, got {p}")
+    if not 0 <= shift_count <= p:
+        raise ValueError(f"shift_count must lie in [0, p] with p={p}, got {shift_count}")
     shift = np.zeros(p)
-    shift[:nonzero] = value
+    shift[:shift_count] = value
     return shift
 
 

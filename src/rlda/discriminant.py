@@ -139,7 +139,8 @@ def fit(
     mean_reg = mean_reg or MeanRegularizer.none()
     means = group_means(data)
     reg = regularize_means(means, mean_reg)
-    cov = _shrinkage_kernel(data, means, target, 1)(lam)
+    (kernel,) = _shrinkage_kernel(data, means, (target,), 1)
+    cov = kernel(lam)
     priors = resolve_priors(priors_spec, data.group_counts)
     config = {
         "target": target.describe(),

@@ -1,17 +1,20 @@
 """Cross-validated hyperparameter selection and the simulation benchmark.
 
-The grid evaluator scores every (fold, intensity, mean rule, threshold)
-cell from one kernel per training fold: a map from the intensity ``lam``
-to the regularized covariance, in the form that
+The grid evaluator scores every (fold, target, intensity, mean rule,
+threshold) cell from one kernel per target and training fold: a map from
+the intensity ``lam`` to the regularized covariance, in the form that
 :func:`~rlda.covariance._shrinkage_kernel` picks for the grid's length.
 Both forms judge ``lam = 0`` (``M = S``) by one rank rule, so a singular
 ``S`` leaves it NaN. Either way the regularized mean rows of all rules and
-thresholds are built once per fold as one block. A spectral kernel
-projects that block, the fold's test rows and the ones vector onto its
-eigenbasis once, after which each intensity scores every cell without a
+thresholds are built once per fold as one block. The fixed targets of a
+fold share one spectral decomposition, whose kernels project that block,
+the fold's test rows and the ones vector onto the eigenbasis once, after
+which each (target, intensity) scores every cell without a
 ``p``-dimensional product; a dense kernel solves the block once per
-intensity. The 1000-dimensional benchmark takes about 0.2 s per seed on
-one core.
+intensity. The 1000-dimensional benchmark, both targets on one pass and
+one shared analytic-intensity pass, takes about 0.047 s per seed (median
+``run_s`` of ``perfbench/run.py --workload paper-experiment``, one BLAS
+thread, 2-vCPU VM).
 Fold assignment is computed once up front from the seed, so results do
 not depend on evaluation order and repeated runs are bit-identical.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NotPositiveDefiniteError
-from .covariance import ShrinkageTarget, SpectralCovariance, _shrinkage_kernel, lw_lambda
+from .covariance import ShrinkageTarget, SpectralCovariance, _lw_lambdas, _shrinkage_kernel
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
 from .discriminant import _score_blocks, _scores
 from .regmeans import MeanRegularizer, regularize_means
@@ -156,50 +159,56 @@ def _evaluate_cells(
     lambda_grid: tuple[float, ...],
     kind_grids: dict[str, tuple[float, ...]],
 ) -> dict[str, np.ndarray]:
-    """Fold accuracies for every (lambda, delta) cell of every mean rule.
+    """Fold accuracies for every (lambda, delta) cell of every mean rule, for one target.
 
     Returns one array of shape ``(folds, len(lambda_grid), len(deltas))``
-    per mean rule; cells whose covariance is singular stay NaN. Each
-    training fold's kernel comes from
-    :func:`~rlda.covariance._shrinkage_kernel`, told how many intensities
-    the grid holds; its two forms give the same table, ``lam = 0`` verdicts
-    included, up to floating-point rounding of the scores.
+    per mean rule; cells whose covariance is singular stay NaN. This is the
+    one-target case of :func:`_grid_accuracies`: each training fold's
+    kernel comes from :func:`~rlda.covariance._shrinkage_kernel`, told how
+    many intensities the grid holds; its two forms give the same table,
+    ``lam = 0`` verdicts included, up to floating-point rounding of the
+    scores.
     """
 
-    def kernel(train: GroupedDataset, means: GroupMeans):
-        return _shrinkage_kernel(train, means, target, len(lambda_grid))
+    def kernels(train: GroupedDataset, means: GroupMeans):
+        return _shrinkage_kernel(train, means, (target,), len(lambda_grid))
 
-    return _grid_accuracies(data, fold_sets, lambda_grid, kind_grids, kernel)
+    return _grid_accuracies(data, fold_sets, (lambda_grid,), kind_grids, kernels)[0]
 
 
 def _grid_accuracies(
     data: GroupedDataset,
     fold_sets: list[np.ndarray],
-    lambda_grid: tuple[float, ...],
+    lambda_grids: list[tuple[float, ...]],
     kind_grids: dict[str, tuple[float, ...]],
-    kernel,
-) -> dict[str, np.ndarray]:
-    """The cell table of :func:`_evaluate_cells` from a per-fold ``kernel(train, means)``.
+    kernels,
+) -> list[dict[str, np.ndarray]]:
+    """One cell table of :func:`_evaluate_cells` per target, from a per-fold ``kernels(train, means)``.
 
-    The kernel maps ``lam`` to the covariance ``M``. For each fold the mean
-    rows of every (rule, delta) cell are stacked into one ``p x (cells K)``
-    block ``m^T``, and every intensity scores all cells at once through
-    :func:`~rlda.discriminant._score_blocks`. A
-    :class:`~rlda.covariance.SpectralCovariance` builds the two blocks from
-    :func:`_eigenbasis_blocks`, which projects the fold onto the shared
-    ``vt`` once, so an intensity costs ``O(n_test r cells K)`` and no
-    ``p``-dimensional product; a dense ``M`` solves ``a = M^-1 m^T``. An
-    intensity whose ``M`` is not positive definite leaves its cells NaN:
-    the covariance is still built per intensity, so its checks and the
-    ``lam = 0`` rank rule decide that on either form.
+    ``kernels`` returns one map from ``lam`` to the covariance ``M`` per
+    target, and ``lambda_grids`` holds each target's own intensities. For
+    each fold the mean rows of every (rule, delta) cell are stacked once
+    into one ``p x (cells K)`` block ``m^T``, and every (target, intensity)
+    scores all cells at once through
+    :func:`~rlda.discriminant._score_blocks`. Spectral kernels on one basis
+    ``vt`` (every fixed target of a fold, from
+    :func:`~rlda.covariance._shrinkage_kernel`) share one
+    :func:`_eigenbasis_blocks` projection of the fold, so an intensity
+    costs ``O(n_test r cells K)`` and no ``p``-dimensional product; a dense
+    ``M`` solves ``a = M^-1 m^T``. An intensity whose ``M`` is not positive
+    definite leaves its cells NaN: the covariance is still built per
+    intensity, so its checks and the ``lam = 0`` rank rule decide that on
+    either form.
     """
-    out = {kind: np.full((len(fold_sets), len(lambda_grid), len(grid)), np.nan) for kind, grid in kind_grids.items()}
+    out = [
+        {kind: np.full((len(fold_sets), len(lambda_grid), len(grid)), np.nan) for kind, grid in kind_grids.items()}
+        for lambda_grid in lambda_grids
+    ]
     cells = [(kind, di, delta) for kind, grid in kind_grids.items() for di, delta in enumerate(grid)]
     all_rows = np.arange(data.n)
     for f, test_idx in enumerate(fold_sets):
         train = data.subset(np.setdiff1d(all_rows, test_idx, assume_unique=True))
         means = group_means(train)
-        covariance = kernel(train, means)
         k = train.n_groups
         m_t = np.concatenate(
             [regularize_means(means, MeanRegularizer(kind, delta)).per_group for kind, _, delta in cells]
@@ -207,22 +216,24 @@ def _grid_accuracies(
         log_priors = np.tile(np.log(train.group_counts / train.n), len(cells))
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
-        blocks = None
-        for li, lam in enumerate(lambda_grid):
-            try:
-                cov = covariance(lam)
-            except NotPositiveDefiniteError:
-                continue
-            if isinstance(cov, SpectralCovariance):
-                if blocks is None:  # every intensity of the fold shares vt
-                    blocks = _eigenbasis_blocks(cov.vt, m_t, test_values)
-                scores = _score_blocks(*blocks(cov), log_priors)
-            else:
-                scores = _scores(cov.solve, m_t, test_values, log_priors)
-            scores = scores.reshape(len(test_idx), len(cells), k)
-            acc = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
-            for (kind, di, _), value in zip(cells, acc):
-                out[kind][f, li, di] = value
+        basis = blocks = None
+        for table, lambda_grid, covariance in zip(out, lambda_grids, kernels(train, means), strict=True):
+            for li, lam in enumerate(lambda_grid):
+                try:
+                    cov = covariance(lam)
+                except NotPositiveDefiniteError:
+                    continue
+                if isinstance(cov, SpectralCovariance):
+                    if cov.vt is not basis:  # once per fold: every intensity and target shares vt
+                        basis = cov.vt
+                        blocks = _eigenbasis_blocks(basis, m_t, test_values)
+                    scores = _score_blocks(*blocks(cov), log_priors)
+                else:
+                    scores = _scores(cov.solve, m_t, test_values, log_priors)
+                scores = scores.reshape(len(test_idx), len(cells), k)
+                acc = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
+                for (kind, di, _), value in zip(cells, acc):
+                    table[kind][f, li, di] = value
     return out
 
 
@@ -395,11 +406,19 @@ def run_simulated_experiment(
     kind_grids = {kind: default_delta_grid(kind, data) for kind in reg_kinds}
     means = group_means(data)
 
-    # One pass per target covers the CV rows of all mean rules and, in a last column, the lw row.
-    acc, lam_hats = {}, {}
-    for name, target in targets.items():
-        lam_hats[name] = lw_lambda(data, target)
-        acc[name] = _evaluate_cells(data, target, fold_sets, lambda_grid + (lam_hats[name],), kind_grids)
+    # One pass over the folds covers both targets: the CV rows of all mean
+    # rules and, in each target's last column, its lw row. Each fold is
+    # decomposed and projected once for both.
+    fixed = tuple(targets.values())
+    lam_hats = dict(zip(targets, _lw_lambdas(data, fixed)))
+    tables = _grid_accuracies(
+        data,
+        fold_sets,
+        [lambda_grid + (lam_hats[name],) for name in targets],
+        kind_grids,
+        lambda train, fold_means: _shrinkage_kernel(train, fold_means, fixed, len(lambda_grid) + 1),
+    )
+    acc = dict(zip(targets, tables))
 
     rows = []
     for target_name, kind, selection in _EXPERIMENT_ROWS:

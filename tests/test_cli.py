@@ -304,6 +304,20 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize(
+        "p,shift_count,message",
+        [(0, 5, "p must be positive, got 0"), (4, 6, "shift_count must lie in [0, p] with p=4, got 6")],
+        ids=["p-zero", "shift-count-above-p"],
+    )
+    def test_bad_dimension_or_shift_count_is_named(self, tmp_path, capsys, command, p, shift_count, message):
+        extra = ["--data-out", tmp_path / "d.csv"] if command == "simulate" else []
+        capsys.readouterr()
+        assert run([command, "--seed", 1, "--n", 10, "--m", 10, "--p", p, "--shift-count", shift_count, *extra,
+                    "--out", tmp_path / "out.json"]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
     def test_svd_checks_delta_at_fit_time(self, tmp_path, capsys):
         model = tmp_path / "m.json"
         capsys.readouterr()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +13,7 @@ from rlda.covariance import (
     NotPositiveDefiniteError,
     RegularizedCovariance,
     ShrinkageTarget,
+    _lw_lambdas,
     lw_lambda,
     mahalanobis_sq,
     pooled_covariance,
@@ -19,7 +22,7 @@ from rlda.covariance import (
     shrink_covariance,
     spectral_covariance,
 )
-from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate
+from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate, sparse_shift
 from rlda.selection import default_lambda_grid
 
 from conftest import duplicated_column_dataset, random_grouped, random_spd, rank_deficient_dataset
@@ -208,6 +211,30 @@ class TestTargets:
             ShrinkageTarget(kind="t3")
 
 
+LW_TARGETS = (
+    ShrinkageTarget.identity(),
+    ShrinkageTarget.equal_correlation(0.15),
+    ShrinkageTarget.equal_correlation(0.1, sigma2=1.3),
+)
+
+
+def paper_data(p, seed):
+    return simulate(SimulationConfig(n=50, m=50, p=p, sigma=1.0, c=0.4, shift=sparse_shift(p, 5, 3.0), seed=seed))
+
+
+def explicit_lw(d, target):
+    """Oracle: the analytic intensity with the target materialized."""
+    resid = d.values - group_means(d).per_group[d.labels]
+    n, dof = d.n, d.n - d.n_groups
+    scatter = resid.T @ resid
+    s = scatter / dof
+    sq = resid * resid
+    wbar = scatter / n
+    var_s = (n / ((n - 1.0) * dof * dof)) * (sq.T @ sq - n * wbar * wbar)
+    t = target.materialize(d.p, default_sigma2=float(np.mean(np.diag(s))))
+    return float(np.clip(np.sum(var_s) / float(np.sum((s - t) ** 2)), 0.0, 1.0))
+
+
 class TestLwLambda:
     def test_always_in_unit_interval(self, rng):
         for _ in range(20):
@@ -262,6 +289,26 @@ class TestLwLambda:
         expected = float(np.clip(np.sum(var_s) / float(np.sum((s - t) ** 2)), 0.0, 1.0))
         assert 0.0 < expected < 1.0
         assert lw_lambda(d, target) == expected
+
+    @pytest.mark.parametrize("p", [40, 1000])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_shared_pass_equals_one_target_calls(self, p, seed):
+        # The targets share S and the numerator and reuse one buffer for their denominators.
+        d = paper_data(p, seed)
+        expected = [explicit_lw(d, target) for target in LW_TARGETS]
+        assert _lw_lambdas(d, LW_TARGETS) == [lw_lambda(d, target) for target in LW_TARGETS] == expected
+
+    def test_two_target_pass_peaks_below_six_p_by_p_arrays(self):
+        p = 1000
+        d = paper_data(p, seed=1)  # n = 100
+        tracemalloc.start()
+        try:
+            _lw_lambdas(d, LW_TARGETS[:2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Two separate lw_lambda calls, each with its own T and (S - T)^2, peak at about 8.2 p x p.
+        assert peak <= 6 * p * p * 8
 
 
 class TestSpectralShrinkage:

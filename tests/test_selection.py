@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_array_equal
 
 from rlda import covariance, selection
 from rlda._linalg import NotPositiveDefiniteError
-from rlda.covariance import WITHIN_GROUP, ShrinkageTarget, pooled_covariance, shrink_covariance
+from rlda.covariance import WITHIN_GROUP, ShrinkageTarget, lw_lambda, pooled_covariance, shrink_covariance
 from rlda.datamodel import GroupedDataset, group_means
 from rlda.discriminant import _score_blocks, _scores, classify, fit
 from rlda.regmeans import MeanRegularizer, regularize_means
@@ -227,6 +228,42 @@ class TestExperiment:
         assert len(lines) == 12  # header + rule + 10 rows
         assert "accuracy" in lines[0]
 
+    @pytest.mark.parametrize("size,p", [(12, 60), (40, 8)], ids=["thin", "full-rank"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rows_equal_the_one_target_calls(self, size, p, seed):
+        # Both targets share each fold's spectrum, projection and lw pass; every row must equal its own call.
+        folds = 5
+        report = run_simulated_experiment(seed, n=size, m=size, p=p, folds=folds)
+        data = simulate(SimulationConfig(n=size, m=size, p=p, sigma=1.0, c=0.4, shift=sparse_shift(p, 5, 3.0), seed=seed))
+        targets = {"t1": ShrinkageTarget.identity(), "t2": ShrinkageTarget.equal_correlation(theta2=0.15)}
+        for row in report["rows"]:
+            target = targets[row["target"]]
+            if row["selection"] == "lw":
+                assert row["lambda"] == lw_lambda(data, target)
+                continue
+            result = cross_validate(data, target, row["mean_reg"], CvConfig(folds, seed=seed))
+            expected = (result.best_lambda, result.best_delta, result.accuracy_mean, result.accuracy_sd,
+                        result.n_selected_variables)
+            assert (row["lambda"], row["delta"], row["accuracy"], row["sd"], row["n_variables"]) == expected, row
+
+    def test_one_decomposition_and_projection_per_fold(self, monkeypatch):
+        calls = {"svd": 0, "projections": 0}
+        svd, project = np.linalg.svd, selection._eigenbasis_blocks
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        # np.linalg.svd as reached from rlda.covariance only.
+        linalg = SimpleNamespace(**{**vars(np.linalg), "svd": counted("svd", svd)})
+        monkeypatch.setattr(covariance, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
+        monkeypatch.setattr(selection, "_eigenbasis_blocks", counted("projections", project))
+        run_simulated_experiment(seed=1, folds=5)  # the paper's shape: n = m = 50, p = 1000
+        assert calls == {"svd": 5, "projections": 5}
+
 
 def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
     """Per-intensity Cholesky factor of the shrunk covariance, as a function of ``lam``."""
@@ -236,7 +273,9 @@ def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
 
 def dense_cells(data, target, fold_sets, lambda_grid, kind_grids):
     """The cell table through one Cholesky factorization per (fold, intensity)."""
-    return _grid_accuracies(data, fold_sets, lambda_grid, kind_grids, lambda train, means: _dense_kernel(train, means, target))
+    return _grid_accuracies(
+        data, fold_sets, (lambda_grid,), kind_grids, lambda train, means: [_dense_kernel(train, means, target)]
+    )[0]
 
 
 def paper_design(seed: int, p: int):
@@ -346,7 +385,7 @@ class TestSpectralRoute:
             acc = _evaluate_cells(data, target, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
             assert not np.isnan(acc).any()
         monkeypatch.undo()
-        monkeypatch.setattr(covariance, "spectral_covariance", refuse("the spectral kernel"))
+        monkeypatch.setattr(covariance, "_fold_spectrum", refuse("the spectral kernel"))
         custom = ShrinkageTarget.custom(np.eye(6) + 0.1)
         acc = _evaluate_cells(data, custom, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
         assert not np.isnan(acc).any()
@@ -363,7 +402,7 @@ class TestKernelRule:
     @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
     def test_one_intensity_takes_the_dense_kernel(self, tall, monkeypatch, target):
         data, fold_sets = tall
-        monkeypatch.setattr(covariance, "spectral_covariance", refuse("the spectral kernel"))
+        monkeypatch.setattr(covariance, "_fold_spectrum", refuse("the spectral kernel"))
         for lam in (0.0, 0.3):
             acc = _evaluate_cells(data, target, fold_sets, (lam,), {"none": (0.0,), "l2": (0.5,)})
             assert not np.isnan(acc["none"]).any() and not np.isnan(acc["l2"]).any()
@@ -386,7 +425,7 @@ class TestKernelRule:
             cv = CvConfig(folds=4, seed=5, lambda_grid=(lam,))
             dense = cross_validate(data, target, kind, cv).to_dict()
             with monkeypatch.context() as patch:
-                patch.setattr(selection, "_shrinkage_kernel", lambda d, m, t, _: covariance.spectral_covariance(d, m, t))
+                patch.setattr(selection, "_shrinkage_kernel", lambda d, m, ts, _: [covariance.spectral_covariance(d, m, t) for t in ts])
                 spectral = cross_validate(data, target, kind, cv).to_dict()
             assert dense == spectral, (lam, kind)
 
