@@ -36,6 +36,8 @@ from .serialize import load_model, save_model
 
 __all__ = ["main"]
 
+DEFAULT_THETA2 = 0.15  # the equal-correlation target's off-diagonal level
+
 
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -139,10 +141,13 @@ def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[Rlda
     return model, chosen
 
 
-def _check_target_options(args) -> None:
-    """Reject ``--target-sigma2`` where no equal-correlation target would read it."""
-    if args.target_sigma2 is not None and args.target != "t2":
-        raise ValueError(f"--target-sigma2 {args.target_sigma2} applies to --target t2 only")
+def _resolve_target_options(args) -> None:
+    """Reject the equal-correlation options where no ``t2`` target would read them; default ``--theta2`` for ``t2``."""
+    for option, value in (("--theta2", args.theta2), ("--target-sigma2", args.target_sigma2)):
+        if value is not None and args.target != "t2":
+            raise ValueError(f"{option} {value} applies to --target t2 only")
+    if args.target == "t2" and args.theta2 is None:
+        args.theta2 = DEFAULT_THETA2
 
 
 def _check_route_options(args) -> None:
@@ -165,7 +170,7 @@ def _check_route_options(args) -> None:
 
 def _cmd_fit(args) -> int:
     _check_route_options(args)
-    _check_target_options(args)
+    _resolve_target_options(args)
     data = load_csv(args.data, args.label)
     doc = _base_doc(args)
     if args.algorithm == "chol":
@@ -242,7 +247,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    _check_target_options(args)
+    _resolve_target_options(args)
     data = load_csv(args.data, args.label)
     target = _target_from_args(args)
     cv = CvConfig(
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--target", default="t1", help="t1 | t2 | path to a CSV matrix")
-    p.add_argument("--theta2", type=float, default=0.15)
+    p.add_argument("--theta2", type=float, default=None, help=f"t2 only; default {DEFAULT_THETA2}")
     p.add_argument("--target-sigma2", type=float, default=None)
     p.add_argument("--lambda", dest="lam", default="cv", help="intensity value, or cv, or lw")
     p.add_argument("--mean-reg", choices=("none", "l2", "l1", "hard"), default="none")
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--target", default="t1")
-    p.add_argument("--theta2", type=float, default=0.15)
+    p.add_argument("--theta2", type=float, default=None, help=f"t2 only; default {DEFAULT_THETA2}")
     p.add_argument("--target-sigma2", type=float, default=None)
     p.add_argument("--mean-reg", choices=("none", "l2", "l1", "hard"), default="none")
     p.add_argument("--folds", type=int, default=5)
@@ -400,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=0.4)
     p.add_argument("--shift-count", type=int, default=5)
     p.add_argument("--shift-value", type=float, default=3.0)
-    p.add_argument("--theta2", type=float, default=0.15)
+    p.add_argument("--theta2", type=float, default=DEFAULT_THETA2)
     p.add_argument("--folds", type=int, default=5)
     add_out(p)
     p.set_defaults(func=_cmd_experiment)

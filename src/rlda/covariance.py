@@ -174,10 +174,12 @@ class RegularizedCovariance:
 class SpectralCovariance:
     """The target-shrunk ``M = (1 - lam) S + lam T`` from the eigenpairs of ``S``.
 
-    ``S = V diag(eig) V^T`` with orthonormal rows ``vt = V^T``: the thin
-    SVD of a low-rank ``S`` (``r < p`` rows) or the full eigendecomposition
-    (``r = p``). The fixed target is ``T = spread I + theta2 11^T`` (the
-    identity has ``spread = 1``, ``theta2 = 0``). :meth:`solve` applies
+    ``S = V diag(eig) V^T`` with orthonormal rows ``vt = V^T``: the
+    eigenpairs of a low-rank ``S`` above a cutoff (``r < p`` rows, from the
+    ``n x n`` Gram matrix of :func:`_fold_spectrum`; ``r = 0`` is allowed)
+    or the full eigendecomposition (``r = p``). The fixed target is
+    ``T = spread I + theta2 11^T`` (the identity has ``spread = 1``,
+    ``theta2 = 0``). :meth:`solve` applies
     ``M^-1`` in ``O(p r k)`` for ``k`` columns, with Sherman-Morrison for
     the rank-one ``lam theta2 11^T``. Its weights, :attr:`base_weights` and
     :meth:`rank_one_weight`, are ``O(r)`` and also serve callers that work
@@ -367,18 +369,28 @@ def _fold_spectrum(data: GroupedDataset, means: GroupMeans) -> tuple[np.ndarray,
     """The eigenpairs ``(vt, eig)`` of the within-group ``S`` of ``data``, largest first.
 
     They depend on the data alone, so every fixed target of a fold binds to
-    one spectrum (:func:`_spectral_kernel`). ``S`` has rank at most
-    ``n - K``. When ``n - K < p`` the spectrum is the thin SVD
-    ``R / sqrt(n - K) = U diag(s) V^T`` of the residuals, with ``eig = s^2``
-    and ``min(n, p)`` rows of ``V^T``; otherwise it is ``eigh(S)`` of the
-    ``S`` that :func:`pooled_covariance` forms, reordered to descending with
-    round-off negatives clipped to zero (an SVD of the tall residuals would
-    cost more than the per-intensity factorizations it replaces).
+    one spectrum (:func:`_spectral_kernel`). ``eigh`` of the smaller Gram
+    matrix of the residuals ``R`` gives them. When ``n < p`` it is the
+    ``n x n`` ``G = R R^T / (n - K) = U diag(eig) U^T``, which shares its
+    nonzero eigenvalues with ``S``; the rows
+    ``vt = diag(1 / sqrt(eig (n - K))) U^T R`` are the matching
+    eigenvectors of ``S``. ``G`` squares the condition number of ``R``, so
+    its null directions (the ``K`` of group centering, at least) are
+    dropped by the cutoff ``eig > n eps eig[0]``: ``r = n - K`` rows on
+    generic data, ``r = 0`` when every row equals its group mean. Since
+    ``r < p``, ``lam = 0`` stays infeasible. Otherwise (``n >= p``) it is
+    ``eigh(S)`` of the ``S`` that :func:`pooled_covariance` forms, all
+    ``p`` pairs with round-off negatives clipped to zero, judged at
+    ``lam = 0`` by the rank rule of :class:`SpectralCovariance`.
     """
     resid, dof = _within_group_residuals(data, means)
-    if dof < data.p:
-        _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
-        return vt, sv * sv
+    n, p = resid.shape
+    if n < p:
+        eig, u = np.linalg.eigh(resid @ resid.T / dof)
+        eig, u = eig[::-1], u[:, ::-1]
+        r = np.count_nonzero(eig > n * np.finfo(float).eps * eig[0])
+        eig = eig[:r]
+        return (u[:, :r].T @ resid) / np.sqrt(eig * dof)[:, None], eig
     eig, v = np.linalg.eigh(resid.T @ resid / dof)
     return np.ascontiguousarray(v[:, ::-1].T), np.maximum(eig[::-1], 0.0)
 
@@ -410,7 +422,9 @@ def spectral_covariance(
     """Every ``(1 - lam) S + lam T`` of ``data`` from one decomposition, as a function of ``lam``.
 
     ``S`` is the within-group pooled covariance of ``data``; its spectrum
-    ``(vt, eig)`` comes from :func:`_fold_spectrum` and the target is bound
+    ``(vt, eig)`` comes from :func:`_fold_spectrum` (``eigh`` of the ``n x n``
+    Gram matrix of the residuals when ``n < p``, keeping the pairs above
+    ``n eps eig[0]``; ``eigh(S)`` otherwise) and the target is bound
     to it by :func:`_spectral_kernel`. ``M = V diag((1 - lam) eig) V^T + c I
     + lam theta2 11^T`` is inverted by :class:`SpectralCovariance`, so
     applying ``M^-1`` to a ``p x k`` block costs ``O(p r k)``. The identity

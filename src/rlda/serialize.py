@@ -7,8 +7,10 @@ Documents are written as schema version 2. A ``"chol"`` (target-shrinkage)
 model names its covariance kernel in ``"cov_kernel"``, the form that
 :func:`~rlda.covariance._shrinkage_kernel` picked for ``fit``:
 
-- ``"spectral"``: the thin SVD of ``S`` (``vt``, ``eigenvalues``) and the
-  target's ``spread`` and ``theta2``, about ``n p`` numbers.
+- ``"spectral"``: the nonzero eigenpairs of ``S`` (``vt``, ``eigenvalues``)
+  and the target's ``spread`` and ``theta2``, about ``(n - K) p`` numbers.
+  A document may hold any number of rows of ``vt`` (older writers kept
+  ``n``, with near-zero eigenvalues on the last ``K``); every one loads.
 - ``"cholesky"``: the lower Cholesky ``factor`` of the dense ``p x p``
   blend. Loading keeps the factor alone; the dense matrix is formed only
   if read.

@@ -285,6 +285,26 @@ class TestErrors:
         assert "--target-sigma2 2.0 applies to --target t2 only" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit", "--lambda", "0.5"],
+            ["fit", "--lambda", "0.5", "--target", "t1"],
+            ["fit", "--algorithm", "svd", "--lambda", "0.5"],
+            ["cv"],
+            ["cv", "--target", "custom.csv"],
+        ],
+        ids=["fit-default-target", "fit-t1", "fit-svd", "cv-default-target", "cv-custom"],
+    )
+    def test_theta2_needs_the_t2_target(self, tmp_path, capsys, command):
+        written = tmp_path / "written.json"
+        destination = ["--model", written] if command[0] == "fit" else ["--out", written]
+        capsys.readouterr()
+        assert run([*command, "--data", tmp_path / "never-read.csv", "--label", "cohort",
+                    "--theta2", "0.3", *destination]) == 1
+        assert "--theta2 0.3 applies to --target t2 only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["simulate", "experiment"])
     @pytest.mark.parametrize(
         "option,value,message",

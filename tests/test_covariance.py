@@ -13,6 +13,7 @@ from rlda.covariance import (
     NotPositiveDefiniteError,
     RegularizedCovariance,
     ShrinkageTarget,
+    _fold_spectrum,
     _lw_lambdas,
     lw_lambda,
     mahalanobis_sq,
@@ -394,10 +395,71 @@ class TestSpectralShrinkage:
         assert str(from_kernel.value) == str(from_target.value)
 
 
+class TestFoldSpectrum:
+    """The n < p spectrum from ``eigh`` of the n x n Gram matrix, against the dense ``S`` and the residuals' SVD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(2, 8), min_size=2, max_size=4),
+        extra=st.integers(1, 15),
+        duplicated=st.integers(0, 4),
+    )
+    def test_gram_spectrum_matches_the_dense_oracles(self, seed, counts, extra, duplicated):
+        n, k = sum(counts), len(counts)
+        p = n + extra + duplicated
+        d = rank_deficient_dataset(seed, counts, p, duplicated)
+        means = group_means(d)
+        vt, eig = _fold_spectrum(d, means)
+        assert vt.shape == (n - k, p) and eig.shape == (n - k,)  # the K centering directions are dropped
+        # Round-off tolerances: the Gram form squares cond(R), so orthonormality is judged against eig[0] / eig[-1].
+        eps = np.finfo(float).eps
+        s = pooled_covariance(d, means, WITHIN_GROUP)
+        assert np.abs((vt.T * eig) @ vt - s).max() <= 8 * n * eps * eig[0]
+        assert np.abs(vt @ vt.T - np.eye(n - k)).max() <= 8 * n * eps * eig[0] / eig[-1]
+        resid = d.values - means.per_group[d.labels]
+        sv = np.linalg.svd(resid / np.sqrt(n - k), compute_uv=False)
+        assert np.abs(eig - sv[: n - k] ** 2).max() <= 8 * n * eps * eig[0]
+
+    @pytest.mark.parametrize(
+        "target,spread",
+        [(ShrinkageTarget.identity(), 1.0), (ShrinkageTarget.equal_correlation(0.0, sigma2=2.5), 2.5)],
+        ids=["identity", "equal-correlation"],
+    )
+    def test_rows_at_their_group_means_leave_no_spectrum(self, target, spread):
+        # Integer rows, so each group mean equals its rows exactly and R = 0.
+        centers = np.random.default_rng(5).integers(-9, 10, (3, 12)).astype(float)
+        d = GroupedDataset(np.repeat(centers, 3, axis=0), np.repeat(np.arange(3), 3), ("a", "b", "c"))
+        means = group_means(d)
+        vt, eig = _fold_spectrum(d, means)
+        assert vt.shape == (0, 12) and eig.shape == (0,)
+        kernel = spectral_covariance(d, means, target)
+        b = np.random.default_rng(6).standard_normal((12, 2))
+        for lam in (0.05, 0.5, 1.0):
+            assert_allclose(kernel(lam).solve(b), b / (lam * spread), rtol=1e-15)
+        with pytest.raises(NotPositiveDefiniteError, match="rank at most n - K < p=12"):
+            kernel(0.0)
+
+    @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.2)])
+    def test_p_at_most_n_below_p_plus_k_takes_eigh_of_s(self, rng, target):
+        # n = 12 >= p = 11 > n - K = 10: all p pairs of eigh(S), two of them round-off zeros.
+        d = random_grouped(rng, (6, 6), p=11)
+        means = group_means(d)
+        vt, eig = _fold_spectrum(d, means)
+        assert vt.shape == (11, 11) and eig.shape == (11,)
+        with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
+            spectral_covariance(d, means, target)(0.0)
+        dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, 0.3)
+        b = rng.standard_normal((11, 3))
+        expected = dense.solve(b)
+        got = spectral_covariance(d, means, target)(0.3).solve(b)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
 class TestSpectralCovariance:
     @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation(0.2)])
     def test_matrix_and_quadratic_form_match_dense(self, rng, target):
-        for counts in ((4, 5), (20, 25)):  # n - K < p: thin SVD; n - K >= p: eigh(S)
+        for counts in ((4, 5), (20, 25)):  # n < p: Gram eigh; n >= p: eigh(S)
             d = random_grouped(rng, counts, p=12)
             means = group_means(d)
             cov = spectral_covariance(d, means, target)(0.4)
@@ -409,7 +471,7 @@ class TestSpectralCovariance:
                 assert mahalanobis_sq(cov, z) == pytest.approx(mahalanobis_sq(dense, z), rel=1e-10)
 
     def test_solves_a_vector_like_a_column(self, rng):
-        # n - K = 10 < p = 12 while the thin SVD keeps all p = n rows of V^T.
+        # n - K = 10 < p = 12 = n: eigh(S) keeps all p rows of V^T.
         d = random_grouped(rng, (6, 6), p=12)
         cov = spectral_covariance(d, group_means(d), ShrinkageTarget.equal_correlation(0.2))(0.3)
         assert cov.vt.shape == (12, 12)

@@ -504,6 +504,26 @@ class TestSerialization:
         assert_array_equal(back.cov.vt, model.cov.vt)
         assert_array_equal(back.cov.eig, model.cov.eig)
 
+    def test_reads_a_spectral_document_with_n_rows_of_vt(self, rng, tmp_path):
+        # Earlier writers stored the thin SVD of the residuals: n rows of vt,
+        # the last K with round-off eigenvalues, where fit now keeps n - K.
+        data = random_grouped(rng, (5, 6, 4), p=40)
+        model = fit(data, ShrinkageTarget.equal_correlation(0.1), 0.3, MeanRegularizer("hard", 0.5))
+        dof = data.n - 3
+        assert model.cov.vt.shape == (dof, 40)
+        resid = data.values - group_means(data).per_group[data.labels]
+        _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
+        doc = model_to_dict(model)
+        doc["vt"], doc["eigenvalues"] = encode_array(vt), encode_array(sv * sv)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        old, _ = load_model(path)
+        assert old.cov.vt.shape == (data.n, 40)
+        queries = np.vstack([rng.standard_normal((20, 40)), data.values])
+        assert_array_equal(classify(old, queries), classify(model, queries))
+        expected = discriminant_scores(model, queries)
+        assert np.abs(discriminant_scores(old, queries) - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_rejects_spectral_document_with_negative_eigenvalue(self, rng, tmp_path):
         model = fit(random_grouped(rng, (5, 6, 4), p=40), ShrinkageTarget.identity(), 0.3)
         doc = model_to_dict(model)

@@ -247,8 +247,8 @@ class TestExperiment:
             assert (row["lambda"], row["delta"], row["accuracy"], row["sd"], row["n_variables"]) == expected, row
 
     def test_one_decomposition_and_projection_per_fold(self, monkeypatch):
-        calls = {"svd": 0, "projections": 0}
-        svd, project = np.linalg.svd, selection._eigenbasis_blocks
+        calls = {"eigh": 0, "svd": 0, "projections": 0}
+        project = selection._eigenbasis_blocks
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -257,12 +257,14 @@ class TestExperiment:
 
             return call
 
-        # np.linalg.svd as reached from rlda.covariance only.
-        linalg = SimpleNamespace(**{**vars(np.linalg), "svd": counted("svd", svd)})
+        # np.linalg.eigh and np.linalg.svd as reached from rlda.covariance only.
+        linalg = SimpleNamespace(
+            **{**vars(np.linalg), **{name: counted(name, getattr(np.linalg, name)) for name in ("eigh", "svd")}}
+        )
         monkeypatch.setattr(covariance, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
         monkeypatch.setattr(selection, "_eigenbasis_blocks", counted("projections", project))
         run_simulated_experiment(seed=1, folds=5)  # the paper's shape: n = m = 50, p = 1000
-        assert calls == {"svd": 5, "projections": 5}
+        assert calls == {"eigh": 5, "svd": 0, "projections": 5}
 
 
 def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
