@@ -15,7 +15,6 @@ from rlda import (
     lw_lambda,
     mahalanobis_sq,
     pooled_covariance,
-    ridge_covariance,
     shrink_covariance,
     simulate,
     sparse_shift,
@@ -43,10 +42,11 @@ t2 = ShrinkageTarget.equal_correlation(theta2=0.15)
 cov2 = shrink_covariance(s, t2, 0.5)
 print(f"equal-correlation blend, off-diagonal sample: {cov2.matrix[0, 1]:.3f}\n")
 
-# The ridge form is the identity-target blend with the roles of lambda swapped.
-r = ridge_covariance(s, 0.8)
+# The ridge form lambda S + (1-lambda) I is the identity-target blend with
+# the roles of lambda swapped, so it needs no function of its own.
+r = 0.8 * s + 0.2 * np.eye(s.shape[0])
 t = shrink_covariance(s, ShrinkageTarget.identity(), 0.2)
-print("ridge(0.8) == blend-to-identity(0.2):", np.allclose(r.matrix, t.matrix), "\n")
+print("ridge(0.8) == blend-to-identity(0.2):", np.allclose(r, t.matrix), "\n")
 
 # Analytic intensity: big when data are scarce, fading as n grows.
 for n in (20, 200, 2000):

@@ -59,7 +59,6 @@ from .covariance import (
     lw_lambda,
     mahalanobis_sq,
     pooled_covariance,
-    ridge_covariance,
     shrink_covariance,
     spectral_covariance,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "lw_lambda",
     "mahalanobis_sq",
     "pooled_covariance",
-    "ridge_covariance",
     "shrink_covariance",
     "spectral_covariance",
     "MeanRegularizer",

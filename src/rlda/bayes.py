@@ -108,7 +108,10 @@ class PosteriorSummary:
 def _validate_sample(xbar, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("sample count n must be at least 1")
-    return _finite_vector(xbar, "xbar")
+    xbar = _finite_vector(xbar, "xbar")
+    if not xbar.size:
+        raise ValueError("xbar must hold at least one value")
+    return xbar
 
 
 def _finite_vector(values, name: str) -> np.ndarray:

@@ -247,6 +247,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    if args.mean_reg == "none" and args.delta_grid is not None:
+        raise ValueError(
+            f"--delta-grid {args.delta_grid} does not apply to --mean-reg none, which leaves the means as they are"
+        )
     _resolve_target_options(args)
     data = load_csv(args.data, args.label)
     target = _target_from_args(args)

@@ -1,7 +1,6 @@
 """Pooled covariance estimation, shrinkage toward a target, and factor handles.
 
-Two scalings of the pooled covariance coexist and are labeled on every
-regularized value so they cannot be mixed accidentally:
+Two scalings of the pooled covariance, chosen by :func:`pooled_covariance`:
 
 - ``"within-group"``: group-mean-centered scatter divided by ``n - K``;
   the default estimator blended with a shrinkage target.
@@ -13,8 +12,11 @@ A regularized covariance is one of two objects with the same ``lam``,
 lower Cholesky factor of a dense blend, so solves and quadratic forms never
 invert anything. :class:`SpectralCovariance` is the one spectral kernel:
 ``V diag(eig) V^T`` blended with a fixed target and inverted through its
-eigenpairs; it also holds the SVD ridge classifier (the identity blend at
-``1 - lam`` on the Gram convention). Which of the two a target-shrunk
+eigenpairs, which :func:`_spectrum` takes from a centered row block. It
+also holds the SVD ridge classifier. The ridge form ``lam S + (1 - lam) I``
+has no function of its own: it is the identity blend at ``1 - lam``, dense
+through :func:`shrink_covariance` or spectral on the spectrum of the
+pooled-mean-centered rows. Which of the two forms a target-shrunk
 covariance takes, in ``fit`` and in the cross-validation grid alike, is
 decided by :func:`_shrinkage_kernel` alone.
 Both build their dense ``matrix`` only when it is read, and both judge
@@ -40,7 +42,6 @@ __all__ = [
     "lw_lambda",
     "mahalanobis_sq",
     "pooled_covariance",
-    "ridge_covariance",
     "shrink_covariance",
     "spectral_covariance",
 ]
@@ -135,23 +136,14 @@ class ShrinkageTarget:
 
 @dataclass(frozen=True)
 class RegularizedCovariance:
-    """A positive definite covariance held as its lower Cholesky factor.
-
-    ``rule`` records whether target shrinkage ``(1-lam) S + lam T`` or the
-    ridge form ``lam S + (1-lam) I`` produced the matrix; ``s_convention``
-    records the scaling of the ``S`` that went in.
-    """
+    """A positive definite covariance ``(1 - lam) S + lam T`` held as its lower Cholesky factor."""
 
     factor: np.ndarray
     lam: float
-    rule: str
-    s_convention: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        if self.rule not in ("target-shrink", "ridge"):
-            raise ValueError(f"unknown rule {self.rule!r}")
         factor = np.asarray(self.factor, dtype=float)
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
@@ -176,7 +168,7 @@ class SpectralCovariance:
 
     ``S = V diag(eig) V^T`` with orthonormal rows ``vt = V^T``: the
     eigenpairs of a low-rank ``S`` above a cutoff (``r < p`` rows, from the
-    ``n x n`` Gram matrix of :func:`_fold_spectrum`; ``r = 0`` is allowed)
+    ``n x n`` Gram matrix of :func:`_spectrum`; ``r = 0`` is allowed)
     or the full eigendecomposition (``r = p``). The fixed target is
     ``T = spread I + theta2 11^T`` (the identity has ``spread = 1``,
     ``theta2 = 0``). :meth:`solve` applies
@@ -185,9 +177,8 @@ class SpectralCovariance:
     :meth:`rank_one_weight`, are ``O(r)`` and also serve callers that work
     in the basis ``vt`` themselves; the solver is built on the first
     :meth:`solve`, and :attr:`matrix` forms the dense ``M`` only when read.
-    ``s_convention`` records the scaling of ``S``: the SVD ridge kernel
-    ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at ``1 - lam`` on
-    the ``"gram-pooled-mean"`` scale.
+    The SVD ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is the identity
+    blend at ``1 - lam`` with ``S = Xc^T Xc``.
 
     Rank rule, shared with :func:`shrink_covariance`: ``lam = 0``
     (``M = S``) is feasible exactly when ``r = p`` and
@@ -210,8 +201,6 @@ class SpectralCovariance:
     spread: float
     theta2: float
     lam: float
-    s_convention: str = WITHIN_GROUP
-    rule = "target-shrink"
 
     def __post_init__(self):
         vt = np.ascontiguousarray(self.vt, dtype=float)
@@ -327,32 +316,23 @@ def _require_full_rank(eig: np.ndarray, what: str) -> None:
         )
 
 
-def _blend_factor(s: np.ndarray, t: np.ndarray, lam: float, what: str) -> np.ndarray:
-    """Lower Cholesky factor of ``(1 - lam) S + lam T``; at ``lam = 0``, ``S`` must pass the rank rule first."""
-    if lam == 0.0:
-        _require_full_rank(np.linalg.eigvalsh(s)[::-1], what)
-    return cholesky_lower((1.0 - lam) * s + lam * t, what)
-
-
-def shrink_covariance(
-    s: np.ndarray,
-    target: ShrinkageTarget,
-    lam: float,
-    s_convention: str | None = None,
-) -> RegularizedCovariance:
+def shrink_covariance(s: np.ndarray, target: ShrinkageTarget, lam: float) -> RegularizedCovariance:
     """Blend ``(1 - lam) S + lam T`` and factorize the result.
 
     ``lam = 0`` returns ``S`` itself, which must first pass the rank rule
     of :class:`SpectralCovariance`, and ``lam = 1`` the target. Nothing is
     jittered: a failure raises the recoverable :class:`NotPositiveDefiniteError`.
+    The ridge form ``lam S + (1 - lam) I`` is the identity target at ``1 - lam``.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     s = ensure_symmetric(s, "S")
     p = s.shape[0]
     t = target.materialize(p, default_sigma2=float(np.mean(np.diag(s))) if p else None)
-    factor = _blend_factor(s, t, lam, f"shrunk covariance (lam={lam})")
-    return RegularizedCovariance(factor=factor, lam=lam, rule="target-shrink", s_convention=s_convention)
+    what = f"shrunk covariance (lam={lam})"
+    if lam == 0.0:
+        _require_full_rank(np.linalg.eigvalsh(s)[::-1], what)
+    return RegularizedCovariance(factor=cholesky_lower((1.0 - lam) * s + lam * t, what), lam=lam)
 
 
 def _low_rank_solver(vt: np.ndarray, in_span: np.ndarray, inv_c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -365,34 +345,41 @@ def _low_rank_solver(vt: np.ndarray, in_span: np.ndarray, inv_c: float) -> Calla
     return lambda b: vt.T @ (weights * (vt @ b)) + inv_c * b
 
 
-def _fold_spectrum(data: GroupedDataset, means: GroupMeans) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs ``(vt, eig)`` of the within-group ``S`` of ``data``, largest first.
+def _spectrum(rows: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs ``(vt, eig)`` of ``S = R^T R / dof`` for the centered rows ``R``, largest first.
 
-    They depend on the data alone, so every fixed target of a fold binds to
-    one spectrum (:func:`_spectral_kernel`). ``eigh`` of the smaller Gram
-    matrix of the residuals ``R`` gives them. When ``n < p`` it is the
-    ``n x n`` ``G = R R^T / (n - K) = U diag(eig) U^T``, which shares its
-    nonzero eigenvalues with ``S``; the rows
-    ``vt = diag(1 / sqrt(eig (n - K))) U^T R`` are the matching
-    eigenvectors of ``S``. ``G`` squares the condition number of ``R``, so
-    its null directions (the ``K`` of group centering, at least) are
-    dropped by the cutoff ``eig > n eps eig[0]``: ``r = n - K`` rows on
-    generic data, ``r = 0`` when every row equals its group mean. Since
-    ``r < p``, ``lam = 0`` stays infeasible. Otherwise (``n >= p``) it is
-    ``eigh(S)`` of the ``S`` that :func:`pooled_covariance` forms, all
-    ``p`` pairs with round-off negatives clipped to zero, judged at
-    ``lam = 0`` by the rank rule of :class:`SpectralCovariance`.
+    ``eigh`` of the smaller Gram matrix of ``R`` gives them. When ``n < p``
+    it is the ``n x n`` ``G = R R^T / dof = U diag(eig) U^T``, which shares
+    its nonzero eigenvalues with ``S``; the rows
+    ``vt = diag(1 / sqrt(eig dof)) U^T R`` are the matching eigenvectors of
+    ``S``. ``G`` squares the condition number of ``R``, so its null
+    directions (one per mean the rows were centered at, at least) are
+    dropped by the cutoff ``eig > n eps eig[0]``: ``r = 0`` rows when
+    ``R = 0``. Otherwise (``n >= p``) it is ``eigh(S)``, all ``p`` pairs
+    with round-off negatives clipped to zero.
     """
-    resid, dof = _within_group_residuals(data, means)
-    n, p = resid.shape
+    n, p = rows.shape
     if n < p:
-        eig, u = np.linalg.eigh(resid @ resid.T / dof)
+        eig, u = np.linalg.eigh(rows @ rows.T / dof)
         eig, u = eig[::-1], u[:, ::-1]
         r = np.count_nonzero(eig > n * np.finfo(float).eps * eig[0])
         eig = eig[:r]
-        return (u[:, :r].T @ resid) / np.sqrt(eig * dof)[:, None], eig
-    eig, v = np.linalg.eigh(resid.T @ resid / dof)
+        return (u[:, :r].T @ rows) / np.sqrt(eig * dof)[:, None], eig
+    eig, v = np.linalg.eigh(rows.T @ rows / dof)
     return np.ascontiguousarray(v[:, ::-1].T), np.maximum(eig[::-1], 0.0)
+
+
+def _fold_spectrum(data: GroupedDataset, means: GroupMeans) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs ``(vt, eig)`` of the within-group ``S`` of ``data``: :func:`_spectrum` of its residuals.
+
+    They depend on the data alone, so every fixed target of a fold binds to
+    one spectrum (:func:`_spectral_kernel`). When ``n < p`` the ``K``
+    centering directions fall under the cutoff, leaving ``r = n - K`` rows
+    on generic data (``r = 0`` when every row equals its group mean), so
+    ``lam = 0`` stays infeasible; otherwise all ``p`` pairs are judged at
+    ``lam = 0`` by the rank rule of :class:`SpectralCovariance`.
+    """
+    return _spectrum(*_within_group_residuals(data, means))
 
 
 def _spectral_kernel(
@@ -470,22 +457,9 @@ def _shrinkage_kernel(
     s = None if all(spectral) else pooled_covariance(data, means, WITHIN_GROUP)
     return [
         _spectral_kernel(spectrum, t) if use_spectrum
-        else functools.partial(shrink_covariance, s, t, s_convention=WITHIN_GROUP)
+        else functools.partial(shrink_covariance, s, t)
         for t, use_spectrum in zip(targets, spectral)
     ]
-
-
-def ridge_covariance(s: np.ndarray, lam: float, s_convention: str | None = None) -> RegularizedCovariance:
-    """The ridge form ``lam S + (1 - lam) I``: the identity blend at ``1 - lam``.
-
-    Positive definite for any ``lam < 1``; ``lam = 1`` (``M = S``) follows
-    the rank rule of :func:`shrink_covariance` at intensity ``0``.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    s = ensure_symmetric(s, "S")
-    factor = _blend_factor(s, np.eye(s.shape[0]), 1.0 - lam, f"ridge covariance (lam={lam})")
-    return RegularizedCovariance(factor=factor, lam=lam, rule="ridge", s_convention=s_convention)
 
 
 def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:

@@ -17,10 +17,12 @@ Two fitting routes are provided. The target-shrinkage route (``fit``)
 keeps whichever covariance form the kernel rule,
 :func:`~rlda.covariance._shrinkage_kernel`, picks for a single intensity:
 a :class:`~rlda.covariance.SpectralCovariance` or the Cholesky factor of
-the dense blend. The SVD route for the ridge form factorizes the centered
-``n x p`` data matrix instead of the ``p x p`` covariance and holds the
-result as the same spectral object: ``lam Xc^T Xc + (1 - lam) I`` is the
-identity blend at ``1 - lam`` with eigenvalues ``sv^2``.
+the dense blend. The SVD route for the ridge form decomposes the
+pooled-mean-centered ``n x p`` data matrix ``Xc`` instead of the ``p x p``
+covariance, through the spectrum primitive the fold kernel uses
+(:func:`~rlda.covariance._spectrum`), and holds the result as the same
+spectral object: ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at
+``1 - lam`` on the eigenpairs of ``Xc^T Xc``.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
-    GRAM_POOLED_MEAN,
     WITHIN_GROUP,
     RegularizedCovariance,
     ShrinkageTarget,
     SpectralCovariance,
     _low_rank_solver,
     _shrinkage_kernel,
+    _spectrum,
     pooled_covariance,
     shrink_covariance,
 )
@@ -230,7 +232,7 @@ def classify_alg1(
     means = group_means(data)
     blended = regularize_means(means, MeanRegularizer("l2", delta)).per_group
     s = pooled_covariance(data, means, s_convention)
-    solve = shrink_covariance(s, target, lam, s_convention=s_convention).solve
+    solve = shrink_covariance(s, target, lam).solve
     priors = resolve_priors(priors_spec, data.group_counts)
     queries, single = _as_query_matrix(z)
     return _best(_scores(solve, blended.T, queries, np.log(priors)), single)
@@ -241,15 +243,17 @@ class SvdRidgeModel:
     """The ridge kernel of the pooled-mean-centered data, for ridge scoring.
 
     ``cov`` is the :class:`~rlda.covariance.SpectralCovariance` of
-    ``lam * Xc^T Xc + (1 - lam) I``: the thin SVD ``Xc = U diag(sv) V^T``
-    gives ``vt = V^T`` and ``eig = sv^2`` (the remaining ``p - n``
-    eigenvalues are zero by construction and handled implicitly), blended
-    with the identity at ``1 - lam``. ``mode`` selects the scoring rule:
-    ``"exact"`` applies ``cov.solve``, ``"paper-literal"`` whitens the
-    projections with the column variances instead of the eigenvalues (kept
-    as a diagnostic; the j-th column variance is paired with the j-th
-    singular direction, so the two rules coincide only for standardized
-    columns and small ``lam``).
+    ``lam * Xc^T Xc + (1 - lam) I``: the ``r`` eigenpairs ``(vt, eig)`` of
+    ``Xc^T Xc`` that :func:`~rlda.covariance._spectrum` keeps, blended
+    with the identity at ``1 - lam``. When ``n < p``, pooled centering
+    leaves ``Xc`` rank ``n - 1``, so ``r = n - 1`` on generic data and the
+    other ``p - r`` directions, where the kernel is ``(1 - lam) I``, are
+    handled implicitly; otherwise ``r = p``. ``mode`` selects the scoring
+    rule: ``"exact"`` applies ``cov.solve``, ``"paper-literal"`` whitens the
+    projections on the ``r`` directions with the column variances instead
+    of the eigenvalues and drops the rest (kept as a diagnostic; the j-th
+    column variance is paired with the j-th eigenvector, so the two rules
+    coincide only for standardized columns and small ``lam``).
     """
 
     cov: SpectralCovariance
@@ -271,11 +275,15 @@ class SvdRidgeModel:
         return self.cov.p
 
 
-def _ridge_covariance(vt: np.ndarray, sv: np.ndarray, lam: float) -> SpectralCovariance:
-    """``lam Xc^T Xc + (1 - lam) I`` from the thin SVD ``Xc = U diag(sv) V^T``, ``vt = V^T``."""
+def _ridge_kernel(vt: np.ndarray, sv: np.ndarray, lam: float) -> SpectralCovariance:
+    """``lam Xc^T Xc + (1 - lam) I`` from the singular values ``sv`` of ``Xc`` and its right singular vectors ``vt``.
+
+    The kernel's eigenvalues are ``sv^2``; a model file stores ``sv``, and
+    ``sqrt(sv^2) == sv``, so a saved kernel reloads bit for bit.
+    """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1) for the ridge form")
-    return SpectralCovariance(vt, sv**2, 1.0, 0.0, 1.0 - lam, s_convention=GRAM_POOLED_MEAN)
+    return SpectralCovariance(vt, sv**2, 1.0, 0.0, 1.0 - lam)
 
 
 def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdRidgeModel:
@@ -283,9 +291,11 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
 
     The ridge kernel is ``lam * S + (1 - lam) I`` with ``S`` the
     unnormalized Gram matrix ``Xc^T Xc`` of pooled-mean-centered rows. The
-    thin SVD of ``Xc`` provides everything needed to apply the kernel's
-    inverse without forming a ``p x p`` matrix. ``"paper-literal"`` mode
-    requires ``n < p``; ``"exact"`` mode accepts any shape.
+    eigenpairs of ``S`` from :func:`~rlda.covariance._spectrum` (``eigh``
+    of the ``n x n`` ``Xc Xc^T`` when ``n < p``) provide everything needed
+    to apply the kernel's inverse without forming a ``p x p`` matrix.
+    ``"paper-literal"`` mode requires ``n < p``; ``"exact"`` mode accepts
+    any shape.
     """
     if data.n_groups < 2:
         raise ValueError("classification needs at least 2 groups")
@@ -293,10 +303,10 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
         raise ValueError("paper-literal mode is defined for n < p")
     means = group_means(data)
     centered = data.values - means.pooled
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    vt, eig = _spectrum(centered, 1)
     column_var = centered.var(axis=0, ddof=1) if data.n > 1 else np.zeros(data.p)
     return SvdRidgeModel(
-        cov=_ridge_covariance(vt, sv, lam),
+        cov=_ridge_kernel(vt, np.sqrt(eig), lam),
         column_variances=column_var,
         lam=lam,
         mode=mode,

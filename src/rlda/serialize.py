@@ -19,8 +19,12 @@ model names its covariance kernel in ``"cov_kernel"``, the form that
 spectral kernel is written as ``right_vectors = vt^T`` and
 ``singular_values = sqrt(eig)`` and read back as ``eig = sv^2``, which
 round-trips every singular value exactly (barring under- or overflow of
-``sv^2``). Version 1 documents, whose ``"chol"`` models always hold a
-``factor``, still load.
+``sv^2``). A fit keeps the ``r`` eigenpairs of ``Xc^T Xc`` above the
+cutoff (``n - 1`` rows when ``n < p``); older writers kept the ``n`` rows
+of a thin SVD, the last one an arbitrary null direction, and every such
+document loads. Version 1 documents, whose ``"chol"`` models always hold a
+``factor``, still load, as do documents that carry the ``cov_rule`` and
+``s_convention`` labels older writers added; nothing reads them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from . import __version__
 from .covariance import RegularizedCovariance, SpectralCovariance
 from .datamodel import GroupMeans
-from .discriminant import RldaModel, SvdRidgeModel, _ridge_covariance
+from .discriminant import RldaModel, SvdRidgeModel, _ridge_kernel
 from .regmeans import RegularizedMeans
 
 __all__ = ["decode_array", "encode_array", "load_model", "model_to_dict", "save_model"]
@@ -78,14 +82,8 @@ def _covariance_from_dict(doc: dict) -> RegularizedCovariance | SpectralCovarian
             spread=doc["spread"],
             theta2=doc["theta2"],
             lam=doc["cov_lambda"],
-            s_convention=doc["s_convention"],
         )
-    return RegularizedCovariance(
-        factor=decode_array(doc["factor"]),
-        lam=doc["cov_lambda"],
-        rule=doc["cov_rule"],
-        s_convention=doc["s_convention"],
-    )
+    return RegularizedCovariance(factor=decode_array(doc["factor"]), lam=doc["cov_lambda"])
 
 
 def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = None) -> dict:
@@ -105,8 +103,6 @@ def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = 
                 "active_mask": encode_array(model.reg_means.active_mask.astype(np.uint8)),
                 "priors": encode_array(model.priors),
                 "cov_lambda": model.cov.lam,
-                "cov_rule": model.cov.rule,
-                "s_convention": model.cov.s_convention,
                 "config": dict(model.config, **(extra_config or {})),
                 **_covariance_to_dict(model.cov),
             }
@@ -141,7 +137,8 @@ def save_model(model, path, extra_config: dict | None = None) -> None:
 def load_model(path):
     """Load a persisted model (schema version 1 or 2); returns ``(model, config)``.
 
-    Any other file raises ``ValueError`` naming ``path`` and the cause.
+    Any other file, or a document whose values fail the model's own checks,
+    raises ``ValueError`` naming ``path`` and the cause.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -152,14 +149,16 @@ def load_model(path):
     if doc.get("version") not in READABLE_VERSIONS:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
     try:
-        return _model_from_dict(doc, path), doc["config"]
+        return _model_from_dict(doc), doc["config"]
     except KeyError as exc:
         raise ValueError(f"{path}: malformed model document: missing key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"{path}: malformed model document: a value has the wrong type ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed model document: {exc}") from None
 
 
-def _model_from_dict(doc: dict, path) -> RldaModel | SvdRidgeModel:
+def _model_from_dict(doc: dict) -> RldaModel | SvdRidgeModel:
     if doc["algorithm"] == "chol":
         per_group = decode_array(doc["reg_means"])
         mask = decode_array(doc["active_mask"]).astype(bool)
@@ -178,7 +177,7 @@ def _model_from_dict(doc: dict, path) -> RldaModel | SvdRidgeModel:
             counts=decode_array(doc["group_counts"]),
         )
         return SvdRidgeModel(
-            cov=_ridge_covariance(
+            cov=_ridge_kernel(
                 decode_array(doc["right_vectors"]).T, decode_array(doc["singular_values"]), doc["cov_lambda"]
             ),
             column_variances=decode_array(doc["column_variances"]),
@@ -187,4 +186,4 @@ def _model_from_dict(doc: dict, path) -> RldaModel | SvdRidgeModel:
             means=means,
             group_names=tuple(doc["group_names"]),
         )
-    raise ValueError(f"{path}: unknown algorithm {doc['algorithm']!r}")
+    raise ValueError(f"unknown algorithm {doc['algorithm']!r}")

@@ -147,7 +147,7 @@ def test_criterion_05_svd_route_matches_cholesky_route():
         svd_model = fit_svd_ridge(data, lam, mode="exact")
         means = group_means(data)
         gram = pooled_covariance(data, means, GRAM_POOLED_MEAN)
-        cov = shrink_covariance(gram, ShrinkageTarget.identity(), 1.0 - lam, s_convention=GRAM_POOLED_MEAN)
+        cov = shrink_covariance(gram, ShrinkageTarget.identity(), 1.0 - lam)
         blended = (1 - delta) * means.per_group + delta * means.pooled
         for _ in range(5):
             z = rng.standard_normal(20)

@@ -91,6 +91,8 @@ class TestConjugateScalar:
             posterior_mean_conjugate_scalar(np.zeros(2), n=0, c=1.0, theta=np.zeros(2))
         with pytest.raises(ValueError):
             posterior_mean_conjugate_scalar(np.zeros(2), n=1, c=0.0, theta=np.zeros(2))
+        with pytest.raises(ValueError, match="xbar must hold at least one value"):
+            posterior_mean_conjugate_scalar(np.zeros(0), n=1, c=1.0, theta=np.zeros(0))
 
     def test_general_path_agrees_for_scaled_prior(self, rng):
         # Prior covariance Sigma / c makes the covariance cancel.

@@ -483,6 +483,14 @@ class TestErrors:
         assert "--delta 0.7 does not apply to --mean-reg none" in capsys.readouterr().err
         assert not model.exists() and not out.exists()
 
+    def test_cv_rejects_a_delta_grid_without_a_mean_rule(self, tmp_path, capsys):
+        out = tmp_path / "cv.json"
+        capsys.readouterr()
+        assert run(["cv", "--data", tmp_path / "never-read.csv", "--label", "cohort", "--delta-grid", "0.3",
+                    "--out", out]) == 1
+        assert "--delta-grid 0.3 does not apply to --mean-reg none" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conflicting_label_column(self, tmp_path):
         assert run(["cv", "--data", FIXTURE, "--label", "wrong"]) == 1
 
@@ -529,6 +537,13 @@ class TestErrors:
         capsys.readouterr()
         assert run(["bayes", "--c", 1.0, *option, "--n", 3, "--out", out]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bayes_rejects_an_empty_sample_mean(self, tmp_path, capsys):
+        out = tmp_path / "bayes.json"
+        capsys.readouterr()
+        assert run(["bayes", "--xbar", "", "--theta", "", "--c", 1, "--n", 3, "--out", out]) == 1
+        assert "xbar must hold at least one value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bayes_general_form_rejects_non_finite_theta(self, tmp_path, capsys):

@@ -18,7 +18,6 @@ from rlda.covariance import (
     lw_lambda,
     mahalanobis_sq,
     pooled_covariance,
-    ridge_covariance,
     SpectralCovariance,
     shrink_covariance,
     spectral_covariance,
@@ -120,8 +119,6 @@ class TestShrink:
         monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
         with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
             shrink_covariance(np.ones((3, 3)), ShrinkageTarget.identity(), 0.0)
-        with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
-            ridge_covariance(np.ones((3, 3)), 1.0)
 
     def test_factor_reconstructs_matrix(self, rng):
         s = random_spd(rng, 5)
@@ -154,37 +151,6 @@ class TestShrink:
     def test_lambda_out_of_range(self, rng):
         with pytest.raises(ValueError):
             shrink_covariance(np.eye(2), ShrinkageTarget.identity(), 1.5)
-
-
-class TestRidge:
-    def test_lambda_zero_gives_identity(self, rng):
-        out = ridge_covariance(random_spd(rng, 3), 0.0)
-        assert_allclose(out.matrix, np.eye(3))
-
-    def test_lambda_one_with_pd_s(self, rng):
-        s = random_spd(rng, 3)
-        out = ridge_covariance(s, 1.0)
-        assert_allclose(out.matrix, s)
-
-    def test_lambda_one_with_singular_s_fails(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            ridge_covariance(np.ones((3, 3)), 1.0)
-
-    def test_lambda_one_with_duplicated_column_fails_by_the_rank_rule(self):
-        d = duplicated_column_dataset(seed=2)
-        s = pooled_covariance(d, group_means(d), WITHIN_GROUP)
-        with pytest.raises(
-            NotPositiveDefiniteError, match=r"ridge covariance \(lam=1.0\) is not positive definite: S is singular"
-        ):
-            ridge_covariance(s, 1.0)
-        assert ridge_covariance(s, 0.95).rule == "ridge"
-
-    def test_equivalent_to_shrink_with_swapped_intensity(self, rng):
-        s = random_spd(rng, 4)
-        for lam in (0.0, 0.25, 0.7, 0.95):
-            ridge = ridge_covariance(s, lam)
-            shrunk = shrink_covariance(s, ShrinkageTarget.identity(), 1.0 - lam)
-            assert_allclose(ridge.matrix, shrunk.matrix, atol=1e-12)
 
 
 class TestTargets:
@@ -464,7 +430,7 @@ class TestSpectralCovariance:
             means = group_means(d)
             cov = spectral_covariance(d, means, target)(0.4)
             dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, 0.4)
-            assert (cov.p, cov.lam, cov.rule, cov.s_convention) == (12, 0.4, dense.rule, WITHIN_GROUP)
+            assert (cov.p, cov.lam) == (12, 0.4)
             assert_allclose(cov.matrix, dense.matrix, rtol=0, atol=1e-12)
             for _ in range(3):
                 z = rng.standard_normal(12)
@@ -511,7 +477,7 @@ class TestSpectralCovariance:
 
 class TestMahalanobis:
     def identity_cov(self, p):
-        return RegularizedCovariance(factor=np.eye(p), lam=0.0, rule="target-shrink")
+        return RegularizedCovariance(factor=np.eye(p), lam=0.0)
 
     def test_euclidean_case(self):
         assert mahalanobis_sq(self.identity_cov(2), [3.0, 4.0]) == pytest.approx(25.0)

@@ -43,7 +43,7 @@ def toy_model(means_rows, priors, cov_matrix=None):
     means_rows = np.asarray(means_rows, dtype=float)
     k, p = means_rows.shape
     cov_matrix = np.eye(p) if cov_matrix is None else np.asarray(cov_matrix)
-    cov = RegularizedCovariance(factor=np.linalg.cholesky(cov_matrix), lam=0.0, rule="target-shrink")
+    cov = RegularizedCovariance(factor=np.linalg.cholesky(cov_matrix), lam=0.0)
     return RldaModel(
         reg_means=RegularizedMeans(means_rows, np.ones(p, dtype=bool)),
         pooled_mean=means_rows.mean(axis=0),
@@ -317,7 +317,7 @@ class TestAlg2:
             model = fit_svd_ridge(data, lam)
             means = group_means(data)
             s = pooled_covariance(data, means, GRAM_POOLED_MEAN)
-            cov = shrink_covariance(s, ShrinkageTarget.identity(), 1.0 - lam, s_convention=GRAM_POOLED_MEAN)
+            cov = shrink_covariance(s, ShrinkageTarget.identity(), 1.0 - lam)
             blended = (1 - delta) * means.per_group + delta * means.pooled
             for _ in range(5):
                 z = rng.standard_normal(20)
@@ -380,7 +380,7 @@ class TestAlg2:
 
         means = group_means(data)
         gram = pooled_covariance(data, means, GRAM_POOLED_MEAN)
-        cov = shrink_covariance(gram, ShrinkageTarget.identity(), 1.0 - lam, s_convention=GRAM_POOLED_MEAN)
+        cov = shrink_covariance(gram, ShrinkageTarget.identity(), 1.0 - lam)
         blended = (1 - delta) * means.per_group + delta * means.pooled
         expected = np.array([[mahalanobis_sq(cov, row - z) for row in blended] for z in queries])
         model = fit_svd_ridge(data, lam)
@@ -401,11 +401,31 @@ class TestAlg2:
         assert_array_equal(lab_svd[clear], np.argmin(objective, axis=1)[clear])
         assert_array_equal(lab_svd[clear], lab_chol[clear])
 
+    def test_paper_literal_weights_the_real_directions_only(self, rng):
+        # Slow oracle: sum_j (v_j . d)^2 / (lam colvar_j + 1 - lam) over the eigenpairs of the dense
+        # Xc^T Xc above the cutoff. Pooled centering leaves n - 1 of them; the null ones are round-off.
+        data = random_grouped(rng, (20, 20), p=100, spread=1.0)
+        lam, delta = 0.4, 0.3
+        model = fit_svd_ridge(data, lam, mode="paper-literal")
+        means = group_means(data)
+        centered = data.values - means.pooled
+        eig, v = np.linalg.eigh(centered.T @ centered)
+        eig, v = eig[::-1], v[:, ::-1]
+        real = eig > 1e-8 * eig[0]
+        assert np.count_nonzero(real) == data.n - 1
+        weights = 1.0 / (lam * centered.var(axis=0, ddof=1)[: data.n - 1] + 1.0 - lam)
+        queries = rng.standard_normal((10, 100))
+        blended = (1 - delta) * means.per_group + delta * means.pooled
+        expected = np.array(
+            [[np.sum(weights * (v[:, real].T @ (row - z)) ** 2) for row in blended] for z in queries]
+        )
+        assert_allclose(svd_ridge_sq_distances(model, delta, queries), expected, rtol=1e-9)
+
     def test_model_holds_the_ridge_kernel_as_a_spectral_covariance(self, rng):
         data = random_grouped(rng, (6, 7), p=15)
         cov = fit_svd_ridge(data, 0.35).cov
         assert isinstance(cov, SpectralCovariance)
-        assert (cov.lam, cov.spread, cov.theta2, cov.s_convention) == (1.0 - 0.35, 1.0, 0.0, GRAM_POOLED_MEAN)
+        assert (cov.lam, cov.spread, cov.theta2) == (1.0 - 0.35, 1.0, 0.0)
 
     def test_model_validation(self, rng):
         data = random_grouped(rng, (5, 5), p=12)
@@ -496,13 +516,50 @@ class TestSerialization:
         save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["version"] == 2 and doc["cov_lambda"] == 0.35
-        _, sv, vt = np.linalg.svd(data.values - model.means.pooled, full_matrices=False)
-        assert_array_equal(decode_array(doc["singular_values"]), sv)
-        assert_array_equal(decode_array(doc["right_vectors"]), vt.T)
+        sv, vt = decode_array(doc["singular_values"]), decode_array(doc["right_vectors"]).T
+        # Pooled centering leaves Xc with rank n - 1: one row per nonzero eigenvalue of Xc^T Xc.
+        assert vt.shape == (data.n - 1, 15) and sv.shape == (data.n - 1,)
+        assert_array_equal(sv, np.sqrt(model.cov.eig))
+        assert_array_equal(vt, model.cov.vt)
+        eig = sv * sv
+        centered = data.values - model.means.pooled
+        # Round-off of the Gram eigh, relative to the largest eigenvalue as in TestFoldSpectrum.
+        assert np.abs((vt.T * eig) @ vt - centered.T @ centered).max() <= 8 * data.n * np.finfo(float).eps * eig[0]
         back, _ = load_model(path)
         assert (back.lam, back.mode, back.cov.lam) == (model.lam, model.mode, model.cov.lam)
         assert_array_equal(back.cov.vt, model.cov.vt)
         assert_array_equal(back.cov.eig, model.cov.eig)
+
+    def test_reads_an_svd_document_with_n_rows(self, rng, tmp_path):
+        # Earlier writers stored the thin SVD of Xc: n rows, the last an arbitrary
+        # unit vector outside the rank-(n - 1) row space, where fit now keeps n - 1.
+        data = random_grouped(rng, (6, 7), p=30)
+        model = fit_svd_ridge(data, 0.4)
+        assert model.cov.vt.shape == (data.n - 1, 30)
+        _, sv, vt = np.linalg.svd(data.values - model.means.pooled, full_matrices=False)
+        doc = model_to_dict(model)
+        doc["right_vectors"], doc["singular_values"] = encode_array(vt.T), encode_array(sv)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        old, _ = load_model(path)
+        assert old.cov.vt.shape == (data.n, 30)
+        queries = np.vstack([rng.standard_normal((20, 30)), data.values])
+        assert_array_equal(classify_alg2(old, 0.3, "empirical", queries), classify_alg2(model, 0.3, "empirical", queries))
+
+    @pytest.mark.parametrize("key", ["priors", "eigenvalues"])
+    def test_load_names_the_file_of_a_document_that_fails_the_model_checks(self, rng, tmp_path, key):
+        model = fit(random_grouped(rng, (5, 6, 4), p=40), ShrinkageTarget.identity(), 0.3)
+        doc = model_to_dict(model)
+        if key == "priors":
+            doc["priors"], cause = encode_array(np.array([0.5])), "priors must be strictly positive and sum to 1"
+        else:
+            eig = decode_array(doc["eigenvalues"])[::-1]
+            doc["eigenvalues"], cause = encode_array(eig), "eigenvalues must be nonnegative and non-increasing"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            load_model(path)
+        assert str(raised.value) == f"{path}: malformed model document: {cause}"
 
     def test_reads_a_spectral_document_with_n_rows_of_vt(self, rng, tmp_path):
         # Earlier writers stored the thin SVD of the residuals: n rows of vt,

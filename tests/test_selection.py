@@ -270,7 +270,7 @@ class TestExperiment:
 def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
     """Per-intensity Cholesky factor of the shrunk covariance, as a function of ``lam``."""
     s = pooled_covariance(train, means, WITHIN_GROUP)
-    return lambda lam: shrink_covariance(s, target, lam, s_convention=WITHIN_GROUP)
+    return lambda lam: shrink_covariance(s, target, lam)
 
 
 def dense_cells(data, target, fold_sets, lambda_grid, kind_grids):
