@@ -74,14 +74,15 @@ class PosteriorSummary:
 
     ``shrinkage_weight`` is either the scalar ``delta`` in
     ``(1 - delta) xbar + delta theta`` or the matrix ``Delta`` in
-    ``(I - Delta) xbar + Delta theta``.
+    ``(I - Delta) xbar + Delta theta``. ``mean`` is a ``(p,)`` vector, or
+    an ``(m, p)`` block with one row per sample mean sharing the weight.
     """
 
     mean: np.ndarray
     shrinkage_weight: float | np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = _vector_or_block(self.mean)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         if np.isscalar(self.shrinkage_weight) or np.ndim(self.shrinkage_weight) == 0:
@@ -91,7 +92,7 @@ class PosteriorSummary:
             object.__setattr__(self, "shrinkage_weight", w)
         else:
             w = np.asarray(self.shrinkage_weight, dtype=float)
-            if w.shape != (mean.shape[0], mean.shape[0]):
+            if w.shape != (mean.shape[-1], mean.shape[-1]):
                 raise ValueError("matrix shrinkage weight must be p x p")
             w.setflags(write=False)
             object.__setattr__(self, "shrinkage_weight", w)
@@ -105,12 +106,20 @@ class PosteriorSummary:
         }
 
 
-def _validate_sample(xbar, n: int) -> np.ndarray:
+def _vector_or_block(values) -> np.ndarray:
+    """``values`` as an ``(m, p)`` block if two-dimensional, else flattened to a ``(p,)`` vector."""
+    arr = np.asarray(values, dtype=float)
+    return arr if arr.ndim == 2 else arr.reshape(-1)
+
+
+def _validate_sample(xbar, n: int, name: str = "xbar", count: str = "n") -> np.ndarray:
+    """The sample mean ``xbar`` of ``n`` observations, as a ``(p,)`` vector or an ``(m, p)`` block of them."""
     if n < 1:
-        raise ValueError("sample count n must be at least 1")
-    xbar = _finite_vector(xbar, "xbar")
+        raise ValueError(f"sample count {count} must be at least 1")
+    xbar = _vector_or_block(xbar)
+    _finite_vector(xbar, name)  # checks every value, whatever the shape
     if not xbar.size:
-        raise ValueError("xbar must hold at least one value")
+        raise ValueError(f"{name} must hold at least one value")
     return xbar
 
 
@@ -130,8 +139,8 @@ def posterior_mean_conjugate_scalar(xbar, n: int, c: float, theta) -> PosteriorS
 
     Parameters
     ----------
-    xbar : array_like of shape (p,)
-        Sample mean.
+    xbar : array_like of shape (p,) or (m, p)
+        Sample mean, or a block of ``m`` sample means; the mean has its shape.
     n : int
         Sample size, at least 1.
     c : float
@@ -143,7 +152,7 @@ def posterior_mean_conjugate_scalar(xbar, n: int, c: float, theta) -> PosteriorS
     if not 0 < c < np.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
     theta = _finite_vector(theta, "theta")
-    if theta.shape != xbar.shape:
+    if theta.shape != xbar.shape[-1:]:
         raise ValueError("theta must match xbar in length")
     delta = c / (n + c)
     mean = (1.0 - delta) * xbar + delta * theta
@@ -155,8 +164,10 @@ def posterior_mean_general(xbar, n: int, sigma, prior: GaussianPrior) -> Posteri
 
     Parameters
     ----------
-    xbar : array_like of shape (p,)
-        Sample mean of ``n`` observations with covariance ``sigma``.
+    xbar : array_like of shape (p,) or (m, p)
+        Sample mean of ``n`` observations with covariance ``sigma``, or a
+        block of ``m`` such means sharing one factorization; the mean has
+        its shape.
     n : int
         Sample size, at least 1.
     sigma : array_like of shape (p, p)
@@ -178,10 +189,10 @@ def posterior_mean_general(xbar, n: int, sigma, prior: GaussianPrior) -> Posteri
     if prior.theta is None:
         raise ValueError("prior.theta must be set for the one-sample posterior mean")
     theta = prior.theta
-    if theta.shape != xbar.shape:
+    if theta.shape != xbar.shape[-1:]:
         raise ValueError("prior mean must match xbar in length")
     sigma = ensure_symmetric(sigma, "sigma")
-    p = xbar.shape[0]
+    p = xbar.shape[-1]
     if sigma.shape != (p, p):
         raise ValueError("sigma must be p x p")
     eta = prior.covariance
@@ -190,7 +201,7 @@ def posterior_mean_general(xbar, n: int, sigma, prior: GaussianPrior) -> Posteri
     scaled = sigma / n
     a = eta + scaled
     l_factor = cholesky_lower(a, "posterior precision kernel")
-    mean = theta + eta @ solve_cholesky(l_factor, xbar - theta)
+    mean = theta + (eta @ solve_cholesky(l_factor, (xbar - theta).T)).T
     delta = solve_cholesky(l_factor, scaled).T  # Delta = (Sigma/n) A^-1, both factors symmetric
     return PosteriorSummary(mean=mean, shrinkage_weight=delta)
 
@@ -250,7 +261,7 @@ def two_sample_posterior_means(
         Summaries for the first and second group.
     """
     xbar = _validate_sample(xbar, n)
-    ybar = _validate_sample(ybar, m)
+    ybar = _validate_sample(ybar, m, "ybar", "m")
     if xbar.shape != ybar.shape:
         raise ValueError("xbar and ybar must have equal length")
     if prior.theta is None:

@@ -1,6 +1,9 @@
 """Pooled covariance estimation, shrinkage toward a target, and factor handles.
 
-Two scalings of the pooled covariance, chosen by :func:`pooled_covariance`:
+Two scalings of the pooled covariance ``S = R^T R / dof``, each stated once
+by :func:`_centered_rows` as its centered rows ``R`` and divisor ``dof``;
+:func:`pooled_covariance`, :func:`_spectrum`'s callers and the analytic
+intensity all read them there:
 
 - ``"within-group"``: group-mean-centered scatter divided by ``n - K``;
   the default estimator blended with a shrinkage target.
@@ -104,17 +107,23 @@ class ShrinkageTarget:
 
     def materialize(self, p: int, default_sigma2: float | None = None) -> np.ndarray:
         """Build the p x p target matrix, resolving the default variance scale."""
-        if self.kind == "identity":
-            return np.eye(p)
         if self.kind == "custom":
             if self.matrix.shape != (p, p):
                 raise ValueError(f"custom target is {self.matrix.shape}, expected ({p}, {p})")
             return np.array(self.matrix)
-        sigma2, theta2 = self._equal_correlation_params(p, default_sigma2)
-        return sigma2 * np.eye(p) + theta2 * (np.ones((p, p)) - np.eye(p))
+        sigma2, theta2 = self._fixed_params(p, default_sigma2)
+        t = np.full((p, p), theta2)
+        np.fill_diagonal(t, sigma2)
+        return t
 
-    def _equal_correlation_params(self, p: int, default_sigma2: float | None) -> tuple[float, float]:
-        """``(sigma2, theta2)`` of an equal-correlation target, checked positive definite."""
+    def _fixed_params(self, p: int, default_sigma2: float | None) -> tuple[float, float]:
+        """``(sigma2, theta2)`` of a fixed target: the diagonal and off-diagonal entries of ``T``.
+
+        The identity is ``(1, 0)``; an equal-correlation target resolves its
+        default ``sigma2`` and is checked positive definite.
+        """
+        if self.kind == "identity":
+            return 1.0, 0.0
         sigma2 = self.sigma2 if self.sigma2 is not None else default_sigma2
         if sigma2 is None:
             raise ValueError("equal-correlation target needs sigma2 or a data-derived default")
@@ -289,21 +298,24 @@ def pooled_covariance(data: GroupedDataset, means: GroupMeans, convention: str =
     ValueError
         If the within-group form has fewer than ``K + 1`` observations.
     """
+    rows, dof = _centered_rows(data, means, convention)
+    return rows.T @ rows / dof
+
+
+def _centered_rows(data: GroupedDataset, means: GroupMeans, convention: str = WITHIN_GROUP) -> tuple[np.ndarray, int]:
+    """The centered rows ``R`` and divisor ``dof`` of ``S = R^T R / dof`` under ``convention``.
+
+    ``"within-group"``: rows minus their group means, ``dof = n - K``.
+    ``"gram-pooled-mean"``: rows minus the pooled mean, ``dof = 1``.
+    """
     if convention == WITHIN_GROUP:
-        resid, dof = _within_group_residuals(data, means)
-        return resid.T @ resid / dof
+        dof = data.n - data.n_groups
+        if dof < 1:
+            raise ValueError(f"within-group pooled covariance needs n >= K + 1 (n={data.n}, K={data.n_groups})")
+        return data.values - means.per_group[data.labels], dof
     if convention == GRAM_POOLED_MEAN:
-        centered = data.values - means.pooled
-        return centered.T @ centered
+        return data.values - means.pooled, 1
     raise ValueError(f"unknown pooled-covariance convention {convention!r}")
-
-
-def _within_group_residuals(data: GroupedDataset, means: GroupMeans) -> tuple[np.ndarray, int]:
-    """Group-mean-centered rows and their degrees of freedom ``n - K``."""
-    dof = data.n - data.n_groups
-    if dof < 1:
-        raise ValueError(f"within-group pooled covariance needs n >= K + 1 (n={data.n}, K={data.n_groups})")
-    return data.values - means.per_group[data.labels], dof
 
 
 def _require_full_rank(eig: np.ndarray, what: str) -> None:
@@ -369,38 +381,21 @@ def _spectrum(rows: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(v[:, ::-1].T), np.maximum(eig[::-1], 0.0)
 
 
-def _fold_spectrum(data: GroupedDataset, means: GroupMeans) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs ``(vt, eig)`` of the within-group ``S`` of ``data``: :func:`_spectrum` of its residuals.
-
-    They depend on the data alone, so every fixed target of a fold binds to
-    one spectrum (:func:`_spectral_kernel`). When ``n < p`` the ``K``
-    centering directions fall under the cutoff, leaving ``r = n - K`` rows
-    on generic data (``r = 0`` when every row equals its group mean), so
-    ``lam = 0`` stays infeasible; otherwise all ``p`` pairs are judged at
-    ``lam = 0`` by the rank rule of :class:`SpectralCovariance`.
-    """
-    return _spectrum(*_within_group_residuals(data, means))
-
-
 def _spectral_kernel(
     spectrum: tuple[np.ndarray, np.ndarray], target: ShrinkageTarget
 ) -> Callable[[float], SpectralCovariance]:
-    """Bind a fixed target to a fold spectrum ``(vt, eig)``: ``lam -> (1 - lam) S + lam T``.
+    """Bind a fixed target to a spectrum ``(vt, eig)`` of ``S``: ``lam -> (1 - lam) S + lam T``.
 
-    The binding costs ``O(r)``: the identity target has ``spread = 1`` and
-    ``theta2 = 0``; the equal-correlation target has
-    ``spread = sigma2 - theta2``, with the default ``sigma2`` the average
-    variance ``mean(diag S) = sum(eig) / p``, and is checked positive
-    definite here.
+    The spectrum depends on the data alone, so every fixed target of a fold
+    binds to one. The binding costs ``O(r)``: ``spread = sigma2 - theta2``
+    with ``(sigma2, theta2)`` from :meth:`ShrinkageTarget._fixed_params`
+    (``1`` and ``0`` for the identity), where the default ``sigma2`` is the
+    average variance ``mean(diag S) = sum(eig) / p``.
     """
     vt, eig = spectrum
-    if target.kind == "identity":
-        spread, theta2 = 1.0, 0.0
-    else:
-        p = vt.shape[1]
-        sigma2, theta2 = target._equal_correlation_params(p, float(np.sum(eig) / p))
-        spread = sigma2 - theta2
-    return lambda lam: SpectralCovariance(vt, eig, spread, theta2, lam)
+    p = vt.shape[1]
+    sigma2, theta2 = target._fixed_params(p, float(np.sum(eig) / p))
+    return lambda lam: SpectralCovariance(vt, eig, sigma2 - theta2, theta2, lam)
 
 
 def spectral_covariance(
@@ -409,9 +404,11 @@ def spectral_covariance(
     """Every ``(1 - lam) S + lam T`` of ``data`` from one decomposition, as a function of ``lam``.
 
     ``S`` is the within-group pooled covariance of ``data``; its spectrum
-    ``(vt, eig)`` comes from :func:`_fold_spectrum` (``eigh`` of the ``n x n``
-    Gram matrix of the residuals when ``n < p``, keeping the pairs above
-    ``n eps eig[0]``; ``eigh(S)`` otherwise) and the target is bound
+    ``(vt, eig)`` is :func:`_spectrum` of the rows of :func:`_centered_rows`
+    (``eigh`` of the ``n x n`` Gram matrix of the residuals when ``n < p``,
+    keeping the pairs above ``n eps eig[0]``, so the ``K`` centering
+    directions fall under the cutoff and ``r = n - K`` on generic data;
+    ``eigh(S)`` otherwise) and the target is bound
     to it by :func:`_spectral_kernel`. ``M = V diag((1 - lam) eig) V^T + c I
     + lam theta2 11^T`` is inverted by :class:`SpectralCovariance`, so
     applying ``M^-1`` to a ``p x k`` block costs ``O(p r k)``. The identity
@@ -429,7 +426,7 @@ def spectral_covariance(
     """
     if target.kind == "custom":
         raise ValueError("the spectral kernel supports the identity and equal-correlation targets")
-    return _spectral_kernel(_fold_spectrum(data, means), target)
+    return _spectral_kernel(_spectrum(*_centered_rows(data, means)), target)
 
 
 def _shrinkage_kernel(
@@ -442,7 +439,7 @@ def _shrinkage_kernel(
     spectral form of :func:`spectral_covariance` when ``S`` has low rank
     (``n - K < p``) or when more than one of ``intensities`` will be read
     per target, since one decomposition then serves them all; every fixed
-    target binds to the same :func:`_fold_spectrum`, so several targets
+    target binds to the same :func:`_spectrum` of the fold, so several targets
     cost one decomposition. Otherwise the dense blend of
     :func:`pooled_covariance` is factorized per intensity by
     :func:`shrink_covariance`: the only form for a custom target, and the
@@ -453,7 +450,7 @@ def _shrinkage_kernel(
     """
     decompose = data.n - data.n_groups < data.p or intensities > 1
     spectral = [decompose and t.kind != "custom" for t in targets]
-    spectrum = _fold_spectrum(data, means) if any(spectral) else None
+    spectrum = _spectrum(*_centered_rows(data, means)) if any(spectral) else None
     s = None if all(spectral) else pooled_covariance(data, means, WITHIN_GROUP)
     return [
         _spectral_kernel(spectrum, t) if use_spectrum
@@ -496,7 +493,7 @@ def _lw_lambdas(data: GroupedDataset, targets: Sequence[ShrinkageTarget]) -> lis
     """
     if any(target.kind == "custom" for target in targets):
         raise ValueError("lw_lambda supports the identity and equal-correlation targets")
-    resid, dof = _within_group_residuals(data, group_means(data))
+    resid, dof = _centered_rows(data, group_means(data))
     n, p = data.n, data.p
     scatter = resid.T @ resid
     s = scatter / dof
@@ -516,10 +513,7 @@ def _lw_lambdas(data: GroupedDataset, targets: Sequence[ShrinkageTarget]) -> lis
 
     lams = []
     for target in targets:
-        if target.kind == "identity":
-            sigma2, theta2 = 1.0, 0.0
-        else:
-            sigma2, theta2 = target._equal_correlation_params(p, default_sigma2)
+        sigma2, theta2 = target._fixed_params(p, default_sigma2)
         np.subtract(s, theta2, out=buf)
         np.fill_diagonal(buf, s.diagonal() - sigma2)
         denom = float(np.sum(np.square(buf, out=buf)))

@@ -18,11 +18,12 @@ keeps whichever covariance form the kernel rule,
 :func:`~rlda.covariance._shrinkage_kernel`, picks for a single intensity:
 a :class:`~rlda.covariance.SpectralCovariance` or the Cholesky factor of
 the dense blend. The SVD route for the ridge form decomposes the
-pooled-mean-centered ``n x p`` data matrix ``Xc`` instead of the ``p x p``
-covariance, through the spectrum primitive the fold kernel uses
-(:func:`~rlda.covariance._spectrum`), and holds the result as the same
-spectral object: ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at
-``1 - lam`` on the eigenpairs of ``Xc^T Xc``.
+pooled-mean-centered ``n x p`` data matrix ``Xc`` (the
+``"gram-pooled-mean"`` rows of :func:`~rlda.covariance._centered_rows`)
+instead of the ``p x p`` covariance, through the spectrum primitive the
+fold kernel uses (:func:`~rlda.covariance._spectrum`), and holds the
+result as the same spectral object: ``lam Xc^T Xc + (1 - lam) I`` is the
+identity blend at ``1 - lam`` on the eigenpairs of ``Xc^T Xc``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
+    GRAM_POOLED_MEAN,
     WITHIN_GROUP,
     RegularizedCovariance,
     ShrinkageTarget,
     SpectralCovariance,
+    _centered_rows,
     _low_rank_solver,
     _shrinkage_kernel,
     _spectrum,
@@ -290,7 +293,8 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
     """Factorize the pooled-mean-centered data matrix for ridge classification.
 
     The ridge kernel is ``lam * S + (1 - lam) I`` with ``S`` the
-    unnormalized Gram matrix ``Xc^T Xc`` of pooled-mean-centered rows. The
+    unnormalized Gram matrix ``Xc^T Xc`` of the pooled-mean-centered rows
+    of :func:`~rlda.covariance._centered_rows`. The
     eigenpairs of ``S`` from :func:`~rlda.covariance._spectrum` (``eigh``
     of the ``n x n`` ``Xc Xc^T`` when ``n < p``) provide everything needed
     to apply the kernel's inverse without forming a ``p x p`` matrix.
@@ -302,8 +306,8 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
     if mode == "paper-literal" and data.n >= data.p:
         raise ValueError("paper-literal mode is defined for n < p")
     means = group_means(data)
-    centered = data.values - means.pooled
-    vt, eig = _spectrum(centered, 1)
+    centered, dof = _centered_rows(data, means, GRAM_POOLED_MEAN)
+    vt, eig = _spectrum(centered, dof)
     column_var = centered.var(axis=0, ddof=1) if data.n > 1 else np.zeros(data.p)
     return SvdRidgeModel(
         cov=_ridge_kernel(vt, np.sqrt(eig), lam),

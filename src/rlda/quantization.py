@@ -6,16 +6,17 @@ drawn from a Gaussian prior centered at ``mu`` with covariance ``delta2 I``;
 when ``mu`` itself carries a Gaussian prior ``N(theta, Psi)`` the two
 uncertainty sources add, giving the prior ``N(theta, Psi + delta2 I)``.
 Both statements are certified numerically by the test suite; the demo below
-measures the mean squared error payoff of exploiting them.
+measures the mean squared error payoff of exploiting them on
+:func:`posterior_xi_fixed_mu` and :func:`posterior_xi_random_mu` themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import cholesky_lower, ensure_symmetric, solve_cholesky
+from ._linalg import cholesky_lower, ensure_symmetric
 from .bayes import GaussianPrior, PosteriorSummary, posterior_mean_conjugate_scalar, posterior_mean_general
 
 __all__ = [
@@ -126,12 +127,16 @@ def demo_quantization(
 
     Each replication draws a fresh rounding offset ``tau`` (and, in the
     random-center form, a fresh center), simulates ``n`` observations, and
-    estimates ``xi`` both by the sample mean and by the posterior mean.
+    estimates ``xi`` both by the sample mean and by the posterior mean of
+    :func:`posterior_xi_fixed_mu` or :func:`posterior_xi_random_mu`, applied
+    to the block of all replications' sample means at once.
     Observations are drawn in blocks of replications, so memory is
     ``O(replications p + n p)`` rather than ``O(replications n p)``.
     ``fit_delta2`` overrides the rounding variance assumed by the posterior
     (the data are still generated with ``scenario.delta2``), which makes it
-    possible to study deliberately flat or misspecified priors.
+    possible to study deliberately flat or misspecified priors. Like
+    ``delta2`` it must be nonnegative and finite; the fixed-center
+    posterior needs the rounding variance it assumes to be positive.
 
     Returns
     -------
@@ -144,11 +149,13 @@ def demo_quantization(
         raise ValueError("replications must be positive")
     if fit_delta2 is not None and not np.isfinite(fit_delta2):
         raise ValueError(f"fit_delta2 must be finite, got {fit_delta2}")
+    if fit_delta2 is not None and fit_delta2 < 0:
+        raise ValueError(f"fit_delta2 must be nonnegative, got {fit_delta2}")
+    fitted = scenario if fit_delta2 is None else replace(scenario, delta2=float(fit_delta2))
     rng = np.random.default_rng(seed)
     n, p = scenario.n, scenario.p
     sigma = float(np.sqrt(scenario.sigma2))
     delta = float(np.sqrt(scenario.delta2))
-    used_delta2 = scenario.delta2 if fit_delta2 is None else float(fit_delta2)
 
     tau = delta * rng.standard_normal((replications, p))
     if scenario.has_fixed_center:
@@ -163,20 +170,10 @@ def demo_quantization(
     sizes = [min(block, replications - start) for start in range(0, replications, block)]
     xbar = xi + np.concatenate([(sigma * rng.standard_normal((size, n, p))).mean(axis=1) for size in sizes])
 
-    if scenario.has_fixed_center:
-        if used_delta2 <= 0:
-            raise ValueError("the fixed-center posterior requires a positive rounding variance")
-        weight = scenario.sigma2 / (n * used_delta2 + scenario.sigma2)
-        posterior = (1.0 - weight) * xbar + weight * centers
-    else:
-        # Shared kernel across replications: factor once, apply to all rows.
-        prior_cov = scenario.psi + used_delta2 * np.eye(p)
-        kernel = prior_cov + (scenario.sigma2 / n) * np.eye(p)
-        gain = solve_cholesky(cholesky_lower(kernel, "posterior kernel"), (xbar - scenario.theta).T)
-        posterior = scenario.theta + (prior_cov @ gain).T
+    posterior = (posterior_xi_fixed_mu if scenario.has_fixed_center else posterior_xi_random_mu)(xbar, fitted)
 
     mse_naive = float(np.mean(np.sum((xbar - xi) ** 2, axis=1)))
-    mse_posterior = float(np.mean(np.sum((posterior - xi) ** 2, axis=1)))
+    mse_posterior = float(np.mean(np.sum((posterior.mean - xi) ** 2, axis=1)))
     return {
         "mse_naive": mse_naive,
         "mse_posterior": mse_posterior,
@@ -185,7 +182,7 @@ def demo_quantization(
         "scenario": {
             "sigma2": scenario.sigma2,
             "delta2": scenario.delta2,
-            "fit_delta2": used_delta2,
+            "fit_delta2": fitted.delta2,
             "n": n,
             "p": p,
             "center": "fixed" if scenario.has_fixed_center else "random",

@@ -1,9 +1,10 @@
 """Cross-validated hyperparameter selection and the simulation benchmark.
 
-The grid evaluator scores every (fold, target, intensity, mean rule,
-threshold) cell from one kernel per target and training fold: a map from
-the intensity ``lam`` to the regularized covariance, in the form that
-:func:`~rlda.covariance._shrinkage_kernel` picks for the grid's length.
+The grid evaluator, :func:`_grid_accuracies`, scores every (fold, target,
+intensity, mean rule, threshold) cell from one kernel per target and
+training fold: a map from the intensity ``lam`` to the regularized
+covariance, in the form that :func:`~rlda.covariance._shrinkage_kernel`
+picks for the grid's length.
 Both forms judge ``lam = 0`` (``M = S``) by one rank rule, so a singular
 ``S`` leaves it NaN. Either way the regularized mean rows of all rules and
 thresholds are built once per fold as one block. The fixed targets of a
@@ -11,10 +12,9 @@ fold share one spectral decomposition, whose kernels project that block,
 the fold's test rows and the ones vector onto the eigenbasis once, after
 which each (target, intensity) scores every cell without a
 ``p``-dimensional product; a dense kernel solves the block once per
-intensity. The 1000-dimensional benchmark, both targets on one pass and
-one shared analytic-intensity pass, takes about 0.047 s per seed (median
-``run_s`` of ``perfbench/run.py --workload paper-experiment``, one BLAS
-thread, 2-vCPU VM).
+intensity. The 1000-dimensional benchmark runs both targets on one pass
+and one shared analytic-intensity pass; ``perfbench/run.py --workload
+paper-experiment`` times it per seed.
 Fold assignment is computed once up front from the seed, so results do
 not depend on evaluation order and repeated runs are bit-identical.
 """
@@ -152,59 +152,40 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 
-def _evaluate_cells(
-    data: GroupedDataset,
-    target: ShrinkageTarget,
-    fold_sets: list[np.ndarray],
-    lambda_grid: tuple[float, ...],
-    kind_grids: dict[str, tuple[float, ...]],
-) -> dict[str, np.ndarray]:
-    """Fold accuracies for every (lambda, delta) cell of every mean rule, for one target.
-
-    Returns one array of shape ``(folds, len(lambda_grid), len(deltas))``
-    per mean rule; cells whose covariance is singular stay NaN. This is the
-    one-target case of :func:`_grid_accuracies`: each training fold's
-    kernel comes from :func:`~rlda.covariance._shrinkage_kernel`, told how
-    many intensities the grid holds; its two forms give the same table,
-    ``lam = 0`` verdicts included, up to floating-point rounding of the
-    scores.
-    """
-
-    def kernels(train: GroupedDataset, means: GroupMeans):
-        return _shrinkage_kernel(train, means, (target,), len(lambda_grid))
-
-    return _grid_accuracies(data, fold_sets, (lambda_grid,), kind_grids, kernels)[0]
-
-
 def _grid_accuracies(
     data: GroupedDataset,
     fold_sets: list[np.ndarray],
+    targets: tuple[ShrinkageTarget, ...],
     lambda_grids: list[tuple[float, ...]],
     kind_grids: dict[str, tuple[float, ...]],
-    kernels,
 ) -> list[dict[str, np.ndarray]]:
-    """One cell table of :func:`_evaluate_cells` per target, from a per-fold ``kernels(train, means)``.
+    """Fold accuracies for every (lambda, delta) cell of every mean rule, one table per target.
 
-    ``kernels`` returns one map from ``lam`` to the covariance ``M`` per
-    target, and ``lambda_grids`` holds each target's own intensities. For
-    each fold the mean rows of every (rule, delta) cell are stacked once
-    into one ``p x (cells K)`` block ``m^T``, and every (target, intensity)
-    scores all cells at once through
+    Each table holds one array of shape ``(folds, len(lambda_grid),
+    len(deltas))`` per mean rule; cells whose covariance is singular stay
+    NaN. ``lambda_grids`` holds each target's own intensities. Each
+    training fold's kernels, one map from ``lam`` to the covariance ``M``
+    per target, come from :func:`~rlda.covariance._shrinkage_kernel`, told
+    the most intensities any target reads; its two forms give the same
+    table, ``lam = 0`` verdicts included, up to floating-point rounding of
+    the scores. For each fold the mean rows of every (rule, delta) cell are
+    stacked once into one ``p x (cells K)`` block ``m^T``, and every
+    (target, intensity) scores all cells at once through
     :func:`~rlda.discriminant._score_blocks`. Spectral kernels on one basis
-    ``vt`` (every fixed target of a fold, from
-    :func:`~rlda.covariance._shrinkage_kernel`) share one
+    ``vt`` (every fixed target of a fold) share one
     :func:`_eigenbasis_blocks` projection of the fold, so an intensity
     costs ``O(n_test r cells K)`` and no ``p``-dimensional product; a dense
     ``M`` solves ``a = M^-1 m^T``. An intensity whose ``M`` is not positive
     definite leaves its cells NaN: the covariance is still built per
     intensity, so its checks and the ``lam = 0`` rank rule decide that on
-    either form.
+    either form. :func:`cross_validate` is the one-target call.
     """
     out = [
         {kind: np.full((len(fold_sets), len(lambda_grid), len(grid)), np.nan) for kind, grid in kind_grids.items()}
         for lambda_grid in lambda_grids
     ]
     cells = [(kind, di, delta) for kind, grid in kind_grids.items() for di, delta in enumerate(grid)]
+    intensities = max(map(len, lambda_grids))
     all_rows = np.arange(data.n)
     for f, test_idx in enumerate(fold_sets):
         train = data.subset(np.setdiff1d(all_rows, test_idx, assume_unique=True))
@@ -217,7 +198,8 @@ def _grid_accuracies(
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
         basis = blocks = None
-        for table, lambda_grid, covariance in zip(out, lambda_grids, kernels(train, means), strict=True):
+        kernels = _shrinkage_kernel(train, means, targets, intensities)
+        for table, lambda_grid, covariance in zip(out, lambda_grids, kernels, strict=True):
             for li, lam in enumerate(lambda_grid):
                 try:
                     cov = covariance(lam)
@@ -336,7 +318,7 @@ def cross_validate(
     fold_sets = make_folds(data, cv.folds, cv.seed, cv.stratified)
     lambda_grid = cv.lambda_grid or default_lambda_grid()
     delta_grid = cv.delta_grid or default_delta_grid(mean_reg_kind, data)
-    acc = _evaluate_cells(data, target, fold_sets, lambda_grid, {mean_reg_kind: delta_grid})[mean_reg_kind]
+    acc = _grid_accuracies(data, fold_sets, (target,), (lambda_grid,), {mean_reg_kind: delta_grid})[0][mean_reg_kind]
     lam, delta, fold_acc, n_active = _selected(acc, lambda_grid, delta_grid, mean_reg_kind, group_means(data))
     return CvResult(
         best_lambda=lam,
@@ -411,13 +393,7 @@ def run_simulated_experiment(
     # decomposed and projected once for both.
     fixed = tuple(targets.values())
     lam_hats = dict(zip(targets, _lw_lambdas(data, fixed)))
-    tables = _grid_accuracies(
-        data,
-        fold_sets,
-        [lambda_grid + (lam_hats[name],) for name in targets],
-        kind_grids,
-        lambda train, fold_means: _shrinkage_kernel(train, fold_means, fixed, len(lambda_grid) + 1),
-    )
+    tables = _grid_accuracies(data, fold_sets, fixed, [lambda_grid + (lam_hats[name],) for name in targets], kind_grids)
     acc = dict(zip(targets, tables))
 
     rows = []

@@ -141,7 +141,10 @@ def load_model(path):
     raises ``ValueError`` naming ``path`` and the cause.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: malformed model document: not UTF-8 JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: malformed model document: not a JSON object")
     if doc.get("format") != FORMAT:

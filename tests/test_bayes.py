@@ -75,6 +75,20 @@ class TestPosteriorMeanGeneral:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3
 
+    def test_block_matches_per_row_calls(self, rng):
+        p, m = 50, 2000
+        sigma, eta = random_spd(rng, p), random_spd(rng, p)
+        theta, xbars = rng.standard_normal(p), 3.0 * rng.standard_normal((m, p))
+        prior = GaussianPrior.full(theta, eta)
+        block = posterior_mean_general(xbars, 4, sigma, prior)
+        rows = [posterior_mean_general(xbar, 4, sigma, prior) for xbar in xbars]
+        assert block.mean.shape == (m, p) and rows[0].mean.shape == (p,)
+        assert np.array_equal(block.shrinkage_weight, rows[0].shrinkage_weight)
+        # The block's matrix products sum in another order than the per-row vector products;
+        # random_spd keeps cond(A) below 5, so each entry rounds by a few eps of the largest and p eps bounds it.
+        row_means = np.array([row.mean for row in rows])
+        assert np.abs(block.mean - row_means).max() <= p * np.finfo(float).eps * np.abs(row_means).max()
+
 
 class TestConjugateScalar:
     def test_weight_arithmetic(self):
@@ -104,6 +118,14 @@ class TestConjugateScalar:
             via_matrix = posterior_mean_general(xbar, n, sigma, GaussianPrior.full(theta, sigma / c))
             via_scalar = posterior_mean_conjugate_scalar(xbar, n, c, theta)
             assert_allclose(via_matrix.mean, via_scalar.mean, atol=1e-10)
+
+    def test_block_equals_per_row_calls(self, rng):
+        theta, xbars = rng.standard_normal(7), rng.standard_normal((300, 7))
+        block = posterior_mean_conjugate_scalar(xbars, 5, 1.3, theta)
+        rows = [posterior_mean_conjugate_scalar(xbar, 5, 1.3, theta) for xbar in xbars]
+        assert block.mean.shape == (300, 7) and rows[0].mean.shape == (7,)
+        assert (block.mean == np.array([row.mean for row in rows])).all()
+        assert block.shrinkage_weight == rows[0].shrinkage_weight
 
 
 class TestUnivariate:
@@ -212,6 +234,13 @@ class TestTwoSample:
         pooled = (n * xbar + m * ybar) / (n + m)
         explicit = two_sample_posterior_means(xbar, ybar, n, m, sigma, GaussianPrior.full(pooled, np.eye(2)))[0]
         assert_allclose(sx.mean, explicit.mean)
+
+    def test_errors_name_the_second_sample(self):
+        prior = GaussianPrior.full(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="ybar must be finite, got nan"):
+            two_sample_posterior_means(np.zeros(2), np.array([np.nan, 0.0]), 3, 2, np.eye(2), prior)
+        with pytest.raises(ValueError, match="sample count m must be at least 1"):
+            two_sample_posterior_means(np.zeros(2), np.zeros(2), 3, 0, np.eye(2), prior)
 
 
 class TestSummaryValidation:

@@ -462,12 +462,14 @@ class TestErrors:
             ("[1, 2]", "malformed model document: not a JSON object"),
             ('{"format": "rlda-model", "version": 2, "algorithm": "chol", "reg_means": 5}',
              "malformed model document: a value has the wrong type"),
+            ("not json", "malformed model document: not UTF-8 JSON (Expecting value: line 1 column 1 (char 0))"),
+            (b"\xff{}", "malformed model document: not UTF-8 JSON ('utf-8' codec can't decode byte 0xff"),
         ],
-        ids=["missing-key", "not-an-object", "wrong-type"],
+        ids=["missing-key", "not-an-object", "wrong-type", "not-json", "not-utf-8"],
     )
     def test_predict_names_a_malformed_model(self, tmp_path, capsys, document, cause):
         model = tmp_path / "model.json"
-        model.write_text(document, encoding="utf-8")
+        model.write_bytes(document if isinstance(document, bytes) else document.encode("utf-8"))
         out = tmp_path / "pred.json"
         capsys.readouterr()
         assert run(["predict", "--model", model, "--data", FIXTURE, "--out", out]) == 1

@@ -13,8 +13,9 @@ from rlda.covariance import (
     NotPositiveDefiniteError,
     RegularizedCovariance,
     ShrinkageTarget,
-    _fold_spectrum,
+    _centered_rows,
     _lw_lambdas,
+    _spectrum,
     lw_lambda,
     mahalanobis_sq,
     pooled_covariance,
@@ -376,7 +377,7 @@ class TestFoldSpectrum:
         p = n + extra + duplicated
         d = rank_deficient_dataset(seed, counts, p, duplicated)
         means = group_means(d)
-        vt, eig = _fold_spectrum(d, means)
+        vt, eig = _spectrum(*_centered_rows(d, means))
         assert vt.shape == (n - k, p) and eig.shape == (n - k,)  # the K centering directions are dropped
         # Round-off tolerances: the Gram form squares cond(R), so orthonormality is judged against eig[0] / eig[-1].
         eps = np.finfo(float).eps
@@ -397,7 +398,7 @@ class TestFoldSpectrum:
         centers = np.random.default_rng(5).integers(-9, 10, (3, 12)).astype(float)
         d = GroupedDataset(np.repeat(centers, 3, axis=0), np.repeat(np.arange(3), 3), ("a", "b", "c"))
         means = group_means(d)
-        vt, eig = _fold_spectrum(d, means)
+        vt, eig = _spectrum(*_centered_rows(d, means))
         assert vt.shape == (0, 12) and eig.shape == (0,)
         kernel = spectral_covariance(d, means, target)
         b = np.random.default_rng(6).standard_normal((12, 2))
@@ -411,7 +412,7 @@ class TestFoldSpectrum:
         # n = 12 >= p = 11 > n - K = 10: all p pairs of eigh(S), two of them round-off zeros.
         d = random_grouped(rng, (6, 6), p=11)
         means = group_means(d)
-        vt, eig = _fold_spectrum(d, means)
+        vt, eig = _spectrum(*_centered_rows(d, means))
         assert vt.shape == (11, 11) and eig.shape == (11,)
         with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
             spectral_covariance(d, means, target)(0.0)

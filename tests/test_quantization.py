@@ -149,6 +149,28 @@ class TestDemo:
         assert report["mse_posterior"] < report["mse_naive"]
         assert report["scenario"]["center"] == "random"
 
+    @pytest.mark.parametrize("random_center", [False, True])
+    def test_rejects_a_negative_fit_delta2(self, random_center):
+        if random_center:
+            scen = QuantizationScenario(sigma2=1.0, delta2=0.5, n=4, p=2, theta=np.zeros(2), psi=2.0 * np.eye(2))
+        else:
+            scen = fixed_scenario(p=2)
+        with pytest.raises(ValueError, match="fit_delta2 must be nonnegative, got -0.5"):
+            demo_quantization(scen, seed=1, replications=10, fit_delta2=-0.5)
+
+    def test_estimates_with_the_library_posterior(self, monkeypatch):
+        import rlda.quantization as quantization
+
+        calls = []
+        for name in ("posterior_xi_fixed_mu", "posterior_xi_random_mu"):
+            real = getattr(quantization, name)
+            spy = lambda xbar, scen, name=name, real=real: calls.append((name, xbar.shape, scen.delta2)) or real(xbar, scen)
+            monkeypatch.setattr(quantization, name, spy)
+        random_scen = QuantizationScenario(sigma2=0.6, delta2=0.5, n=4, p=3, theta=np.ones(3), psi=2.0 * np.eye(3))
+        demo_quantization(fixed_scenario(n=4, p=3), seed=5, replications=40, fit_delta2=0.8)
+        demo_quantization(random_scen, seed=5, replications=40)
+        assert calls == [("posterior_xi_fixed_mu", (40, 3), 0.8), ("posterior_xi_random_mu", (40, 3), 0.5)]
+
     def test_blocks_reproduce_one_draw(self, monkeypatch):
         # Drawing the observations block by block leaves every seeded result unchanged.
         import rlda.quantization as quantization

@@ -15,7 +15,6 @@ from rlda.discriminant import _score_blocks, _scores, classify, fit
 from rlda.regmeans import MeanRegularizer, regularize_means
 from rlda.selection import (
     CvConfig,
-    _evaluate_cells,
     _grid_accuracies,
     cross_validate,
     default_delta_grid,
@@ -273,11 +272,20 @@ def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
     return lambda lam: shrink_covariance(s, target, lam)
 
 
+def grid_cells(data, target, fold_sets, lambda_grid, kind_grids):
+    """The grid's cell table for one target."""
+    return _grid_accuracies(data, fold_sets, (target,), (lambda_grid,), kind_grids)[0]
+
+
 def dense_cells(data, target, fold_sets, lambda_grid, kind_grids):
     """The cell table through one Cholesky factorization per (fold, intensity)."""
-    return _grid_accuracies(
-        data, fold_sets, (lambda_grid,), kind_grids, lambda train, means: [_dense_kernel(train, means, target)]
-    )[0]
+
+    def kernels(train, means, targets, intensities):
+        return [_dense_kernel(train, means, t) for t in targets]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "_shrinkage_kernel", kernels)
+        return grid_cells(data, target, fold_sets, lambda_grid, kind_grids)
 
 
 def paper_design(seed: int, p: int):
@@ -302,7 +310,7 @@ class TestSpectralRoute:
 
     def assert_tables_equal(self, data, fold_sets, kind_grids, lambda_zero_feasible=False):
         for target in TARGETS:
-            spectral = _evaluate_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
+            spectral = grid_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
             dense = dense_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
             for kind in kind_grids:
                 assert np.array_equal(spectral[kind], dense[kind], equal_nan=True), (target.kind, kind)
@@ -344,7 +352,7 @@ class TestSpectralRoute:
         fold_sets = make_folds(data, 4, seed=4)
         lams, kind_grids = (0.0, 0.05, 0.5), {"none": (0.0,), "l2": (0.5,)}
         for target in TARGETS:
-            spectral = _evaluate_cells(data, target, fold_sets, lams, kind_grids)
+            spectral = grid_cells(data, target, fold_sets, lams, kind_grids)
             dense = dense_cells(data, target, fold_sets, lams, kind_grids)
             for kind in kind_grids:
                 assert np.isnan(spectral[kind][:, 0]).all()
@@ -360,7 +368,7 @@ class TestSpectralRoute:
         monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
         data = random_grouped(rng, (8, 8), p=30, spread=1.5)
         for target in TARGETS:
-            acc = _evaluate_cells(data, target, make_folds(data, 4, seed=3), (0.0, 0.5), {"none": (0.0,)})["none"]
+            acc = grid_cells(data, target, make_folds(data, 4, seed=3), (0.0, 0.5), {"none": (0.0,)})["none"]
             assert np.isnan(acc[:, 0]).all()
             assert not np.isnan(acc[:, 1]).any()
 
@@ -370,7 +378,7 @@ class TestSpectralRoute:
         target = ShrinkageTarget.equal_correlation(theta2=50.0)
         pattern = r"equal-correlation target not positive definite \(sigma2=(\S+), theta2=50.0, p=30\)"
         errors = []
-        for evaluate in (_evaluate_cells, dense_cells):
+        for evaluate in (grid_cells, dense_cells):
             with pytest.raises(ValueError) as err:
                 evaluate(data, target, fold_sets, (0.5,), {"none": (0.0,)})
             errors.append(err.value)
@@ -384,12 +392,12 @@ class TestSpectralRoute:
         fold_sets = make_folds(data, 3, seed=2)
         monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
         for target in TARGETS:
-            acc = _evaluate_cells(data, target, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
+            acc = grid_cells(data, target, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
             assert not np.isnan(acc).any()
         monkeypatch.undo()
-        monkeypatch.setattr(covariance, "_fold_spectrum", refuse("the spectral kernel"))
+        monkeypatch.setattr(covariance, "_spectrum", refuse("the spectral kernel"))
         custom = ShrinkageTarget.custom(np.eye(6) + 0.1)
-        acc = _evaluate_cells(data, custom, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
+        acc = grid_cells(data, custom, fold_sets, (0.0, 0.5), {"l2": (0.0, 0.5)})["l2"]
         assert not np.isnan(acc).any()
 
 
@@ -404,9 +412,9 @@ class TestKernelRule:
     @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
     def test_one_intensity_takes_the_dense_kernel(self, tall, monkeypatch, target):
         data, fold_sets = tall
-        monkeypatch.setattr(covariance, "_fold_spectrum", refuse("the spectral kernel"))
+        monkeypatch.setattr(covariance, "_spectrum", refuse("the spectral kernel"))
         for lam in (0.0, 0.3):
-            acc = _evaluate_cells(data, target, fold_sets, (lam,), {"none": (0.0,), "l2": (0.5,)})
+            acc = grid_cells(data, target, fold_sets, (lam,), {"none": (0.0,), "l2": (0.5,)})
             assert not np.isnan(acc["none"]).any() and not np.isnan(acc["l2"]).any()
 
     @pytest.mark.parametrize("lambda_grid", [(0.0, 0.3), (0.1, 0.2, 0.3)])
@@ -414,7 +422,7 @@ class TestKernelRule:
     def test_several_intensities_take_the_spectral_kernel(self, tall, monkeypatch, target, lambda_grid):
         data, fold_sets = tall
         monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
-        acc = _evaluate_cells(data, target, fold_sets, lambda_grid, {"none": (0.0,)})["none"]
+        acc = grid_cells(data, target, fold_sets, lambda_grid, {"none": (0.0,)})["none"]
         assert not np.isnan(acc).any()
 
     @pytest.mark.parametrize("kind", ["none", "l2", "l1", "hard"])
@@ -496,7 +504,7 @@ class TestEigenbasisScores:
         monkeypatch.setattr(selection, "_eigenbasis_blocks", lambda *args: projections.append(args) or project(*args))
         monkeypatch.setattr(covariance.SpectralCovariance, "solve", refuse("SpectralCovariance.solve"))
         monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
-        acc = _evaluate_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
+        acc = grid_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
         assert len(projections) == len(fold_sets)
         for kind in kind_grids:
             assert np.array_equal(acc[kind], dense[kind], equal_nan=True), kind
