@@ -70,6 +70,7 @@ from .regmeans import (
     soft_threshold_scalar,
 )
 from .discriminant import (
+    LinearDiscriminant,
     RldaModel,
     SvdRidgeModel,
     classify,
@@ -78,6 +79,7 @@ from .discriminant import (
     discriminant_scores,
     fit,
     fit_svd_ridge,
+    linear_discriminant,
 )
 from .selection import (
     CvConfig,
@@ -120,6 +122,7 @@ __all__ = [
     "hard_threshold_scalar",
     "regularize_means",
     "soft_threshold_scalar",
+    "LinearDiscriminant",
     "RldaModel",
     "SvdRidgeModel",
     "classify",
@@ -128,6 +131,7 @@ __all__ = [
     "discriminant_scores",
     "fit",
     "fit_svd_ridge",
+    "linear_discriminant",
     "CvConfig",
     "CvResult",
     "cross_validate",

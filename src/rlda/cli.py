@@ -28,7 +28,7 @@ from .datamodel import (
     simulate,
     sparse_shift,
 )
-from .discriminant import RldaModel, classify, classify_alg2, fit, fit_svd_ridge, resolve_priors
+from .discriminant import RldaModel, fit, fit_svd_ridge, resolve_priors
 from .quantization import QuantizationScenario, demo_quantization
 from .regmeans import MeanRegularizer
 from .selection import CvConfig, cross_validate, render_experiment_text, run_simulated_experiment
@@ -228,12 +228,7 @@ def _cmd_predict(args) -> int:
         values, _ = load_matrix_csv(args.data)
     if values.shape[1] != model.p:
         raise ValueError(f"query has {values.shape[1]} variables, model expects {model.p}")
-    if isinstance(model, RldaModel):
-        labels = classify(model, values)
-    else:
-        delta = float(config.get("delta", 0.0))
-        priors = config.get("priors", "empirical")
-        labels = classify_alg2(model, delta, priors, values)
+    labels = model.classify(values)
     names = [model.group_names[int(lab)] for lab in np.atleast_1d(labels)]
     doc = _base_doc(args)
     doc.update({"predictions": names, "n": len(names)})

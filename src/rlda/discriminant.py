@@ -7,11 +7,19 @@ The discriminant score of group ``k`` at a query point ``z`` is
 with ``m_k`` the (possibly regularized) group mean and ``M`` the
 regularized kernel. Adding the class-independent ``-0.5 z^T M^-1 z``
 shows that maximizing the score is the same as minimizing
-``0.5 (m_k - z)^T M^-1 (m_k - z) - log pi_k``. Every classifier here
-scores through :func:`_scores`, given a solver that applies ``M^-1``; the
-routes differ in the solver alone. The expression itself lives in
-:func:`_score_blocks`, which the cross-validation grid also calls with the
-two blocks it builds in a spectral kernel's eigenbasis.
+``0.5 (m_k - z)^T M^-1 (m_k - z) - log pi_k``.
+
+A label therefore depends on a fitted model only through its linear
+discriminant (Guo, Hastie & Tibshirani 2007): the weights
+``a = M^-1 m^T`` (``p x K``, the per-variable coefficients of each
+group), ``quad_k = m_k^T a_k`` and ``log pi``. :func:`linear_discriminant`
+computes that triple once for either route, given a solver that applies
+``M^-1`` (the routes differ in the solver alone), and every classifier
+here scores through the resulting :class:`LinearDiscriminant`. A saved
+model is that object too, so ``rlda predict`` scores from the stored
+discriminant without rebuilding a kernel. The score expression itself
+lives in :func:`_score_blocks`, which the cross-validation grid also calls
+with the two blocks it builds in a spectral kernel's eigenbasis.
 
 Two fitting routes are provided. The target-shrinkage route (``fit``)
 keeps whichever covariance form the kernel rule,
@@ -49,6 +57,7 @@ from .datamodel import GroupedDataset, GroupMeans, group_means
 from .regmeans import MeanRegularizer, RegularizedMeans, regularize_means
 
 __all__ = [
+    "LinearDiscriminant",
     "RldaModel",
     "SvdRidgeModel",
     "classify",
@@ -57,6 +66,7 @@ __all__ = [
     "discriminant_scores",
     "fit",
     "fit_svd_ridge",
+    "linear_discriminant",
     "resolve_priors",
     "svd_ridge_sq_distances",
 ]
@@ -173,14 +183,20 @@ def _as_query_matrix(z) -> tuple[np.ndarray, bool]:
     raise ValueError("query must be a p-vector or an (m, p) matrix")
 
 
-def _scores(solve, means_t: np.ndarray, queries: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
-    """Scores of every column of ``m^T`` with ``a = solve(m^T)``; see :func:`_score_blocks`.
-
-    ``means_t`` is the ``p x K`` block of group means, ``queries`` the
-    ``m x p`` block ``Z``; returns the ``m x K`` scores.
-    """
+def _linear_terms(solve, means_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, quad)`` with ``a = solve(m^T)`` and ``quad = sum(m^T * a)``, for the ``p x K`` block ``m^T``."""
     a = solve(means_t)
-    return _score_blocks(queries @ a, np.sum(means_t * a, axis=0), log_priors)
+    return a, np.sum(means_t * a, axis=0)
+
+
+def _scores(solve, means_t: np.ndarray, queries: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
+    """Scores of every column of ``m^T`` at the ``m x p`` queries ``Z``; see :func:`_score_blocks`.
+
+    For column blocks that are no model's groups, such as the
+    cross-validation grid's every (mean rule, group) cell at once.
+    """
+    a, quad = _linear_terms(solve, means_t)
+    return _score_blocks(queries @ a, quad, log_priors)
 
 
 def _score_blocks(cross: np.ndarray, quad: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
@@ -198,21 +214,99 @@ def _best(scores: np.ndarray, single: bool):
     return int(labels[0]) if single else labels
 
 
+@dataclass(frozen=True)
+class LinearDiscriminant:
+    """A fitted classifier reduced to what its labels depend on.
+
+    ``score_k(z) = z^T a_k - 0.5 quad_k + log pi_k`` with ``weights = a``
+    (``p x K``), ``quad`` (``K``) and ``log_priors`` (``K``). Built by
+    :func:`linear_discriminant` from a fitted model, or read from a model
+    document by :func:`~rlda.serialize.load_model`. Construction checks
+    that the arrays agree on ``K``, are finite, and that the priors form a
+    probability vector.
+    """
+
+    weights: np.ndarray
+    quad: np.ndarray
+    log_priors: np.ndarray
+    group_names: tuple[str, ...]
+
+    def __post_init__(self):
+        fields = {name: np.array(getattr(self, name), dtype=float) for name in ("weights", "quad", "log_priors")}
+        weights, quad, log_priors = fields.values()
+        k = len(self.group_names)
+        if weights.ndim != 2 or weights.shape[1] != k or quad.shape != (k,) or log_priors.shape != (k,):
+            raise ValueError(
+                f"weights {weights.shape}, quad {quad.shape}, log_priors {log_priors.shape} "
+                f"and {k} group names disagree on K or p"
+            )
+        for name, values in fields.items():
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        total = np.exp(log_priors).sum()
+        if abs(total - 1.0) > 1e-12 * k:
+            raise ValueError(f"log_priors must exponentiate to a probability vector, got a sum of {total}")
+        object.__setattr__(self, "group_names", tuple(self.group_names))
+
+    @property
+    def p(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def priors(self) -> np.ndarray:
+        return np.exp(self.log_priors)
+
+    def scores(self, z) -> np.ndarray:
+        """Scores of every group at ``z``: ``(K,)`` for a p-vector, ``(m, K)`` for an ``(m, p)`` matrix."""
+        queries, single = _as_query_matrix(z)
+        scores = _score_blocks(queries @ self.weights, self.quad, self.log_priors)
+        return scores[0] if single else scores
+
+    def classify(self, z):
+        """Group index (0-based) with the highest score; ties go to the smallest index."""
+        queries, single = _as_query_matrix(z)
+        return _best(self.scores(queries), single)
+
+
+def _discriminant(solve, means: np.ndarray, priors: np.ndarray, group_names) -> LinearDiscriminant:
+    """The discriminant of the ``K x p`` ``means`` under the kernel that ``solve`` inverts."""
+    a, quad = _linear_terms(solve, means.T)
+    return LinearDiscriminant(a, quad, np.log(priors), group_names)
+
+
+def linear_discriminant(model, delta: float | None = None, priors_spec=None) -> LinearDiscriminant:
+    """The linear discriminant ``(a, quad, log pi)`` of a fitted model.
+
+    An :class:`RldaModel` fixes its mean rule and priors at fit time, so
+    ``delta`` and ``priors_spec`` must be left out. An
+    :class:`SvdRidgeModel` scores the l2 blend of its means at ``delta``
+    (default 0) under the priors ``priors_spec`` (default
+    ``"empirical"``; see :func:`resolve_priors`).
+    """
+    if isinstance(model, RldaModel):
+        if delta is not None or priors_spec is not None:
+            raise ValueError("a target-shrinkage model fixes its mean rule and priors at fit time")
+        return _discriminant(model.cov.solve, model.reg_means.per_group, model.priors, model.group_names)
+    priors = resolve_priors("empirical" if priors_spec is None else priors_spec, model.means.counts)
+    blended = model.blended_means(0.0 if delta is None else delta)
+    return _discriminant(_ridge_solver(model), blended.per_group, priors, model.group_names)
+
+
 def discriminant_scores(model: RldaModel, z) -> np.ndarray:
     """Scores of every group at ``z`` (a p-vector, or a matrix of queries).
 
     Returns a ``(K,)`` vector for a single query, ``(m, K)`` for a batch.
-    Evaluated through the model covariance's solver.
+    Evaluated through the model's :func:`linear_discriminant`.
     """
-    queries, single = _as_query_matrix(z)
-    scores = _scores(model.cov.solve, model.reg_means.per_group.T, queries, np.log(model.priors))
-    return scores[0] if single else scores
+    return linear_discriminant(model).scores(z)
 
 
 def classify(model: RldaModel, z):
     """Group index (0-based) with the highest score; ties go to the smallest index."""
-    queries, single = _as_query_matrix(z)
-    return _best(discriminant_scores(model, queries), single)
+    return linear_discriminant(model).classify(z)
 
 
 def classify_alg1(
@@ -237,8 +331,7 @@ def classify_alg1(
     s = pooled_covariance(data, means, s_convention)
     solve = shrink_covariance(s, target, lam).solve
     priors = resolve_priors(priors_spec, data.group_counts)
-    queries, single = _as_query_matrix(z)
-    return _best(_scores(solve, blended.T, queries, np.log(priors)), single)
+    return _discriminant(solve, blended, priors, data.group_names).classify(z)
 
 
 @dataclass(frozen=True)
@@ -276,6 +369,10 @@ class SvdRidgeModel:
     @property
     def p(self) -> int:
         return self.cov.p
+
+    def blended_means(self, delta: float) -> RegularizedMeans:
+        """``(1 - delta) mean_k + delta pooled``: the l2 rule at ``delta``, the means this model scores."""
+        return regularize_means(self.means, MeanRegularizer("l2", delta))
 
 
 def _ridge_kernel(vt: np.ndarray, sv: np.ndarray, lam: float) -> SpectralCovariance:
@@ -340,7 +437,7 @@ def svd_ridge_sq_distances(model: SvdRidgeModel, delta: float, z) -> np.ndarray:
     ``d = (1 - delta) mean_k + delta pooled - z``. Returns ``(K,)`` for a
     single query, ``(m, K)`` for a batch.
     """
-    blended = regularize_means(model.means, MeanRegularizer("l2", delta)).per_group
+    blended = model.blended_means(delta).per_group
     queries, single = _as_query_matrix(z)
     solve = _ridge_solver(model)
     diffs = (row - queries for row in blended)  # d = m_k - z, one group at a time
@@ -350,7 +447,4 @@ def svd_ridge_sq_distances(model: SvdRidgeModel, delta: float, z) -> np.ndarray:
 
 def classify_alg2(model: SvdRidgeModel, delta: float, priors_spec, z):
     """Assign ``z`` to the group minimizing ``0.5 dist_k - log pi_k`` (the highest score)."""
-    priors = resolve_priors(priors_spec, model.means.counts)
-    queries, single = _as_query_matrix(z)
-    blended = regularize_means(model.means, MeanRegularizer("l2", delta)).per_group
-    return _best(_scores(_ridge_solver(model), blended.T, queries, np.log(priors)), single)
+    return linear_discriminant(model, delta, priors_spec).classify(z)

@@ -86,6 +86,12 @@ class QuantizationScenario:
         return self.mu is not None
 
 
+def _require_rounding_variance(scenario: QuantizationScenario) -> None:
+    """The fixed-center posterior's prior is ``N(mu, delta2 I)``, which needs ``delta2 > 0``."""
+    if scenario.has_fixed_center and scenario.delta2 <= 0:
+        raise ValueError("the fixed-center posterior requires delta2 > 0")
+
+
 def posterior_xi_fixed_mu(xbar, scenario: QuantizationScenario) -> PosteriorSummary:
     """Posterior mean of the rounded parameter when the center ``mu`` is fixed.
 
@@ -97,8 +103,7 @@ def posterior_xi_fixed_mu(xbar, scenario: QuantizationScenario) -> PosteriorSumm
     """
     if not scenario.has_fixed_center:
         raise ValueError("scenario must carry a fixed mu")
-    if scenario.delta2 <= 0:
-        raise ValueError("the fixed-center posterior requires delta2 > 0")
+    _require_rounding_variance(scenario)
     return posterior_mean_conjugate_scalar(
         xbar, scenario.n, c=scenario.sigma2 / scenario.delta2, theta=scenario.mu
     )
@@ -152,6 +157,7 @@ def demo_quantization(
     if fit_delta2 is not None and fit_delta2 < 0:
         raise ValueError(f"fit_delta2 must be nonnegative, got {fit_delta2}")
     fitted = scenario if fit_delta2 is None else replace(scenario, delta2=float(fit_delta2))
+    _require_rounding_variance(fitted)  # before any draw: the draw is O(replications n p)
     rng = np.random.default_rng(seed)
     n, p = scenario.n, scenario.p
     sigma = float(np.sqrt(scenario.sigma2))

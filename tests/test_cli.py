@@ -6,7 +6,7 @@ import pytest
 
 from rlda.cli import main
 from rlda.datamodel import save_csv
-from rlda.serialize import load_model
+from rlda.serialize import decode_array, load_model
 
 from conftest import duplicated_column_dataset
 
@@ -61,10 +61,22 @@ class TestPipeline:
         assert run(["fit", "--data", data, "--label", "group", "--target", "t2", "--lambda", "0.4",
                     "--model", model, "--out", tmp_path / "fit.json"]) == 0
         doc = read_json(model)
-        assert doc["version"] == 2 and doc["cov_kernel"] == "spectral" and "factor" not in doc
+        kernel_keys = {"cov_kernel", "factor", "vt", "eigenvalues"}
+        assert doc["version"] == 3 and not kernel_keys & doc.keys()
+        assert decode_array(doc["weights"]).shape == (40, 2)
         pred = tmp_path / "pred.json"
         assert run(["predict", "--model", model, "--data", data, "--out", pred]) == 0
         assert read_json(pred)["n"] == 12
+
+    @pytest.mark.parametrize("algorithm", ["chol", "svd"])
+    def test_identical_fits_write_byte_identical_models(self, tmp_path, algorithm):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", algorithm,
+                        "--lambda", "0.5", "--delta", "0.2", "--priors", "0.3,0.7",
+                        *(["--mean-reg", "l2"] if algorithm == "chol" else []),
+                        "--model", path, "--out", tmp_path / "fit.json"]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_fit_predict_svd(self, tmp_path):
         model = tmp_path / "model.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rlda import __version__
 from rlda._linalg import solve_spd
 from rlda.covariance import (
     GRAM_POOLED_MEAN,
@@ -18,8 +19,9 @@ from rlda.covariance import (
     pooled_covariance,
     shrink_covariance,
 )
-from rlda.datamodel import GroupedDataset, group_means
+from rlda.datamodel import GroupedDataset, group_means, load_csv
 from rlda.discriminant import (
+    LinearDiscriminant,
     RldaModel,
     classify,
     classify_alg1,
@@ -27,6 +29,7 @@ from rlda.discriminant import (
     discriminant_scores,
     fit,
     fit_svd_ridge,
+    linear_discriminant,
     resolve_priors,
     svd_ridge_sq_distances,
 )
@@ -36,6 +39,8 @@ from rlda.serialize import decode_array, encode_array, load_model, model_to_dict
 from conftest import random_grouped, rank_deficient_dataset
 
 DATA = Path(__file__).parent / "data"
+# Covariance kernel keys of a schema-2 document; a schema-3 document holds none of them.
+KERNEL_KEYS = {"cov_kernel", "factor", "vt", "eigenvalues", "right_vectors", "singular_values"}
 
 
 def toy_model(means_rows, priors, cov_matrix=None):
@@ -423,9 +428,16 @@ class TestAlg2:
 
     def test_model_holds_the_ridge_kernel_as_a_spectral_covariance(self, rng):
         data = random_grouped(rng, (6, 7), p=15)
-        cov = fit_svd_ridge(data, 0.35).cov
+        model = fit_svd_ridge(data, 0.35)
+        cov = model.cov
         assert isinstance(cov, SpectralCovariance)
         assert (cov.lam, cov.spread, cov.theta2) == (1.0 - 0.35, 1.0, 0.0)
+        # Pooled centering leaves Xc with rank n - 1: one row per nonzero eigenvalue of Xc^T Xc.
+        assert cov.vt.shape == (data.n - 1, 15)
+        centered = data.values - model.means.pooled
+        # Round-off of the Gram eigh, relative to the largest eigenvalue as in TestFoldSpectrum.
+        gram = (cov.vt.T * cov.eig) @ cov.vt
+        assert np.abs(gram - centered.T @ centered).max() <= 8 * data.n * np.finfo(float).eps * cov.eig[0]
 
     def test_model_validation(self, rng):
         data = random_grouped(rng, (5, 5), p=12)
@@ -433,6 +445,72 @@ class TestAlg2:
             fit_svd_ridge(data, 0.2, mode="qr")
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             fit_svd_ridge(data, 1.0)
+
+
+def _v2_document(model, extra_config: dict | None = None) -> dict:
+    """``model`` as the schema-2 writer stored it: its kernel, not its discriminant.
+
+    Builds the legacy documents the reader must still accept;
+    ``test_legacy_writer_matches_the_frozen_v2_fixtures`` checks it against
+    files that writer wrote.
+    """
+    def enc(arr):
+        return encode_array(np.ascontiguousarray(arr))  # that writer stored every array in C order
+
+    doc = {"format": "rlda-model", "version": 2, "tool_version": __version__}
+    if isinstance(model, RldaModel):
+        cov = model.cov
+        if isinstance(cov, SpectralCovariance):
+            kernel = {"cov_kernel": "spectral", "vt": enc(cov.vt), "eigenvalues": enc(cov.eig),
+                      "spread": cov.spread, "theta2": cov.theta2}
+        else:
+            kernel = {"cov_kernel": "cholesky", "factor": enc(cov.factor)}
+        doc.update(
+            algorithm="chol", group_names=list(model.group_names), pooled_mean=enc(model.pooled_mean),
+            reg_means=enc(model.reg_means.per_group), active_mask=enc(model.reg_means.active_mask.astype(np.uint8)),
+            priors=enc(model.priors), cov_lambda=cov.lam, config=dict(model.config, **(extra_config or {})), **kernel,
+        )
+    else:
+        doc.update(
+            algorithm="svd", group_names=list(model.group_names), pooled_mean=enc(model.means.pooled),
+            per_group_means=enc(model.means.per_group), group_counts=enc(model.means.counts.astype(np.int64)),
+            right_vectors=enc(model.cov.vt.T), singular_values=enc(np.sqrt(model.cov.eig)),
+            column_variances=enc(model.column_variances), cov_lambda=model.lam, mode=model.mode,
+            config=dict(extra_config or {}),
+        )
+    return doc
+
+
+def _write(doc: dict, path: Path) -> Path:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+# The frozen schema-2 fixtures were written by the schema-2 release with
+#   rlda simulate --seed 11 --n 6 --m 6 --p 30 --shift-value 1.5 --data-out wide-train.csv
+#   rlda fit --data wide-train.csv --label group <FIT_ARGS[name]> --model model-v2-<name>.json
+# and model-v2-expected.json holds 8 query rows (rlda simulate --seed 12 --n 4 --m 4 --p 30
+# --shift-value 1.5) with that release's labels and scores for each model.
+FIT_ARGS = {
+    "spectral": ["--target", "t2", "--lambda", "0.3", "--mean-reg", "hard", "--delta", "0.5"],
+    "svd-paper": ["--algorithm", "svd", "--mode", "paper", "--lambda", "0.4", "--delta", "0.2",
+                  "--priors", "0.3,0.7"],
+    "cholesky": ["--target", "target.csv", "--lambda", "0.25"],
+}
+
+
+def _fixture_target(p: int = 30) -> np.ndarray:
+    """The custom target of the ``cholesky`` fixture (written to target.csv with ``repr`` floats)."""
+    return np.diag(np.linspace(0.5, 2.0, p)) + 0.05
+
+
+def _fixture_target_csv(tmp_path: Path) -> Path:
+    target = _fixture_target()
+    path = tmp_path / "target.csv"
+    rows = [",".join(f"t{j + 1}" for j in range(target.shape[0]))]
+    rows += [",".join(repr(float(v)) for v in row) for row in target]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
 
 
 class TestSerialization:
@@ -443,8 +521,10 @@ class TestSerialization:
         save_model(model, path)
         back, config = load_model(path)
         queries = rng.standard_normal((10, 5))
-        assert_array_equal(classify(model, queries), classify(back, queries))
-        assert back.reg_means.n_active == model.reg_means.n_active
+        assert_array_equal(classify(model, queries), back.classify(queries))
+        assert_array_equal(discriminant_scores(model, queries), back.scores(queries))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert decode_array(doc["active_mask"]).sum() == model.reg_means.n_active
         assert config["mean_reg"] == "hard"
 
     def test_spectral_round_trip_is_bit_identical(self, rng, tmp_path):
@@ -454,39 +534,89 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == 2 and doc["cov_kernel"] == "spectral" and "factor" not in doc
+        assert doc["version"] == 3 and not KERNEL_KEYS & doc.keys()
         back, _ = load_model(path)
-        assert isinstance(back.cov, SpectralCovariance)
+        assert isinstance(back, LinearDiscriminant)
         queries = np.vstack([rng.standard_normal((20, 40)), data.values])
-        assert_array_equal(discriminant_scores(back, queries), discriminant_scores(model, queries))
-        assert_array_equal(classify(back, queries), classify(model, queries))
+        assert_array_equal(back.scores(queries), discriminant_scores(model, queries))
+        assert_array_equal(back.classify(queries), classify(model, queries))
 
     @pytest.mark.parametrize(
         "counts,p,target",
         [((8, 8), 5, ShrinkageTarget.identity()), ((4, 5), 12, ShrinkageTarget.custom(2.0 * np.eye(12)))],
         ids=["full-rank", "custom-target"],
     )
-    def test_dense_models_store_the_factor(self, rng, tmp_path, counts, p, target):
+    def test_dense_models_store_the_discriminant(self, rng, tmp_path, counts, p, target):
         model = fit(random_grouped(rng, counts, p=p), target, 0.3)
+        assert isinstance(model.cov, RegularizedCovariance)
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == 2 and doc["cov_kernel"] == "cholesky" and "vt" not in doc
+        assert doc["version"] == 3 and not KERNEL_KEYS & doc.keys()
+        assert decode_array(doc["weights"]).shape == (p, 2)
         back, _ = load_model(path)
-        assert_array_equal(back.cov.factor, model.cov.factor)
+        assert_array_equal(back.weights, linear_discriminant(model).weights)
+        queries = rng.standard_normal((10, p))
+        assert_array_equal(back.scores(queries), discriminant_scores(model, queries))
 
     def test_reads_schema_v1_cholesky_model(self):
         # Written by the schema-v1 release from a 9-row, 12-column fit with
         # an equal-correlation target and hard thresholding.
         path = DATA / "model-v1-chol.json"
-        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 1
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["version"] == 1 and "factor" in doc
         expected = json.loads((DATA / "model-v1-chol-expected.json").read_text(encoding="utf-8"))
         model, config = load_model(path)
-        assert isinstance(model.cov, RegularizedCovariance)
-        assert config["mean_reg"] == "hard" and model.reg_means.n_active == 11
+        assert isinstance(model, LinearDiscriminant)
+        assert config["mean_reg"] == "hard" and decode_array(doc["active_mask"]).sum() == 11
         queries = np.array(expected["queries"])
-        assert_array_equal(classify(model, queries), expected["labels"])
-        assert_allclose(discriminant_scores(model, queries), expected["scores"], rtol=1e-12, atol=1e-12)
+        assert_array_equal(model.classify(queries), expected["labels"])
+        assert_allclose(model.scores(queries), expected["scores"], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(FIT_ARGS))
+    def test_v2_fixtures_load_to_the_release_scores(self, name):
+        expected = json.loads((DATA / "model-v2-expected.json").read_text(encoding="utf-8"))
+        model, _ = load_model(DATA / f"model-v2-{name}.json")
+        queries = np.array(expected["queries"])
+        assert_array_equal(model.scores(queries), expected[name]["scores"])
+        assert_array_equal(model.classify(queries), expected[name]["labels"])
+
+    def test_v2_svd_fixture_renormalizes_its_stored_priors(self):
+        # log pi comes from the stored 0.3/0.7 list (not the 6/6 group counts),
+        # through resolve_priors as every schema-2 predict applied it.
+        doc = json.loads((DATA / "model-v2-svd-paper.json").read_text(encoding="utf-8"))
+        model, config = load_model(DATA / "model-v2-svd-paper.json")
+        counts = decode_array(doc["group_counts"])
+        assert_array_equal(model.log_priors, np.log(resolve_priors(config["priors"], counts)))
+
+    @pytest.mark.parametrize("name", list(FIT_ARGS))
+    def test_v3_document_of_the_same_fit_scores_the_release_bits(self, name, tmp_path, monkeypatch):
+        from rlda.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        _fixture_target_csv(tmp_path)
+        path = tmp_path / "model.json"
+        argv = ["fit", "--data", str(DATA / "wide-train.csv"), "--label", "group", *FIT_ARGS[name],
+                "--model", str(path), "--out", str(tmp_path / "fit.json")]
+        assert main(argv) == 0
+        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 3
+        expected = json.loads((DATA / "model-v2-expected.json").read_text(encoding="utf-8"))
+        model, _ = load_model(path)
+        assert_array_equal(model.scores(np.array(expected["queries"])), expected[name]["scores"])
+
+    @pytest.mark.parametrize("name", list(FIT_ARGS))
+    def test_legacy_writer_matches_the_frozen_v2_fixtures(self, name):
+        data = load_csv(DATA / "wide-train.csv", "group")
+        extra = {"label_column": "group"}
+        if name == "spectral":
+            model = fit(data, ShrinkageTarget.equal_correlation(theta2=0.15), 0.3, MeanRegularizer("hard", 0.5))
+        elif name == "cholesky":
+            model = fit(data, ShrinkageTarget.custom(_fixture_target()), 0.25)
+        else:
+            model = fit_svd_ridge(data, 0.4, mode="paper-literal")
+            extra.update(delta=0.2, priors=resolve_priors([0.3, 0.7], data.group_counts).tolist())
+        text = json.dumps(_v2_document(model, extra), sort_keys=True, indent=2) + "\n"
+        assert text == (DATA / f"model-v2-{name}.json").read_text(encoding="utf-8")
 
     def test_rejects_unknown_schema_version(self, rng, tmp_path):
         path = tmp_path / "model.json"
@@ -497,38 +627,73 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unsupported model version 7"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit,cause",
+        [
+            (lambda doc: doc.update(quad=encode_array(np.zeros(3))),
+             "weights (6, 2), quad (3,), log_priors (2,) and 2 group names disagree on K or p"),
+            (lambda doc: doc.update(group_names=["a", "b", "c"]),
+             "weights (6, 2), quad (2,), log_priors (2,) and 3 group names disagree on K or p"),
+            (lambda doc: doc.update(reg_means=encode_array(np.zeros((2, 5)))),
+             "reg_means and active_mask disagree with the 6 x 2 weights on K or p"),
+        ],
+        ids=["quad-K", "names-K", "means-p"],
+    )
+    def test_rejects_a_v3_document_whose_arrays_disagree(self, rng, tmp_path, edit, cause):
+        doc = model_to_dict(fit(random_grouped(rng, (5, 5), p=6), ShrinkageTarget.identity(), 0.2))
+        edit(doc)
+        path = _write(doc, tmp_path / "model.json")
+        with pytest.raises(ValueError) as raised:
+            load_model(path)
+        assert str(raised.value) == f"{path}: malformed model document: {cause}"
+
+    @pytest.mark.parametrize("key", ["weights", "quad", "log_priors"])
+    def test_rejects_a_v3_document_with_a_non_finite_value(self, rng, tmp_path, key):
+        doc = model_to_dict(fit(random_grouped(rng, (5, 5), p=6), ShrinkageTarget.identity(), 0.2))
+        values = decode_array(doc[key])
+        values.flat[-1] = np.inf if key == "quad" else np.nan
+        doc[key] = encode_array(values)
+        path = _write(doc, tmp_path / "model.json")
+        with pytest.raises(ValueError) as raised:
+            load_model(path)
+        bad = "inf" if key == "quad" else "nan"
+        assert str(raised.value) == f"{path}: malformed model document: {key} must be finite, got {bad}"
+
+    def test_rejects_v3_log_priors_that_are_not_a_probability_vector(self, rng, tmp_path):
+        doc = model_to_dict(fit(random_grouped(rng, (5, 5), p=6), ShrinkageTarget.identity(), 0.2))
+        doc["log_priors"] = encode_array(np.log([0.5, 0.6]))
+        path = _write(doc, tmp_path / "model.json")
+        with pytest.raises(ValueError) as raised:
+            load_model(path)
+        assert str(raised.value) == (
+            f"{path}: malformed model document: log_priors must exponentiate to a probability vector, "
+            f"got a sum of {np.exp(np.log([0.5, 0.6])).sum()}"
+        )
+
     def test_svd_round_trip(self, rng, tmp_path):
         data = random_grouped(rng, (6, 6), p=15)
         model = fit_svd_ridge(data, 0.35)
         path = tmp_path / "model.json"
         save_model(model, path, extra_config={"delta": 0.2, "priors": [0.5, 0.5]})
         back, config = load_model(path)
+        assert (config["delta"], config["priors"]) == (0.2, [0.5, 0.5])
         queries = rng.standard_normal((8, 15))
-        assert_array_equal(
-            classify_alg2(model, 0.2, [0.5, 0.5], queries),
-            classify_alg2(back, config["delta"], config["priors"], queries),
-        )
+        assert_array_equal(classify_alg2(model, 0.2, [0.5, 0.5], queries), back.classify(queries))
+        assert_array_equal(linear_discriminant(model, 0.2, [0.5, 0.5]).scores(queries), back.scores(queries))
 
-    def test_svd_document_keeps_singular_values_and_round_trips_the_kernel(self, rng, tmp_path):
+    def test_svd_document_keeps_the_discriminant_of_its_mode(self, rng, tmp_path):
         data = random_grouped(rng, (6, 6), p=15)
         model = fit_svd_ridge(data, 0.35, mode="paper-literal")
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == 2 and doc["cov_lambda"] == 0.35
-        sv, vt = decode_array(doc["singular_values"]), decode_array(doc["right_vectors"]).T
-        # Pooled centering leaves Xc with rank n - 1: one row per nonzero eigenvalue of Xc^T Xc.
-        assert vt.shape == (data.n - 1, 15) and sv.shape == (data.n - 1,)
-        assert_array_equal(sv, np.sqrt(model.cov.eig))
-        assert_array_equal(vt, model.cov.vt)
-        eig = sv * sv
-        centered = data.values - model.means.pooled
-        # Round-off of the Gram eigh, relative to the largest eigenvalue as in TestFoldSpectrum.
-        assert np.abs((vt.T * eig) @ vt - centered.T @ centered).max() <= 8 * data.n * np.finfo(float).eps * eig[0]
+        assert doc["version"] == 3 and not KERNEL_KEYS & doc.keys()
+        assert (doc["algorithm"], doc["mode"], doc["cov_lambda"]) == ("svd", "paper-literal", 0.35)
+        assert_array_equal(decode_array(doc["reg_means"]), model.blended_means(0.0).per_group)
         back, _ = load_model(path)
-        assert (back.lam, back.mode, back.cov.lam) == (model.lam, model.mode, model.cov.lam)
-        assert_array_equal(back.cov.vt, model.cov.vt)
-        assert_array_equal(back.cov.eig, model.cov.eig)
+        assert_array_equal(back.weights, linear_discriminant(model).weights)
+        exact = linear_discriminant(fit_svd_ridge(data, 0.35))
+        assert not np.array_equal(back.weights, exact.weights)  # the mode is in the weights
 
     def test_reads_an_svd_document_with_n_rows(self, rng, tmp_path):
         # Earlier writers stored the thin SVD of Xc: n rows, the last an arbitrary
@@ -537,26 +702,22 @@ class TestSerialization:
         model = fit_svd_ridge(data, 0.4)
         assert model.cov.vt.shape == (data.n - 1, 30)
         _, sv, vt = np.linalg.svd(data.values - model.means.pooled, full_matrices=False)
-        doc = model_to_dict(model)
+        doc = _v2_document(model, {"delta": 0.3, "priors": "empirical"})
         doc["right_vectors"], doc["singular_values"] = encode_array(vt.T), encode_array(sv)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        old, _ = load_model(path)
-        assert old.cov.vt.shape == (data.n, 30)
+        old, _ = load_model(_write(doc, tmp_path / "model.json"))
         queries = np.vstack([rng.standard_normal((20, 30)), data.values])
-        assert_array_equal(classify_alg2(old, 0.3, "empirical", queries), classify_alg2(model, 0.3, "empirical", queries))
+        assert_array_equal(old.classify(queries), classify_alg2(model, 0.3, "empirical", queries))
 
     @pytest.mark.parametrize("key", ["priors", "eigenvalues"])
     def test_load_names_the_file_of_a_document_that_fails_the_model_checks(self, rng, tmp_path, key):
         model = fit(random_grouped(rng, (5, 6, 4), p=40), ShrinkageTarget.identity(), 0.3)
-        doc = model_to_dict(model)
+        doc = _v2_document(model)
         if key == "priors":
             doc["priors"], cause = encode_array(np.array([0.5])), "priors must be strictly positive and sum to 1"
         else:
             eig = decode_array(doc["eigenvalues"])[::-1]
             doc["eigenvalues"], cause = encode_array(eig), "eigenvalues must be nonnegative and non-increasing"
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path = _write(doc, tmp_path / "model.json")
         with pytest.raises(ValueError) as raised:
             load_model(path)
         assert str(raised.value) == f"{path}: malformed model document: {cause}"
@@ -570,27 +731,22 @@ class TestSerialization:
         assert model.cov.vt.shape == (dof, 40)
         resid = data.values - group_means(data).per_group[data.labels]
         _, sv, vt = np.linalg.svd(resid / np.sqrt(dof), full_matrices=False)
-        doc = model_to_dict(model)
+        doc = _v2_document(model)
         doc["vt"], doc["eigenvalues"] = encode_array(vt), encode_array(sv * sv)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        old, _ = load_model(path)
-        assert old.cov.vt.shape == (data.n, 40)
+        old, _ = load_model(_write(doc, tmp_path / "model.json"))
         queries = np.vstack([rng.standard_normal((20, 40)), data.values])
-        assert_array_equal(classify(old, queries), classify(model, queries))
+        assert_array_equal(old.classify(queries), classify(model, queries))
         expected = discriminant_scores(model, queries)
-        assert np.abs(discriminant_scores(old, queries) - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert np.abs(old.scores(queries) - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_rejects_spectral_document_with_negative_eigenvalue(self, rng, tmp_path):
         model = fit(random_grouped(rng, (5, 6, 4), p=40), ShrinkageTarget.identity(), 0.3)
-        doc = model_to_dict(model)
+        doc = _v2_document(model)
         eig = decode_array(doc["eigenvalues"])
         eig[-1] = -1e-3
         doc["eigenvalues"] = encode_array(eig)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match="eigenvalues must be nonnegative and non-increasing"):
-            load_model(path)
+            load_model(_write(doc, tmp_path / "model.json"))
 
     def test_byte_identical_documents(self, rng, tmp_path):
         import json
@@ -614,4 +770,12 @@ class TestSerialization:
         arr[0, 0] = np.pi * 1e15
         back = decode_array(encode_array(arr))
         assert back.dtype == arr.dtype
+        assert_array_equal(back, arr)
+
+    def test_array_codec_keeps_fortran_order(self, rng):
+        arr = np.asfortranarray(rng.standard_normal((7, 3)))
+        doc = encode_array(arr)
+        assert doc["order"] == "F" and "order" not in encode_array(np.ascontiguousarray(arr))
+        back = decode_array(doc)
+        assert back.flags.f_contiguous and not back.flags.c_contiguous
         assert_array_equal(back, arr)

@@ -158,6 +158,19 @@ class TestDemo:
         with pytest.raises(ValueError, match="fit_delta2 must be nonnegative, got -0.5"):
             demo_quantization(scen, seed=1, replications=10, fit_delta2=-0.5)
 
+    @pytest.mark.parametrize("fit_delta2", [None, 0.0])
+    def test_refuses_a_zero_rounding_variance_before_drawing(self, fit_delta2):
+        # One reps x p draw alone would take 16 MB here; the refusal must come first.
+        scen = fixed_scenario(delta2=0.0 if fit_delta2 is None else 1.0, n=50, p=20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^the fixed-center posterior requires delta2 > 0$"):
+                demo_quantization(scen, seed=1, replications=100_000, fit_delta2=fit_delta2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_estimates_with_the_library_posterior(self, monkeypatch):
         import rlda.quantization as quantization
 
