@@ -13,7 +13,10 @@ The package covers four connected pieces of machinery:
   :mod:`rlda.selection`).
 
 Set ``RLDA_THREADS`` before launching Python (or the ``rlda`` CLI) to cap
-the BLAS thread pool used by the linear algebra kernels.
+the BLAS thread pool used by the linear algebra kernels. The cap holds for
+SciPy's BLAS pool too: SciPy loads on the first dense Cholesky
+factorization (:mod:`rlda._linalg`), after this package has set the
+variables.
 """
 
 import os as _os

@@ -1,9 +1,19 @@
-"""Shared dense linear algebra helpers: SPD factorization and solves."""
+"""Shared dense linear algebra helpers: SPD factorization and solves.
+
+The three functions that factorize or substitute import ``scipy.linalg`` on
+their first call, not at module scope: SciPy costs 0.2–0.3 s and 28 MB per
+process, and the spectral routes (an ``n < p`` fit or CV grid toward a fixed
+target, a CV grid of several intensities, the SVD ridge model and
+``rlda predict`` on a schema-3 model file) never need it. It loads on the
+first dense factorization: a custom shrinkage target, a single-intensity fit
+on full-rank data, ``classify_alg1``, the full-covariance Bayes posterior,
+the random-centre rounding demo, or a schema-1/2 Cholesky model file.
+SciPy's ``LinAlgError`` is numpy's class, so it is caught as that.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -39,19 +49,25 @@ def ensure_symmetric(a: np.ndarray, name: str) -> np.ndarray:
 
 def cholesky_lower(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower-triangular Cholesky factor; raises :class:`NotPositiveDefiniteError`."""
+    import scipy.linalg
+
     try:
         return scipy.linalg.cholesky(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite: {exc}") from None
 
 
 def solve_lower(l_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L w = b`` for lower-triangular ``L``."""
+    import scipy.linalg
+
     return scipy.linalg.solve_triangular(l_factor, b, lower=True, check_finite=False)
 
 
 def solve_cholesky(l_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L L^T x = b`` by a forward and a back substitution (``cho_solve`` would copy a row-major ``L``)."""
+    import scipy.linalg
+
     return scipy.linalg.solve_triangular(l_factor, solve_lower(l_factor, b), lower=True, trans="T", check_finite=False)
 
 

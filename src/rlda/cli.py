@@ -442,6 +442,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # Refused before any data is read or drawn; numpy's own refusal would not name the option.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, NotPositiveDefiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

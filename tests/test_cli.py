@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from rlda.serialize import decode_array, load_model
 
 from conftest import duplicated_column_dataset
 
-FIXTURE = Path(__file__).parent / "data" / "separable.csv"
+DATA = Path(__file__).parent / "data"
+FIXTURE = DATA / "separable.csv"
 
 
 def run(args):
@@ -236,6 +240,57 @@ class TestSmallCommands:
         assert code == 0
         assert peak < 20 * 2**20  # one p x p float matrix would take 128 MB
         assert read_json(out)["mean"] == pytest.approx([0.8] * p)
+
+
+# Runs one ``rlda`` command in a fresh interpreter (this one has SciPy loaded
+# already), prints whether ``scipy.linalg`` was imported and exits with its code.
+_FOOTPRINT_PROBE = """
+import sys
+from rlda.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("scipy.linalg" in sys.modules)
+sys.exit(code)
+"""
+
+
+def scipy_loaded_by(args) -> bool:
+    import rlda
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rlda.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip() == "True"
+
+
+class TestImportFootprint:
+    """SciPy loads on the first dense Cholesky factorization, not with ``rlda``."""
+
+    def test_import_leaves_scipy_unloaded(self):
+        assert not scipy_loaded_by([])
+
+    def test_spectral_fit_and_its_predict_leave_scipy_unloaded(self, tmp_path):
+        model = tmp_path / "m.json"
+        assert not scipy_loaded_by(["fit", "--data", DATA / "wide-train.csv", "--label", "group",
+                                    "--model", model, "--out", tmp_path / "fit.json"])
+        assert not scipy_loaded_by(["predict", "--model", model, "--data", DATA / "wide-train.csv",
+                                    "--out", tmp_path / "predict.json"])
+
+    def test_experiment_leaves_scipy_unloaded(self, tmp_path):
+        assert not scipy_loaded_by(["experiment", "--seed", 1, "--p", 40, "--n", 10, "--m", 10,
+                                    "--out", tmp_path / "experiment.json"])
+
+    @pytest.mark.parametrize("route", ["fit-full-rank", "predict-v2-cholesky"])
+    def test_dense_route_loads_scipy(self, tmp_path, route):
+        args = {
+            "fit-full-rank": ["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5",
+                              "--model", tmp_path / "m.json"],
+            "predict-v2-cholesky": ["predict", "--model", DATA / "model-v2-cholesky.json",
+                                    "--data", DATA / "wide-train.csv"],
+        }[route]
+        assert scipy_loaded_by([*args, "--out", tmp_path / "report.json"])
 
 
 class TestErrors:
@@ -583,3 +638,18 @@ class TestErrors:
         assert run(["quantize-demo", "--seed", 1, "--n", 5, "--p", 3, "--reps", 10, option, "nan", "--out", out]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "cv", "experiment", "quantize-demo"])
+    def test_negative_seed_is_named_before_any_input_is_read(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"  # read before the seed check, it would fail with another cause
+        args = {
+            "simulate": ["simulate", "--data-out", tmp_path / "d.csv"],
+            "fit": ["fit", "--data", missing, "--label", "cohort", "--model", tmp_path / "m.json"],
+            "cv": ["cv", "--data", missing, "--label", "cohort"],
+            "experiment": ["experiment", "--n", 10, "--m", 10, "--p", 12],
+            "quantize-demo": ["quantize-demo", "--reps", 10],
+        }[command]
+        capsys.readouterr()
+        assert run([*args, "--seed", -3, "--out", tmp_path / "out.json"]) == 1
+        assert "--seed must be a nonnegative integer, got -3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
