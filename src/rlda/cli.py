@@ -196,7 +196,6 @@ def _cmd_fit(args) -> int:
         if args.delta == "cv":
             raise ValueError("--algorithm svd needs a numeric --delta")
         delta = float(args.delta) if args.delta is not None else 0.0
-        MeanRegularizer("l2", delta)  # the blend weight every predict applies; check it before writing
         mode = "paper-literal" if args.mode == "paper" else "exact"
         model = fit_svd_ridge(data, lam, mode=mode)
         priors = resolve_priors(_priors_from_args(args.priors), data.group_counts)
@@ -218,7 +217,8 @@ def _cmd_predict(args) -> int:
     model, config = load_model(args.model)
     label_column = args.label or config.get("label_column")
     truth = None
-    if label_column and label_column in _csv_header(args.data):
+    # An explicit --label must name a column; the model's stored one is used only where present.
+    if label_column and (args.label or label_column in _csv_header(args.data)):
         data = load_csv(args.data, label_column, min_groups=1)
         values = data.values
         # Accuracy is reported only when every query label names a model group.
@@ -338,24 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rlda {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("simulate", help="generate the two-group equicorrelated dataset as CSV")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--p", type=int, default=1000)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.4)
-    p.add_argument("--shift-count", type=int, default=5)
-    p.add_argument("--shift-value", type=float, default=3.0)
-    p.add_argument("--seed", type=int, required=True)
+    design = argparse.ArgumentParser(add_help=False)  # the simulated two-group design
+    design.add_argument("--seed", type=int, required=True)
+    design.add_argument("--n", type=int, default=50)
+    design.add_argument("--m", type=int, default=50)
+    design.add_argument("--p", type=int, default=1000)
+    design.add_argument("--sigma", type=float, default=1.0)
+    design.add_argument("--c", type=float, default=0.4)
+    design.add_argument("--shift-count", type=int, default=5)
+    design.add_argument("--shift-value", type=float, default=3.0)
+
+    p = sub.add_parser("simulate", parents=[design, out], help="generate the two-group equicorrelated dataset as CSV")
     p.add_argument("--label", default="group")
     p.add_argument("--data-out", required=True, help="CSV destination")
-    add_out(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit a classifier and persist it as JSON")
+    p = sub.add_parser("fit", parents=[out], help="fit a classifier and persist it as JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--target", default="t1", help="t1 | t2 | path to a CSV matrix")
@@ -370,17 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", required=True, help="model JSON destination")
-    add_out(p)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("predict", help="classify the rows of a CSV with a persisted model")
+    p = sub.add_parser("predict", parents=[out], help="classify the rows of a CSV with a persisted model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--label", default=None, help="label column (enables accuracy reporting)")
-    add_out(p)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("cv", help="cross-validate (lambda, delta) on a CSV dataset")
+    p = sub.add_parser("cv", parents=[out], help="cross-validate (lambda, delta) on a CSV dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--target", default="t1")
@@ -392,24 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid", default=None, help="comma-separated intensities")
     p.add_argument("--delta-grid", default=None, help="comma-separated mean-rule parameters")
     p.add_argument("--no-stratify", action="store_true")
-    add_out(p)
     p.set_defaults(func=_cmd_cv)
 
-    p = sub.add_parser("experiment", help="run the simulated benchmark and print the method table")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--p", type=int, default=1000)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.4)
-    p.add_argument("--shift-count", type=int, default=5)
-    p.add_argument("--shift-value", type=float, default=3.0)
+    p = sub.add_parser(
+        "experiment", parents=[design, out], help="run the simulated benchmark and print the method table"
+    )
     p.add_argument("--theta2", type=float, default=DEFAULT_THETA2)
     p.add_argument("--folds", type=int, default=5)
-    add_out(p)
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("quantize-demo", help="Monte Carlo payoff of the rounding-aware posterior")
+    p = sub.add_parser("quantize-demo", parents=[out], help="Monte Carlo payoff of the rounding-aware posterior")
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--delta2", type=float, default=1.0)
     p.add_argument("--n", type=int, default=10)
@@ -418,10 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mu-value", type=float, default=0.0)
     p.add_argument("--fit-delta2", type=float, default=None)
-    add_out(p)
     p.set_defaults(func=_cmd_quantize_demo)
 
-    p = sub.add_parser("bayes", help="posterior mean of a Gaussian mean under a Gaussian prior")
+    p = sub.add_parser("bayes", parents=[out], help="posterior mean of a Gaussian mean under a Gaussian prior")
     p.add_argument("--xbar", required=True, help="comma-separated sample mean")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", required=True, help="comma-separated prior mean")
@@ -429,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     prior_spec.add_argument("--c", type=float, default=None, help="prior precision as a multiple of the data precision")
     prior_spec.add_argument("--sigma-csv", default=None, help="CSV of the observation covariance")
     p.add_argument("--prior-cov-csv", default=None, help="CSV of the prior covariance")
-    add_out(p)
     p.set_defaults(func=_cmd_bayes)
 
     return parser

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_cholesky, solve_lower
+from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_cholesky
 from .datamodel import GroupedDataset, GroupMeans, group_means
 
 __all__ = [
@@ -522,14 +522,10 @@ def _lw_lambdas(data: GroupedDataset, targets: Sequence[ShrinkageTarget]) -> lis
 
 
 def mahalanobis_sq(cov: RegularizedCovariance | SpectralCovariance, d) -> float:
-    """The quadratic form ``d^T M^-1 d``.
+    """The quadratic form ``d^T M^-1 d``, through the kernel's own ``solve``.
 
-    Against a Cholesky factor, solving ``L w = d`` gives
-    ``||w||^2 = d^T M^-1 d`` without inverting anything; a spectral
-    covariance applies its solver.
+    That is two triangular solves against a Cholesky factor, and the
+    eigenbasis solver of a spectral kernel.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
-    if isinstance(cov, SpectralCovariance):
-        return float(d @ cov.solve(d))
-    w = solve_lower(cov.factor, d)
-    return float(w @ w)
+    return float(d @ cov.solve(d))

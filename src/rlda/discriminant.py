@@ -49,6 +49,7 @@ from .covariance import (
     _centered_rows,
     _low_rank_solver,
     _shrinkage_kernel,
+    _spectral_kernel,
     _spectrum,
     pooled_covariance,
     shrink_covariance,
@@ -375,15 +376,15 @@ class SvdRidgeModel:
         return regularize_means(self.means, MeanRegularizer("l2", delta))
 
 
-def _ridge_kernel(vt: np.ndarray, sv: np.ndarray, lam: float) -> SpectralCovariance:
-    """``lam Xc^T Xc + (1 - lam) I`` from the singular values ``sv`` of ``Xc`` and its right singular vectors ``vt``.
+def _ridge_kernel(vt: np.ndarray, eig: np.ndarray, lam: float) -> SpectralCovariance:
+    """``lam Xc^T Xc + (1 - lam) I`` from the eigenpairs ``(vt, eig)`` of ``Xc^T Xc``.
 
-    The kernel's eigenvalues are ``sv^2``; a model file stores ``sv``, and
-    ``sqrt(sv^2) == sv``, so a saved kernel reloads bit for bit.
+    The identity target bound to the spectrum by
+    :func:`~rlda.covariance._spectral_kernel`, at intensity ``1 - lam``.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1) for the ridge form")
-    return SpectralCovariance(vt, sv**2, 1.0, 0.0, 1.0 - lam)
+    return _spectral_kernel((vt, eig), ShrinkageTarget.identity())(1.0 - lam)
 
 
 def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdRidgeModel:
@@ -394,9 +395,10 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
     of :func:`~rlda.covariance._centered_rows`. The
     eigenpairs of ``S`` from :func:`~rlda.covariance._spectrum` (``eigh``
     of the ``n x n`` ``Xc Xc^T`` when ``n < p``) provide everything needed
-    to apply the kernel's inverse without forming a ``p x p`` matrix.
-    ``"paper-literal"`` mode requires ``n < p``; ``"exact"`` mode accepts
-    any shape.
+    to apply the kernel's inverse without forming a ``p x p`` matrix, and
+    :func:`_ridge_kernel` binds the identity target to them as every
+    spectral kernel is bound. ``"paper-literal"`` mode requires ``n < p``;
+    ``"exact"`` mode accepts any shape.
     """
     if data.n_groups < 2:
         raise ValueError("classification needs at least 2 groups")
@@ -405,10 +407,9 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
     means = group_means(data)
     centered, dof = _centered_rows(data, means, GRAM_POOLED_MEAN)
     vt, eig = _spectrum(centered, dof)
-    column_var = centered.var(axis=0, ddof=1) if data.n > 1 else np.zeros(data.p)
     return SvdRidgeModel(
-        cov=_ridge_kernel(vt, np.sqrt(eig), lam),
-        column_variances=column_var,
+        cov=_ridge_kernel(vt, eig, lam),
+        column_variances=centered.var(axis=0, ddof=1),
         lam=lam,
         mode=mode,
         means=means,

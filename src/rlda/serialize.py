@@ -20,13 +20,13 @@ everything its labels depend on.
 
 No covariance kernel is stored, so a document is ``O(K p)`` whatever the
 kernel's form. An ``"svd"`` model's ``delta`` and priors are read from
-``config`` at save time, as ``predict`` has always read them
-(:func:`_svd_rule`).
+``config`` at save time, as ``predict`` has always read them.
 
 Versions 1 and 2 stored the kernel instead, and still load: their model
-is decoded as before and its discriminant computed once at load, so their
-labels and scores do not change. A version 2 ``"chol"`` document names
-its kernel in ``"cov_kernel"``: ``"spectral"`` (the nonzero eigenpairs
+is decoded as before and converted at load by the schema-3 writer,
+:func:`model_to_dict`, whose document is then read like any version 3
+file, so their labels and scores do not change. A version 2 ``"chol"``
+document names its kernel in ``"cov_kernel"``: ``"spectral"`` (the nonzero eigenpairs
 ``vt``, ``eigenvalues`` of ``S`` with the target's ``spread`` and
 ``theta2``; any number of rows of ``vt`` loads) or ``"cholesky"`` (the
 lower ``factor`` of the dense blend, which version 1 ``"chol"`` documents
@@ -94,11 +94,6 @@ def _covariance_from_dict(doc: dict) -> RegularizedCovariance | SpectralCovarian
     return RegularizedCovariance(factor=decode_array(doc["factor"]), lam=doc["cov_lambda"])
 
 
-def _svd_rule(config: dict) -> tuple[float, object]:
-    """An ``"svd"`` model's l2 blend weight and priors spec, from its ``config``."""
-    return float(config.get("delta", 0.0)), config.get("priors", "empirical")
-
-
 def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = None) -> dict:
     """Serialize a fitted model (either route) to a JSON-ready schema-3 document.
 
@@ -112,8 +107,9 @@ def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = 
         route = {"algorithm": "chol", "cov_lambda": model.cov.lam}
     elif isinstance(model, SvdRidgeModel):
         config = dict(extra_config or {})
-        delta, priors = _svd_rule(config)
-        lda, means = linear_discriminant(model, delta, priors), model.blended_means(delta)
+        delta = float(config.get("delta", 0.0))
+        lda = linear_discriminant(model, delta, config.get("priors", "empirical"))
+        means = model.blended_means(delta)
         route = {"algorithm": "svd", "cov_lambda": model.lam, "mode": model.mode}
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -133,9 +129,15 @@ def model_to_dict(model: RldaModel | SvdRidgeModel, extra_config: dict | None = 
 
 
 def save_model(model, path, extra_config: dict | None = None) -> None:
+    """Write :func:`model_to_dict` of ``model`` to ``path``.
+
+    The document is built before ``path`` is opened, so a model that
+    cannot be written (an ``"svd"`` model's ``delta`` outside ``[0, 1]``,
+    say) raises and leaves ``path`` as it was.
+    """
+    text = json.dumps(model_to_dict(model, extra_config), sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, extra_config), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> tuple[LinearDiscriminant, dict]:
@@ -168,10 +170,7 @@ def load_model(path) -> tuple[LinearDiscriminant, dict]:
 
 def _discriminant_from_dict(doc: dict) -> LinearDiscriminant:
     if doc["version"] < 3:
-        model = _model_from_dict(doc)
-        if isinstance(model, SvdRidgeModel):
-            return linear_discriminant(model, *_svd_rule(doc["config"]))
-        return linear_discriminant(model)
+        doc = model_to_dict(_model_from_dict(doc), doc["config"])
     lda = LinearDiscriminant(
         weights=decode_array(doc["weights"]),
         quad=decode_array(doc["quad"]),
@@ -204,7 +203,7 @@ def _model_from_dict(doc: dict) -> RldaModel | SvdRidgeModel:
         )
         return SvdRidgeModel(
             cov=_ridge_kernel(
-                decode_array(doc["right_vectors"]).T, decode_array(doc["singular_values"]), doc["cov_lambda"]
+                decode_array(doc["right_vectors"]).T, decode_array(doc["singular_values"]) ** 2, doc["cov_lambda"]
             ),
             column_variances=decode_array(doc["column_variances"]),
             lam=doc["cov_lambda"],

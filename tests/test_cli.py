@@ -477,6 +477,23 @@ class TestErrors:
         assert run(["predict", "--model", model, "--data", bad]) == 1
         assert "row 3, column 'm2': non-numeric cell 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "label, text",
+        [("group", "m1,m2,m3\n0,0,0\n8,-8,8\n"), ("nosuch", "m1,m2,m3,cohort\n0,0,0,low\n8,-8,8,x\n")],
+        ids=["unlabeled-query", "text-label-column"],
+    )
+    def test_predict_names_an_explicit_label_missing_from_the_query(self, tmp_path, capsys, label, text):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.3",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        query = tmp_path / "query.csv"
+        query.write_text(text, encoding="utf-8")
+        out = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", query, "--label", label, "--out", out]) == 1
+        assert f"label column {label!r} not found in header" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_predict_rejects_non_finite_unlabeled_query(self, tmp_path, capsys, cell):
         model = tmp_path / "model.json"

@@ -681,6 +681,20 @@ class TestSerialization:
         assert_array_equal(classify_alg2(model, 0.2, [0.5, 0.5], queries), back.classify(queries))
         assert_array_equal(linear_discriminant(model, 0.2, [0.5, 0.5]).scores(queries), back.scores(queries))
 
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_a_failed_save_leaves_the_destination_as_it_was(self, rng, tmp_path, existing):
+        model = fit_svd_ridge(random_grouped(rng, (6, 6), p=15), 0.35)
+        path = tmp_path / "model.json"
+        if existing:
+            save_model(model, path)
+            before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"l2 blend weight must lie in \[0, 1\]"):
+            save_model(model, path, extra_config={"delta": 2.0})
+        if existing:
+            assert path.read_bytes() == before
+        else:
+            assert not path.exists()
+
     def test_svd_document_keeps_the_discriminant_of_its_mode(self, rng, tmp_path):
         data = random_grouped(rng, (6, 6), p=15)
         model = fit_svd_ridge(data, 0.35, mode="paper-literal")
