@@ -3,7 +3,9 @@
 Every subcommand emits a JSON document (stdout, or ``--out FILE``) that
 echoes the tool version, the seed, and the fully resolved configuration;
 human-oriented summaries go to stderr. Identical invocations with the same
-seed produce byte-identical JSON.
+seed produce byte-identical JSON. Each subcommand's handler returns its
+report and an optional summary; :func:`main` alone writes the document and,
+once it is written, the summary.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from . import __version__
 from ._linalg import NotPositiveDefiniteError
 from .bayes import GaussianPrior, posterior_mean_conjugate_scalar, posterior_mean_general
-from .covariance import ShrinkageTarget, lw_lambda
+from .covariance import DEFAULT_THETA2, ShrinkageTarget, lw_lambda
 from .datamodel import (
     GroupedDataset,
     SimulationConfig,
@@ -30,13 +32,11 @@ from .datamodel import (
 )
 from .discriminant import RldaModel, fit, fit_svd_ridge, resolve_priors
 from .quantization import QuantizationScenario, demo_quantization
-from .regmeans import MeanRegularizer
+from .regmeans import KINDS, MeanRegularizer
 from .selection import CvConfig, cross_validate, render_experiment_text, run_simulated_experiment
 from .serialize import load_model, save_model
 
 __all__ = ["main"]
-
-DEFAULT_THETA2 = 0.15  # the equal-correlation target's off-diagonal level
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -46,10 +46,6 @@ def _emit(doc: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _note(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -64,8 +60,16 @@ def _base_doc(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _number(option: str, text: str, expected: str = "a number") -> float:
+    """``float(text)``; text that is no number is refused naming ``option`` and the text."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{option}: expected {expected}, got {text.strip()!r}") from None
+
+
+def _parse_floats(option: str, text: str) -> list[float]:
+    return [_number(option, tok, "comma-separated numbers") for tok in text.split(",") if tok.strip()]
 
 
 def _target_from_args(args: argparse.Namespace) -> ShrinkageTarget:
@@ -81,13 +85,13 @@ def _target_from_args(args: argparse.Namespace) -> ShrinkageTarget:
 def _priors_from_args(value: str):
     if value in ("empirical", "uniform"):
         return value
-    return _parse_floats(value)
+    return _parse_floats("--priors", value)
 
 
 # ----------------------------------------------------------------- simulate
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, str]:
     config = SimulationConfig(
         n=args.n,
         m=args.m,
@@ -99,44 +103,36 @@ def _cmd_simulate(args) -> int:
     )
     data = simulate(config)
     save_csv(data, args.data_out, label_column=args.label)
-    doc = _base_doc(args)
-    doc.update({"rows": data.n, "columns": data.p, "groups": list(data.group_names), "csv": args.data_out})
-    _emit(doc, args.out)
-    _note(f"wrote {data.n} x {data.p} dataset to {args.data_out}")
-    return 0
+    report = {"rows": data.n, "columns": data.p, "groups": list(data.group_names), "csv": args.data_out}
+    return report, f"wrote {data.n} x {data.p} dataset to {args.data_out}"
 
 
 # ---------------------------------------------------------------------- fit
 
 
 def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[RldaModel, dict]:
-    lam_spec, delta_spec = args.lam, args.delta
-    mean_kind = args.mean_reg
+    """Fix ``--lambda`` (a number or ``lw``) and ``--delta`` (a number); one CV run picks whichever is ``cv``."""
     chosen = {}
-    lam_fixed = None
-    if lam_spec == "lw":
-        lam_fixed = lw_lambda(data, target)
+    lam = delta = None
+    if args.lam == "lw":
+        lam = lw_lambda(data, target)
         chosen["lambda_rule"] = "lw"
-    elif lam_spec != "cv":
-        lam_fixed = float(lam_spec)
-    if lam_spec == "cv" or delta_spec == "cv":
-        fixed_delta = delta_spec if delta_spec not in (None, "cv") else None
+    elif args.lam != "cv":
+        lam = _number("--lambda", args.lam, "a number, cv or lw")
+    if args.delta not in (None, "cv"):
+        delta = _number("--delta", args.delta, "a number or cv")
+    if "cv" in (args.lam, args.delta):
         cv = CvConfig(
             folds=args.folds,
             seed=args.seed,
-            lambda_grid=(lam_fixed,) if lam_fixed is not None else None,
-            delta_grid=(float(fixed_delta),) if fixed_delta is not None else None,
+            lambda_grid=None if lam is None else (lam,),
+            delta_grid=None if delta is None else (delta,),
         )
-        result = cross_validate(data, target, mean_kind, cv)
-        lam = result.best_lambda
-        delta = result.best_delta if result.best_delta is not None else 0.0
-        chosen["cv_accuracy_mean"] = result.accuracy_mean
-        chosen["cv_accuracy_sd"] = result.accuracy_sd
+        result = cross_validate(data, target, args.mean_reg, cv)
+        lam, delta = result.best_lambda, result.best_delta
+        chosen.update(cv_accuracy_mean=result.accuracy_mean, cv_accuracy_sd=result.accuracy_sd)
         chosen.setdefault("lambda_rule", "cv")
-    else:
-        lam = lam_fixed
-        delta = 0.0 if delta_spec is None else float(delta_spec)
-    reg = MeanRegularizer(mean_kind, delta) if mean_kind != "none" else None
+    reg = MeanRegularizer(args.mean_reg, 0.0 if delta is None else delta)
     model = fit(data, target, lam, reg, priors_spec=_priors_from_args(args.priors))
     return model, chosen
 
@@ -168,34 +164,30 @@ def _check_route_options(args) -> None:
         raise ValueError(f"--delta {args.delta} does not apply to --mean-reg none, which leaves the means as they are")
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple[dict, str]:
     _check_route_options(args)
     _resolve_target_options(args)
     data = load_csv(args.data, args.label)
-    doc = _base_doc(args)
     if args.algorithm == "chol":
         target = _target_from_args(args)
         model, chosen = _fit_chol(args, data, target)
         save_model(model, args.model, extra_config={"label_column": args.label})
-        doc.update(
-            {
-                "algorithm": "chol",
-                "model": args.model,
-                "lambda": model.cov.lam,
-                "mean_reg": model.config["mean_reg"],
-                "delta": model.config["delta"],
-                "n_selected_variables": model.reg_means.n_active,
-                **chosen,
-            }
-        )
+        report = {
+            "algorithm": "chol",
+            "model": args.model,
+            "lambda": model.cov.lam,
+            "mean_reg": model.config["mean_reg"],
+            "delta": model.config["delta"],
+            "n_selected_variables": model.reg_means.n_active,
+            **chosen,
+        }
     else:
-        try:
-            lam = float(args.lam)
-        except ValueError:
-            raise ValueError("--algorithm svd needs a numeric --lambda (cv/lw apply to chol)") from None
+        if args.lam in ("cv", "lw"):
+            raise ValueError("--algorithm svd needs a numeric --lambda (cv/lw apply to chol)")
+        lam = _number("--lambda", args.lam)
         if args.delta == "cv":
             raise ValueError("--algorithm svd needs a numeric --delta")
-        delta = float(args.delta) if args.delta is not None else 0.0
+        delta = 0.0 if args.delta is None else _number("--delta", args.delta)
         mode = "paper-literal" if args.mode == "paper" else "exact"
         model = fit_svd_ridge(data, lam, mode=mode)
         priors = resolve_priors(_priors_from_args(args.priors), data.group_counts)
@@ -204,16 +196,14 @@ def _cmd_fit(args) -> int:
             args.model,
             extra_config={"label_column": args.label, "delta": delta, "priors": priors.tolist()},
         )
-        doc.update({"algorithm": "svd", "model": args.model, "lambda": lam, "mode": mode, "delta": delta})
-    _emit(doc, args.out)
-    _note(f"model written to {args.model}")
-    return 0
+        report = {"algorithm": "svd", "model": args.model, "lambda": lam, "mode": mode, "delta": delta}
+    return report, f"model written to {args.model}"
 
 
 # ------------------------------------------------------------------ predict
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> tuple[dict, None]:
     model, config = load_model(args.model)
     label_column = args.label or config.get("label_column")
     truth = None
@@ -230,18 +220,16 @@ def _cmd_predict(args) -> int:
         raise ValueError(f"query has {values.shape[1]} variables, model expects {model.p}")
     labels = model.classify(values)
     names = [model.group_names[int(lab)] for lab in np.atleast_1d(labels)]
-    doc = _base_doc(args)
-    doc.update({"predictions": names, "n": len(names)})
+    report = {"predictions": names, "n": len(names)}
     if truth is not None:
-        doc["accuracy"] = float(np.mean(np.atleast_1d(labels) == truth))
-    _emit(doc, args.out)
-    return 0
+        report["accuracy"] = float(np.mean(np.atleast_1d(labels) == truth))
+    return report, None
 
 
 # ----------------------------------------------------------------------- cv
 
 
-def _cmd_cv(args) -> int:
+def _cmd_cv(args) -> tuple[dict, str]:
     if args.mean_reg == "none" and args.delta_grid is not None:
         raise ValueError(
             f"--delta-grid {args.delta_grid} does not apply to --mean-reg none, which leaves the means as they are"
@@ -252,26 +240,22 @@ def _cmd_cv(args) -> int:
     cv = CvConfig(
         folds=args.folds,
         seed=args.seed,
-        lambda_grid=tuple(_parse_floats(args.lambda_grid)) if args.lambda_grid else None,
-        delta_grid=tuple(_parse_floats(args.delta_grid)) if args.delta_grid else None,
+        lambda_grid=tuple(_parse_floats("--lambda-grid", args.lambda_grid)) if args.lambda_grid else None,
+        delta_grid=tuple(_parse_floats("--delta-grid", args.delta_grid)) if args.delta_grid else None,
         stratified=not args.no_stratify,
     )
     result = cross_validate(data, target, args.mean_reg, cv)
-    doc = _base_doc(args)
-    doc.update(result.to_dict())
-    _emit(doc, args.out)
-    _note(
+    return result.to_dict(), (
         f"best lambda={result.best_lambda} delta={result.best_delta} "
         f"accuracy={result.accuracy_mean:.3f} (sd {result.accuracy_sd:.3f}), "
         f"{result.n_selected_variables} variables"
     )
-    return 0
 
 
 # --------------------------------------------------------------- experiment
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple[dict, str]:
     report = run_simulated_experiment(
         args.seed,
         n=args.n,
@@ -284,17 +268,13 @@ def _cmd_experiment(args) -> int:
         theta2=args.theta2,
         folds=args.folds,
     )
-    doc = _base_doc(args)
-    doc.update(report)
-    _emit(doc, args.out)
-    _note(render_experiment_text(report))
-    return 0
+    return report, render_experiment_text(report)
 
 
 # ------------------------------------------------------------ quantize-demo
 
 
-def _cmd_quantize_demo(args) -> int:
+def _cmd_quantize_demo(args) -> tuple[dict, str]:
     scenario = QuantizationScenario(
         sigma2=args.sigma2,
         delta2=args.delta2,
@@ -303,19 +283,15 @@ def _cmd_quantize_demo(args) -> int:
         mu=np.full(args.p, args.mu_value),
     )
     report = demo_quantization(scenario, seed=args.seed, replications=args.reps, fit_delta2=args.fit_delta2)
-    doc = _base_doc(args)
-    doc.update(report)
-    _emit(doc, args.out)
-    _note(f"mse naive={report['mse_naive']:.6g} posterior={report['mse_posterior']:.6g}")
-    return 0
+    return report, f"mse naive={report['mse_naive']:.6g} posterior={report['mse_posterior']:.6g}"
 
 
 # -------------------------------------------------------------------- bayes
 
 
-def _cmd_bayes(args) -> int:
-    xbar = np.array(_parse_floats(args.xbar))
-    theta = np.array(_parse_floats(args.theta))
+def _cmd_bayes(args) -> tuple[dict, None]:
+    xbar = np.array(_parse_floats("--xbar", args.xbar))
+    theta = np.array(_parse_floats("--theta", args.theta))
     if args.c is not None:
         summary = posterior_mean_conjugate_scalar(xbar, args.n, args.c, theta)  # needs no covariance
     else:
@@ -324,10 +300,7 @@ def _cmd_bayes(args) -> int:
         sigma, _ = load_matrix_csv(args.sigma_csv)
         prior_cov, _ = load_matrix_csv(args.prior_cov_csv)
         summary = posterior_mean_general(xbar, args.n, sigma, GaussianPrior.full(theta, prior_cov))
-    doc = _base_doc(args)
-    doc.update(summary.to_dict())
-    _emit(doc, args.out)
-    return 0
+    return summary.to_dict(), None
 
 
 # ------------------------------------------------------------------- parser
@@ -356,20 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-out", required=True, help="CSV destination")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[out], help="fit a classifier and persist it as JSON")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
+    dataset = argparse.ArgumentParser(add_help=False)  # a labeled CSV and its cross-validation
+    dataset.add_argument("--data", required=True)
+    dataset.add_argument("--label", required=True)
+    dataset.add_argument("--theta2", type=float, default=None, help=f"t2 only; default {DEFAULT_THETA2}")
+    dataset.add_argument("--target-sigma2", type=float, default=None)
+    dataset.add_argument("--folds", type=int, default=5)
+    dataset.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("fit", parents=[dataset, out], help="fit a classifier and persist it as JSON")
     p.add_argument("--target", default="t1", help="t1 | t2 | path to a CSV matrix")
-    p.add_argument("--theta2", type=float, default=None, help=f"t2 only; default {DEFAULT_THETA2}")
-    p.add_argument("--target-sigma2", type=float, default=None)
     p.add_argument("--lambda", dest="lam", default="cv", help="intensity value, or cv, or lw")
-    p.add_argument("--mean-reg", choices=("none", "l2", "l1", "hard"), default="none")
+    p.add_argument("--mean-reg", choices=KINDS, default="none")
     p.add_argument("--delta", default=None, help="mean-rule parameter value, or cv")
     p.add_argument("--priors", default="empirical", help="empirical | uniform | comma-separated values")
     p.add_argument("--algorithm", choices=("chol", "svd"), default="chol")
     p.add_argument("--mode", choices=("exact", "paper"), default="exact")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", required=True, help="model JSON destination")
     p.set_defaults(func=_cmd_fit)
 
@@ -379,15 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default=None, help="label column (enables accuracy reporting)")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("cv", parents=[out], help="cross-validate (lambda, delta) on a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
+    p = sub.add_parser("cv", parents=[dataset, out], help="cross-validate (lambda, delta) on a CSV dataset")
     p.add_argument("--target", default="t1")
-    p.add_argument("--theta2", type=float, default=None, help=f"t2 only; default {DEFAULT_THETA2}")
-    p.add_argument("--target-sigma2", type=float, default=None)
-    p.add_argument("--mean-reg", choices=("none", "l2", "l1", "hard"), default="none")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mean-reg", choices=KINDS, default="none")
     p.add_argument("--lambda-grid", default=None, help="comma-separated intensities")
     p.add_argument("--delta-grid", default=None, help="comma-separated mean-rule parameters")
     p.add_argument("--no-stratify", action="store_true")
@@ -434,10 +403,14 @@ def main(argv=None) -> int:
         # Refused before any data is read or drawn; numpy's own refusal would not name the option.
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
-        return args.func(args)
+        report, note = args.func(args)
+        _emit({**_base_doc(args), **report}, args.out)
     except (ValueError, OSError, NotPositiveDefiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if note:
+        print(note, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,10 @@ covariance takes, in ``fit`` and in the cross-validation grid alike, is
 decided by :func:`_shrinkage_kernel` alone.
 Both build their dense ``matrix`` only when it is read, and both judge
 ``lam = 0`` (``M = S``) by one rank rule, with no jitter.
+
+``DEFAULT_THETA2`` is the equal-correlation target's off-diagonal level
+wherever none is given: :meth:`ShrinkageTarget.equal_correlation`, the
+simulated experiment and the command line all read it here.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
 
 WITHIN_GROUP = "within-group"
 GRAM_POOLED_MEAN = "gram-pooled-mean"
+DEFAULT_THETA2 = 0.15
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ class ShrinkageTarget:
         return cls(kind="identity")
 
     @classmethod
-    def equal_correlation(cls, theta2: float = 0.15, sigma2: float | None = None) -> "ShrinkageTarget":
+    def equal_correlation(cls, theta2: float = DEFAULT_THETA2, sigma2: float | None = None) -> "ShrinkageTarget":
         return cls(kind="equal-correlation", sigma2=sigma2, theta2=theta2)
 
     @classmethod

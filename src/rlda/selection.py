@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NotPositiveDefiniteError
-from .covariance import ShrinkageTarget, SpectralCovariance, _lw_lambdas, _shrinkage_kernel
+from .covariance import DEFAULT_THETA2, ShrinkageTarget, SpectralCovariance, _lw_lambdas, _shrinkage_kernel
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
 from .discriminant import _score_blocks, _scores
-from .regmeans import MeanRegularizer, regularize_means
+from .regmeans import KINDS, MeanRegularizer, regularize_means
 
 __all__ = [
     "CvConfig",
@@ -354,7 +354,7 @@ def run_simulated_experiment(
     c: float = 0.4,
     shift_count: int = 5,
     shift_value: float = 3.0,
-    theta2: float = 0.15,
+    theta2: float = DEFAULT_THETA2,
     folds: int = 5,
 ) -> dict:
     """Run the two-group simulation benchmark and report every method row.
@@ -384,8 +384,7 @@ def run_simulated_experiment(
     data = simulate(config)
     fold_sets = make_folds(data, folds, seed, stratified=True)
     lambda_grid = default_lambda_grid()
-    reg_kinds = ("none", "l2", "l1", "hard")
-    kind_grids = {kind: default_delta_grid(kind, data) for kind in reg_kinds}
+    kind_grids = {kind: default_delta_grid(kind, data) for kind in KINDS}
     means = group_means(data)
 
     # One pass over the folds covers both targets: the CV rows of all mean

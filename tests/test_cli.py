@@ -670,3 +670,102 @@ class TestErrors:
         assert run([*args, "--seed", -3, "--out", tmp_path / "out.json"]) == 1
         assert "--seed must be a nonnegative integer, got -3" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["fit", "--lambda", "abc"], "--lambda: expected a number, cv or lw, got 'abc'"),
+            (["fit", "--lambda", "0.5", "--mean-reg", "l2", "--delta", "abc"],
+             "--delta: expected a number or cv, got 'abc'"),
+            (["cv", "--lambda-grid", "0.5,abc"], "--lambda-grid: expected comma-separated numbers, got 'abc'"),
+            (["fit", "--lambda", "0.5", "--priors", "0.5,abc"], "--priors: expected comma-separated numbers, got 'abc'"),
+            (["bayes", "--xbar", "1,abc", "--theta", "0,0", "--c", 1, "--n", 3],
+             "--xbar: expected comma-separated numbers, got 'abc'"),
+        ],
+        ids=["lambda", "delta", "lambda-grid", "priors", "xbar"],
+    )
+    def test_malformed_number_names_its_option(self, tmp_path, capsys, args, message):
+        dataset = [] if args[0] == "bayes" else ["--data", FIXTURE, "--label", "cohort"]
+        model = ["--model", tmp_path / "m.json"] if args[0] == "fit" else []
+        capsys.readouterr()
+        assert run([*args, *dataset, *model, "--out", tmp_path / "out.json"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("csvs", [[], ["--sigma-csv"], ["--prior-cov-csv"]], ids=["none", "sigma-only", "prior-only"])
+    def test_bayes_needs_c_or_both_covariances(self, tmp_path, capsys, csvs):
+        eye = tmp_path / "eye.csv"
+        eye.write_text("a,b\n1,0\n0,1\n", encoding="utf-8")
+        out = tmp_path / "bayes.json"
+        capsys.readouterr()
+        assert run(["bayes", "--xbar", "1,2", "--theta", "0,0", "--n", 3,
+                    *[arg for option in csvs for arg in (option, eye)], "--out", out]) == 1
+        assert "provide either --c or both --sigma-csv and --prior-cov-csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bayes_theta_must_match_xbar(self, tmp_path, capsys):
+        out = tmp_path / "bayes.json"
+        capsys.readouterr()
+        assert run(["bayes", "--xbar", "1,2", "--theta", "0", "--c", 1, "--n", 3, "--out", out]) == 1
+        assert "theta must match xbar in length" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sigma_p,prior_p,message",
+        [(3, 2, "prior covariance dimension must match theta"), (2, 3, "sigma must be p x p")],
+        ids=["prior-cov", "sigma"],
+    )
+    def test_bayes_covariance_size_must_match_xbar(self, tmp_path, capsys, sigma_p, prior_p, message):
+        def eye(p):
+            path = tmp_path / f"eye{p}.csv"
+            rows = [",".join("1" if i == j else "0" for j in range(p)) for i in range(p)]
+            path.write_text("\n".join([",".join(f"v{j}" for j in range(p)), *rows]) + "\n", encoding="utf-8")
+            return path
+
+        out = tmp_path / "bayes.json"
+        capsys.readouterr()
+        assert run(["bayes", "--xbar", "1,2,3", "--theta", "0,0,0", "--n", 3,
+                    "--sigma-csv", eye(sigma_p), "--prior-cov-csv", eye(prior_p), "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_priors_must_match_the_group_count(self, tmp_path, capsys):
+        model, out = tmp_path / "m.json", tmp_path / "fit.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5", "--priors", "0.2,0.3,0.5",
+                    "--model", model, "--out", out]) == 1
+        assert "priors must have length 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["experiment", "--seed", 1, "--n", 10, "--m", 10, "--p", 12, "--folds", 1], "folds must be at least 2"),
+            (["quantize-demo", "--seed", 1, "--n", 0], "n and p must be positive"),
+            (["simulate", "--seed", 1, "--n", 0, "--p", 10, "--data-out", "{tmp}/d.csv"], "n, m, p must be positive"),
+        ],
+        ids=["experiment-folds", "quantize-demo-n", "simulate-n"],
+    )
+    def test_bad_sizes_are_refused(self, tmp_path, capsys, args, message):
+        capsys.readouterr()
+        assert run([str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out.json"]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_predict_names_an_unknown_v1_algorithm(self, tmp_path, capsys):
+        doc = read_json(DATA / "model-v1-chol.json")
+        doc["algorithm"] = "qr"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", DATA / "wide-train.csv", "--out", out]) == 1
+        assert f"{model}: malformed model document: unknown algorithm 'qr'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_follows_only_a_written_report(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["cv", "--data", FIXTURE, "--label", "cohort", "--lambda-grid", "0.5",
+                    "--out", tmp_path / "missing" / "cv.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "best lambda" not in err
