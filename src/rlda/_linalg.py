@@ -2,11 +2,10 @@
 
 The three functions that factorize or substitute import ``scipy.linalg`` on
 their first call, not at module scope: SciPy costs 0.2–0.3 s and 28 MB per
-process, and the spectral routes (an ``n < p`` fit or CV grid toward a fixed
-target, a CV grid of several intensities, the SVD ridge model and
-``rlda predict`` on a schema-3 model file) never need it. It loads on the
-first dense factorization: a custom shrinkage target, a single-intensity fit
-on full-rank data, ``classify_alg1``, the full-covariance Bayes posterior,
+process, and the spectral routes (every fit or CV grid toward a fixed
+target, the SVD ridge model and ``rlda predict`` on a schema-3 model file)
+never need it. It loads on the first dense factorization: a custom
+shrinkage target, ``classify_alg1``, the full-covariance Bayes posterior,
 the random-centre rounding demo, or a schema-1/2 Cholesky model file.
 SciPy's ``LinAlgError`` is numpy's class, so it is caught as that.
 """

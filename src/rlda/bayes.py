@@ -59,7 +59,9 @@ class GaussianPrior:
             object.__setattr__(self, "theta", theta)
         cov = ensure_symmetric(self.covariance, "prior covariance")
         if self.theta is not None and cov.shape[0] != self.theta.shape[0]:
-            raise ValueError("prior covariance dimension must match theta")
+            raise ValueError(
+                f"prior covariance dimension must match theta (got {cov.shape} for p={self.theta.shape[0]})"
+            )
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
 
@@ -194,10 +196,10 @@ def posterior_mean_general(xbar, n: int, sigma, prior: GaussianPrior) -> Posteri
     sigma = ensure_symmetric(sigma, "sigma")
     p = xbar.shape[-1]
     if sigma.shape != (p, p):
-        raise ValueError("sigma must be p x p")
+        raise ValueError(f"sigma must be p x p (got {sigma.shape} for p={p})")
     eta = prior.covariance
     if eta.shape != (p, p):
-        raise ValueError("prior covariance must be p x p")
+        raise ValueError(f"prior covariance must be p x p (got {eta.shape} for p={p})")
     scaled = sigma / n
     a = eta + scaled
     l_factor = cholesky_lower(a, "posterior precision kernel")

@@ -307,7 +307,8 @@ def _cmd_bayes(args) -> tuple[dict, None]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rlda", description=__doc__)
+    about = "Fit, tune and apply regularized linear discriminant classifiers; every command writes a JSON report."
+    parser = argparse.ArgumentParser(prog="rlda", description=about)
     parser.add_argument("--version", action="version", version=f"rlda {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", parents=[dataset, out], help="cross-validate (lambda, delta) on a CSV dataset")
     p.add_argument("--target", default="t1")
     p.add_argument("--mean-reg", choices=KINDS, default="none")
-    p.add_argument("--lambda-grid", default=None, help="comma-separated intensities")
+    p.add_argument("--lambda-grid", default=None, help="comma-separated lambda values in [0, 1]")
     p.add_argument("--delta-grid", default=None, help="comma-separated mean-rule parameters")
     p.add_argument("--no-stratify", action="store_true")
     p.set_defaults(func=_cmd_cv)

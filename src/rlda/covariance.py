@@ -19,9 +19,9 @@ eigenpairs, which :func:`_spectrum` takes from a centered row block. It
 also holds the SVD ridge classifier. The ridge form ``lam S + (1 - lam) I``
 has no function of its own: it is the identity blend at ``1 - lam``, dense
 through :func:`shrink_covariance` or spectral on the spectrum of the
-pooled-mean-centered rows. Which of the two forms a target-shrunk
-covariance takes, in ``fit`` and in the cross-validation grid alike, is
-decided by :func:`_shrinkage_kernel` alone.
+pooled-mean-centered rows. In ``fit`` and in the cross-validation grid
+alike, :func:`_shrinkage_kernel` picks the form from the target alone:
+spectral for a fixed target, the dense Cholesky factor for a custom one.
 Both build their dense ``matrix`` only when it is read, and both judge
 ``lam = 0`` (``M = S``) by one rank rule, with no jitter.
 
@@ -408,20 +408,13 @@ def spectral_covariance(
 ) -> Callable[[float], SpectralCovariance]:
     """Every ``(1 - lam) S + lam T`` of ``data`` from one decomposition, as a function of ``lam``.
 
-    ``S`` is the within-group pooled covariance of ``data``; its spectrum
-    ``(vt, eig)`` is :func:`_spectrum` of the rows of :func:`_centered_rows`
-    (``eigh`` of the ``n x n`` Gram matrix of the residuals when ``n < p``,
-    keeping the pairs above ``n eps eig[0]``, so the ``K`` centering
-    directions fall under the cutoff and ``r = n - K`` on generic data;
-    ``eigh(S)`` otherwise) and the target is bound
-    to it by :func:`_spectral_kernel`. ``M = V diag((1 - lam) eig) V^T + c I
-    + lam theta2 11^T`` is inverted by :class:`SpectralCovariance`, so
-    applying ``M^-1`` to a ``p x k`` block costs ``O(p r k)``. The identity
-    target has ``c = lam``. The equal-correlation target
-    ``(sigma2 - theta2) I + theta2 11^T`` has ``c = lam (sigma2 - theta2)``
-    and adds the rank-one term ``lam theta2 11^T``, applied by
-    Sherman-Morrison; its default ``sigma2`` is ``mean(diag S) = sum(eig) / p``,
-    as in :func:`shrink_covariance`.
+    ``S`` is the within-group pooled covariance of ``data``. Its spectrum
+    ``(vt, eig)`` is :func:`_spectrum` of the rows of :func:`_centered_rows`,
+    and :func:`_spectral_kernel` binds the target to it: the form that
+    :func:`_shrinkage_kernel` gives every fixed target. :class:`SpectralCovariance`
+    inverts ``M`` through the eigenpairs, with Sherman-Morrison for the
+    equal-correlation target's rank-one term, so applying ``M^-1`` to a
+    ``p x k`` block costs ``O(p r k)``.
 
     Raises
     ------
@@ -435,26 +428,20 @@ def spectral_covariance(
 
 
 def _shrinkage_kernel(
-    data: GroupedDataset, means: GroupMeans, targets: Sequence[ShrinkageTarget], intensities: int
+    data: GroupedDataset, means: GroupMeans, targets: Sequence[ShrinkageTarget]
 ) -> list[Callable[[float], RegularizedCovariance | SpectralCovariance]]:
     """The kernel rule: for each of ``targets``, ``(1 - lam) S + lam T`` of ``data`` as a function of ``lam``.
 
-    This is the one place that picks the kernel's form, from the input
-    alone. A fixed target (identity or equal-correlation) takes the
-    spectral form of :func:`spectral_covariance` when ``S`` has low rank
-    (``n - K < p``) or when more than one of ``intensities`` will be read
-    per target, since one decomposition then serves them all; every fixed
-    target binds to the same :func:`_spectrum` of the fold, so several targets
-    cost one decomposition. Otherwise the dense blend of
+    This is the one place that picks the kernel's form, from the target
+    alone. Every fixed target (identity or equal-correlation) binds to one
+    :func:`_spectrum` of ``data``, whatever ``n``, ``p`` or the number of
+    ``lam`` values read, so all of them, for every fixed target, cost one
+    decomposition. A custom target is a dense matrix: its blend with the
     :func:`pooled_covariance` is factorized per intensity by
-    :func:`shrink_covariance`: the only form for a custom target, and the
-    cheaper one for a single intensity on a full-rank ``S``, where one
-    ``O(p^3)`` ``eigh`` costs about twenty Cholesky factorizations. Both
-    forms judge ``lam = 0`` by the same rank rule, so the choice changes
-    cost, not verdicts.
+    :func:`shrink_covariance`. Both forms judge ``lam = 0`` by the same
+    rank rule.
     """
-    decompose = data.n - data.n_groups < data.p or intensities > 1
-    spectral = [decompose and t.kind != "custom" for t in targets]
+    spectral = [t.kind != "custom" for t in targets]
     spectrum = _spectrum(*_centered_rows(data, means)) if any(spectral) else None
     s = None if all(spectral) else pooled_covariance(data, means, WITHIN_GROUP)
     return [

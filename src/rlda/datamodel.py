@@ -197,7 +197,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.p < 1:
-            raise ValueError("n, m, p must be positive")
+            raise ValueError(f"n, m, p must be positive (got n={self.n}, m={self.m}, p={self.p})")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.c < 1.0:

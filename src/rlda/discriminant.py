@@ -22,16 +22,16 @@ lives in :func:`_score_blocks`, which the cross-validation grid also calls
 with the two blocks it builds in a spectral kernel's eigenbasis.
 
 Two fitting routes are provided. The target-shrinkage route (``fit``)
-keeps whichever covariance form the kernel rule,
-:func:`~rlda.covariance._shrinkage_kernel`, picks for a single intensity:
-a :class:`~rlda.covariance.SpectralCovariance` or the Cholesky factor of
-the dense blend. The SVD route for the ridge form decomposes the
-pooled-mean-centered ``n x p`` data matrix ``Xc`` (the
-``"gram-pooled-mean"`` rows of :func:`~rlda.covariance._centered_rows`)
-instead of the ``p x p`` covariance, through the spectrum primitive the
-fold kernel uses (:func:`~rlda.covariance._spectrum`), and holds the
-result as the same spectral object: ``lam Xc^T Xc + (1 - lam) I`` is the
-identity blend at ``1 - lam`` on the eigenpairs of ``Xc^T Xc``.
+keeps the form that :func:`~rlda.covariance._shrinkage_kernel` picks from
+the target: a :class:`~rlda.covariance.SpectralCovariance` for a fixed
+target, the Cholesky factor of the dense blend for a custom one. The SVD
+route for the ridge form decomposes the pooled-mean-centered ``n x p``
+data matrix ``Xc`` (the ``"gram-pooled-mean"`` rows of
+:func:`~rlda.covariance._centered_rows`) instead of the ``p x p``
+covariance, through the spectrum primitive the fold kernel uses
+(:func:`~rlda.covariance._spectrum`), and holds the result as the same
+spectral object: ``lam Xc^T Xc + (1 - lam) I`` is the identity blend at
+``1 - lam`` on the eigenpairs of ``Xc^T Xc``.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def fit(
     Computes group and pooled means, applies the mean regularizer, and
     shrinks the within-group pooled covariance toward ``target`` with
     intensity ``lam``, in the form that
-    :func:`~rlda.covariance._shrinkage_kernel` picks for one intensity.
+    :func:`~rlda.covariance._shrinkage_kernel` picks for the target.
 
     Raises
     ------
@@ -155,7 +155,7 @@ def fit(
     mean_reg = mean_reg or MeanRegularizer.none()
     means = group_means(data)
     reg = regularize_means(means, mean_reg)
-    (kernel,) = _shrinkage_kernel(data, means, (target,), 1)
+    (kernel,) = _shrinkage_kernel(data, means, (target,))
     cov = kernel(lam)
     priors = resolve_priors(priors_spec, data.group_counts)
     config = {

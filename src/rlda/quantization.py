@@ -56,7 +56,7 @@ class QuantizationScenario:
         if not 0 <= self.delta2 < np.inf:
             raise ValueError(f"delta2 must be nonnegative and finite, got {self.delta2}")
         if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive")
+            raise ValueError(f"n and p must be positive (got n={self.n}, p={self.p})")
         fixed = self.mu is not None
         random = self.theta is not None or self.psi is not None
         if fixed == random:

@@ -4,7 +4,7 @@ The grid evaluator, :func:`_grid_accuracies`, scores every (fold, target,
 intensity, mean rule, threshold) cell from one kernel per target and
 training fold: a map from the intensity ``lam`` to the regularized
 covariance, in the form that :func:`~rlda.covariance._shrinkage_kernel`
-picks for the grid's length.
+picks from the target.
 Both forms judge ``lam = 0`` (``M = S``) by one rank rule, so a singular
 ``S`` leaves it NaN. Either way the regularized mean rows of all rules and
 thresholds are built once per fold as one block. The fixed targets of a
@@ -130,6 +130,9 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
     Stratified assignment shuffles each group separately and deals rows
     round-robin, keeping group proportions within one observation per
     fold. It requires every group to have at least ``folds`` members.
+    Unstratified assignment deals one shuffle of all rows round-robin. It
+    refuses an empty test fold (``folds > n``) and a test fold that holds a
+    whole group, whose training fold would lack that group.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -147,8 +150,16 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
             idx = rng.permutation(idx)
             assignment[idx] = np.arange(idx.size) % folds
     else:
-        order = rng.permutation(data.n)
-        assignment[order] = np.arange(data.n) % folds
+        if folds > data.n:
+            raise ValueError(f"unstratified {folds}-fold split infeasible: n={data.n} rows leave a test fold empty")
+        assignment[rng.permutation(data.n)] = np.arange(data.n) % folds
+        for g, name in enumerate(data.group_names):
+            held = np.unique(assignment[data.labels == g])
+            if held.size == 1:
+                raise ValueError(
+                    f"unstratified {folds}-fold split infeasible: test fold {held[0] + 1} holds all "
+                    f"{int(data.group_counts[g])} observations of group {name!r}"
+                )
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 
@@ -163,10 +174,10 @@ def _grid_accuracies(
 
     Each table holds one array of shape ``(folds, len(lambda_grid),
     len(deltas))`` per mean rule; cells whose covariance is singular stay
-    NaN. ``lambda_grids`` holds each target's own intensities. Each
+    NaN. ``lambda_grids`` holds each target's own intensity grid. Each
     training fold's kernels, one map from ``lam`` to the covariance ``M``
-    per target, come from :func:`~rlda.covariance._shrinkage_kernel`, told
-    the most intensities any target reads; its two forms give the same
+    per target, come from :func:`~rlda.covariance._shrinkage_kernel`: spectral
+    for a fixed target, dense for a custom one. Its two forms give the same
     table, ``lam = 0`` verdicts included, up to floating-point rounding of
     the scores. For each fold the mean rows of every (rule, delta) cell are
     stacked once into one ``p x (cells K)`` block ``m^T``, and every
@@ -185,7 +196,6 @@ def _grid_accuracies(
         for lambda_grid in lambda_grids
     ]
     cells = [(kind, di, delta) for kind, grid in kind_grids.items() for di, delta in enumerate(grid)]
-    intensities = max(map(len, lambda_grids))
     all_rows = np.arange(data.n)
     for f, test_idx in enumerate(fold_sets):
         train = data.subset(np.setdiff1d(all_rows, test_idx, assume_unique=True))
@@ -198,7 +208,7 @@ def _grid_accuracies(
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
         basis = blocks = None
-        kernels = _shrinkage_kernel(train, means, targets, intensities)
+        kernels = _shrinkage_kernel(train, means, targets)
         for table, lambda_grid, covariance in zip(out, lambda_grids, kernels, strict=True):
             for li, lam in enumerate(lambda_grid):
                 try:

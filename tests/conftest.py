@@ -22,7 +22,7 @@ def random_grouped(rng: np.random.Generator, counts, p: int, spread: float = 2.0
 
 
 def rank_deficient_dataset(seed: int, counts, p: int, duplicated: int):
-    """Grouped rows with n - K < p whose last ``duplicated`` columns copy earlier ones."""
+    """Grouped rows whose last ``duplicated`` columns copy earlier ones; ``S`` is singular if any do or if n - K < p."""
     from rlda.datamodel import GroupedDataset
 
     rng = np.random.default_rng(seed)

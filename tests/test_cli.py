@@ -282,15 +282,33 @@ class TestImportFootprint:
         assert not scipy_loaded_by(["experiment", "--seed", 1, "--p", 40, "--n", 10, "--m", 10,
                                     "--out", tmp_path / "experiment.json"])
 
-    @pytest.mark.parametrize("route", ["fit-full-rank", "predict-v2-cholesky"])
+    @pytest.mark.parametrize("route", ["fit-full-rank", "fit-lw", "cv-one-point"])
+    def test_fixed_target_on_full_rank_data_leaves_scipy_unloaded(self, tmp_path, route):
+        args = {
+            "fit-full-rank": ["fit", "--lambda", "0.5", "--model", tmp_path / "m.json"],
+            "fit-lw": ["fit", "--lambda", "lw", "--model", tmp_path / "m.json"],
+            "cv-one-point": ["cv", "--lambda-grid", "0.5"],
+        }[route]
+        assert not scipy_loaded_by([*args, "--data", FIXTURE, "--label", "cohort",
+                                    "--out", tmp_path / "report.json"])
+
+    @pytest.mark.parametrize("route", ["fit-custom-target", "predict-v2-cholesky"])
     def test_dense_route_loads_scipy(self, tmp_path, route):
         args = {
-            "fit-full-rank": ["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5",
-                              "--model", tmp_path / "m.json"],
+            "fit-custom-target": ["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5",
+                                  "--target", write_spd_target(tmp_path), "--model", tmp_path / "m.json"],
             "predict-v2-cholesky": ["predict", "--model", DATA / "model-v2-cholesky.json",
                                     "--data", DATA / "wide-train.csv"],
         }[route]
         assert scipy_loaded_by([*args, "--out", tmp_path / "report.json"])
+
+
+class TestHelp:
+    def test_help_is_plain_text(self, capsys):
+        assert run(["--help"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: rlda")
+        assert "``" not in text and ":func:" not in text
 
 
 class TestErrors:
@@ -712,7 +730,10 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "sigma_p,prior_p,message",
-        [(3, 2, "prior covariance dimension must match theta"), (2, 3, "sigma must be p x p")],
+        [
+            (3, 2, "prior covariance dimension must match theta (got (2, 2) for p=3)"),
+            (2, 3, "sigma must be p x p (got (2, 2) for p=3)"),
+        ],
         ids=["prior-cov", "sigma"],
     )
     def test_bayes_covariance_size_must_match_xbar(self, tmp_path, capsys, sigma_p, prior_p, message):
@@ -741,8 +762,9 @@ class TestErrors:
         "args,message",
         [
             (["experiment", "--seed", 1, "--n", 10, "--m", 10, "--p", 12, "--folds", 1], "folds must be at least 2"),
-            (["quantize-demo", "--seed", 1, "--n", 0], "n and p must be positive"),
-            (["simulate", "--seed", 1, "--n", 0, "--p", 10, "--data-out", "{tmp}/d.csv"], "n, m, p must be positive"),
+            (["quantize-demo", "--seed", 1, "--n", 0], "n and p must be positive (got n=0, p=5)"),
+            (["simulate", "--seed", 1, "--n", 0, "--p", 10, "--data-out", "{tmp}/d.csv"],
+             "n, m, p must be positive (got n=0, m=50, p=10)"),
         ],
         ids=["experiment-folds", "quantize-demo-n", "simulate-n"],
     )
@@ -751,6 +773,26 @@ class TestErrors:
         assert run([str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out.json"]) == 1
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--data", FIXTURE, "--label", "cohort", "--folds", 40],
+             "40-fold split infeasible: n=24 rows leave a test fold empty"),
+            (["--data", "{tmp}/skewed.csv", "--label", "grp", "--folds", 6, "--seed", 14, "--lambda-grid", "0.5"],
+             "6-fold split infeasible: test fold 4 holds all 2 observations of group 'b'"),
+        ],
+        ids=["empty-test-fold", "group-left-out"],
+    )
+    def test_infeasible_unstratified_cv_is_refused(self, tmp_path, capsys, args, message):
+        # Ten rows of 'a', then two of 'b': seed 14 deals both 'b' rows to one test fold.
+        rows = [f"{i % 3}.5,{i % 5}.25,a" for i in range(10)] + ["4.5,4.0,b", "5.0,3.5,b"]
+        (tmp_path / "skewed.csv").write_text("\n".join(["x1,x2,grp", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "cv.json"
+        capsys.readouterr()
+        assert run(["cv", "--no-stratify", *[str(a).format(tmp=tmp_path) for a in args], "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: unstratified {message}\n"
+        assert not out.exists()
 
     def test_predict_names_an_unknown_v1_algorithm(self, tmp_path, capsys):
         doc = read_json(DATA / "model-v1-chol.json")

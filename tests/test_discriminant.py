@@ -114,16 +114,17 @@ class TestSpectralFit:
     @given(
         seed=st.integers(0, 2**32 - 1),
         counts=st.lists(st.integers(2, 6), min_size=2, max_size=4),
-        extra=st.integers(1, 15),
+        extra=st.integers(-10, 15),
         duplicated=st.integers(0, 4),
         lam=st.floats(1e-3, 1.0),
         theta2=st.one_of(st.none(), st.floats(-0.02, 0.6)),
         kind=st.sampled_from(["none", "l2", "hard"]),
     )
     def test_matches_dense_route_and_explicit_inverse(self, seed, counts, extra, duplicated, lam, theta2, kind):
-        # K in {2, 3, 4}, n - K < p, duplicated columns: the spectral fit
-        # against the dense shrink_covariance blend and explicit-inverse scores.
-        p = sum(counts) - len(counts) + extra + duplicated
+        # K in {2, 3, 4}, n - K < p (extra > 0) or p <= n - K (extra <= 0),
+        # duplicated columns: the spectral fit against the dense
+        # shrink_covariance blend and explicit-inverse scores.
+        p = max(1, sum(counts) - len(counts) + extra) + duplicated
         data = rank_deficient_dataset(seed, counts, p, duplicated)
         target = ShrinkageTarget.identity() if theta2 is None else ShrinkageTarget.equal_correlation(theta2)
         try:
@@ -157,15 +158,15 @@ class TestSpectralFit:
             fit(data, target, 0.0)
 
     def test_route_follows_degrees_of_freedom_and_target(self, rng):
-        # n - K = 9 against p = 10 (spectral) and p = 9 (dense); custom
-        # targets always take the dense route.
+        # n - K = 9 against p = 10 and p = 9: fixed targets take the spectral
+        # route either way; custom targets always take the dense route.
         wide = random_grouped(rng, (5, 6), p=10)
         square = random_grouped(rng, (5, 6), p=9)
-        assert isinstance(fit(wide, ShrinkageTarget.identity(), 0.2).cov, SpectralCovariance)
-        assert isinstance(fit(wide, ShrinkageTarget.equal_correlation(0.1), 0.2).cov, SpectralCovariance)
-        assert isinstance(fit(square, ShrinkageTarget.identity(), 0.2).cov, RegularizedCovariance)
-        custom = ShrinkageTarget.custom(2.0 * np.eye(10))
-        assert isinstance(fit(wide, custom, 0.2).cov, RegularizedCovariance)
+        for data in (wide, square):
+            assert isinstance(fit(data, ShrinkageTarget.identity(), 0.2).cov, SpectralCovariance)
+            assert isinstance(fit(data, ShrinkageTarget.equal_correlation(0.1), 0.2).cov, SpectralCovariance)
+            custom = ShrinkageTarget.custom(2.0 * np.eye(data.p))
+            assert isinstance(fit(data, custom, 0.2).cov, RegularizedCovariance)
 
 
 class TestScores:
@@ -543,7 +544,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "counts,p,target",
-        [((8, 8), 5, ShrinkageTarget.identity()), ((4, 5), 12, ShrinkageTarget.custom(2.0 * np.eye(12)))],
+        [((8, 8), 5, ShrinkageTarget.custom(2.0 * np.eye(5))), ((4, 5), 12, ShrinkageTarget.custom(2.0 * np.eye(12)))],
         ids=["full-rank", "custom-target"],
     )
     def test_dense_models_store_the_discriminant(self, rng, tmp_path, counts, p, target):

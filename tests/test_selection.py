@@ -81,6 +81,18 @@ class TestFolds:
         data = random_grouped(rng, (10, 10), p=2)
         folds = make_folds(data, 5, seed=4, stratified=False)
         assert sum(len(f) for f in folds) == 20
+        assert [len(f) for f in make_folds(data, 20, seed=4, stratified=False)] == [1] * 20
+
+    @pytest.mark.parametrize(
+        "counts,folds,seed,message",
+        [((3, 3), 7, 0, "n=6 rows leave a test fold empty"),
+         ((10, 2), 6, 14, "test fold 4 holds all 2 observations of group 'g2'")],
+        ids=["empty-test-fold", "group-left-out"],
+    )
+    def test_infeasible_unstratified_split(self, rng, counts, folds, seed, message):
+        data = random_grouped(rng, counts, p=2)
+        with pytest.raises(ValueError, match=re.escape(f"unstratified {folds}-fold split infeasible: {message}")):
+            make_folds(data, folds, seed, stratified=False)
 
 
 class TestCrossValidate:
@@ -280,7 +292,7 @@ def grid_cells(data, target, fold_sets, lambda_grid, kind_grids):
 def dense_cells(data, target, fold_sets, lambda_grid, kind_grids):
     """The cell table through one Cholesky factorization per (fold, intensity)."""
 
-    def kernels(train, means, targets, intensities):
+    def kernels(train, means, targets):
         return [_dense_kernel(train, means, t) for t in targets]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -402,41 +414,31 @@ class TestSpectralRoute:
 
 
 class TestKernelRule:
-    """On full-rank ``S`` a one-point grid takes the dense kernel; two or more points take the spectral one."""
+    """On full-rank ``S`` fixed targets take the spectral kernel at any grid length, and it reports what the dense one does."""
 
     @pytest.fixture
     def tall(self, rng):
         data = random_grouped(rng, (40, 40, 40), p=10, spread=0.5)  # n - K >= p on every training fold
         return data, make_folds(data, 4, seed=5)
 
-    @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
-    def test_one_intensity_takes_the_dense_kernel(self, tall, monkeypatch, target):
-        data, fold_sets = tall
-        monkeypatch.setattr(covariance, "_spectrum", refuse("the spectral kernel"))
-        for lam in (0.0, 0.3):
-            acc = grid_cells(data, target, fold_sets, (lam,), {"none": (0.0,), "l2": (0.5,)})
-            assert not np.isnan(acc["none"]).any() and not np.isnan(acc["l2"]).any()
-
-    @pytest.mark.parametrize("lambda_grid", [(0.0, 0.3), (0.1, 0.2, 0.3)])
+    @pytest.mark.parametrize("lambda_grid", [(0.0, 0.3), (0.1, 0.2, 0.3), (0.0,), (0.3,)])
     @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
     def test_several_intensities_take_the_spectral_kernel(self, tall, monkeypatch, target, lambda_grid):
         data, fold_sets = tall
         monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
-        acc = grid_cells(data, target, fold_sets, lambda_grid, {"none": (0.0,)})["none"]
-        assert not np.isnan(acc).any()
+        acc = grid_cells(data, target, fold_sets, lambda_grid, {"none": (0.0,), "l2": (0.5,)})
+        assert not np.isnan(acc["none"]).any() and not np.isnan(acc["l2"]).any()
 
     @pytest.mark.parametrize("kind", ["none", "l2", "l1", "hard"])
     @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
     def test_one_point_report_equals_the_spectral_report(self, tall, monkeypatch, target, kind):
-        import rlda.selection as selection
-
         data, _ = tall
         for lam in (0.0, 0.05, 0.5):
             cv = CvConfig(folds=4, seed=5, lambda_grid=(lam,))
-            dense = cross_validate(data, target, kind, cv).to_dict()
+            spectral = cross_validate(data, target, kind, cv).to_dict()
             with monkeypatch.context() as patch:
-                patch.setattr(selection, "_shrinkage_kernel", lambda d, m, ts, _: [covariance.spectral_covariance(d, m, t) for t in ts])
-                spectral = cross_validate(data, target, kind, cv).to_dict()
+                patch.setattr(selection, "_shrinkage_kernel", lambda d, m, ts: [_dense_kernel(d, m, t) for t in ts])
+                dense = cross_validate(data, target, kind, cv).to_dict()
             assert dense == spectral, (lam, kind)
 
 
