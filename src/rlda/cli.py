@@ -111,7 +111,10 @@ def _cmd_simulate(args) -> tuple[dict, str]:
 
 
 def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[RldaModel, dict]:
-    """Fix ``--lambda`` (a number or ``lw``) and ``--delta`` (a number); one CV run picks whichever is ``cv``."""
+    """Fix ``--lambda`` (a number or ``lw``) and ``--delta`` (a number); one CV run picks whichever is ``cv``.
+
+    A kernel that is not positive definite at the ``lw`` estimate is reported with that estimate.
+    """
     chosen = {}
     lam = delta = None
     if args.lam == "lw":
@@ -133,7 +136,12 @@ def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[Rlda
         chosen.update(cv_accuracy_mean=result.accuracy_mean, cv_accuracy_sd=result.accuracy_sd)
         chosen.setdefault("lambda_rule", "cv")
     reg = MeanRegularizer(args.mean_reg, 0.0 if delta is None else delta)
-    model = fit(data, target, lam, reg, priors_spec=_priors_from_args(args.priors))
+    try:
+        model = fit(data, target, lam, reg, priors_spec=_priors_from_args(args.priors))
+    except NotPositiveDefiniteError as exc:
+        if args.lam != "lw":
+            raise
+        raise NotPositiveDefiniteError(f"--lambda lw estimated lambda={lam}: {exc}") from None
     return model, chosen
 
 

@@ -465,8 +465,8 @@ def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:
     group-centered residuals. The estimate shrinks like 1/n, so it fades
     as evidence accumulates. Only the fixed targets (identity,
     equal-correlation) are supported. This is the one-target call of
-    :func:`_lw_lambdas`, which shares the numerator and ``S`` between
-    targets.
+    :func:`_lw_lambdas`, which shares the scatter and the numerator
+    between targets.
     """
     return _lw_lambdas(data, (target,))[0]
 
@@ -474,43 +474,46 @@ def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:
 def _lw_lambdas(data: GroupedDataset, targets: Sequence[ShrinkageTarget]) -> list[float]:
     """:func:`lw_lambda` of ``data`` for each of ``targets``, from one pass over the data.
 
-    ``S``, the entry variances and their sum do not depend on the target
-    and are computed once; only the denominator ``sum_ij (s_ij - t_ij)^2``
-    is per target. It is formed in one reused ``p x p`` buffer without
-    materializing ``T``, whose entries are exactly ``sigma2`` on the
-    diagonal and ``theta2`` off it (``1`` and ``0`` for the identity). Every
-    floating-point operation keeps the order of the explicit formula, so
-    each value is bit-identical to it; the pass peaks at four ``p x p``
-    arrays whatever the number of targets.
+    The entry variances and their sum do not depend on the target and are
+    computed once; only the denominator ``sum_ij (s_ij - t_ij)^2`` is per
+    target. It is formed without materializing ``T``, whose entries are
+    exactly ``sigma2`` on the diagonal and ``theta2`` off it (``1`` and
+    ``0`` for the identity). Every floating-point operation keeps the order
+    of the explicit formula, so each value is bit-identical to it. The pass
+    peaks at two ``p x p`` arrays whatever the number of targets: the
+    scatter ``R^T R`` and one scratch buffer. ``S`` is never kept; each
+    denominator divides the scatter into the buffer afresh, and the
+    numerator then overwrites the scatter in place once no target needs it.
     """
     if any(target.kind == "custom" for target in targets):
         raise ValueError("lw_lambda supports the identity and equal-correlation targets")
     resid, dof = _centered_rows(data, group_means(data))
     n, p = data.n, data.p
     scatter = resid.T @ resid
-    s = scatter / dof
-    default_sigma2 = float(np.mean(np.diag(s)))
+    buf = np.empty_like(scatter)
+    diag_s = np.diag(scatter) / dof
+    default_sigma2 = float(np.mean(diag_s))
+
+    denoms = []
+    for target in targets:
+        sigma2, theta2 = target._fixed_params(p, default_sigma2)
+        np.divide(scatter, dof, out=buf)
+        buf -= theta2
+        np.fill_diagonal(buf, diag_s - sigma2)
+        denoms.append(float(np.sum(np.square(buf, out=buf))))
 
     # Entrywise sampling variance of s from the cross-product summands
     # w_kij = r_ki r_kj: sum_k (w_kij - wbar_ij)^2 = (R*R)^T (R*R) - n wbar^2,
     # accumulated in place as (n wbar) wbar.
     sq = resid * resid
-    sum_w_sq = sq.T @ sq
-    wbar = np.divide(scatter, n, out=scatter)
-    buf = np.multiply(n, wbar)
-    buf *= wbar
-    np.subtract(sum_w_sq, buf, out=buf)
-    buf *= n / ((n - 1.0) * dof * dof)
-    sum_var_s = np.sum(buf)
-
-    lams = []
-    for target in targets:
-        sigma2, theta2 = target._fixed_params(p, default_sigma2)
-        np.subtract(s, theta2, out=buf)
-        np.fill_diagonal(buf, s.diagonal() - sigma2)
-        denom = float(np.sum(np.square(buf, out=buf)))
-        lams.append(0.0 if denom <= 0.0 else float(np.clip(sum_var_s / denom, 0.0, 1.0)))
-    return lams
+    wbar = np.divide(scatter, n, out=buf)
+    prod = np.multiply(n, wbar, out=scatter)
+    prod *= wbar
+    np.matmul(sq.T, sq, out=buf)
+    np.subtract(buf, prod, out=prod)
+    prod *= n / ((n - 1.0) * dof * dof)
+    sum_var_s = np.sum(prod)
+    return [0.0 if denom <= 0.0 else float(np.clip(sum_var_s / denom, 0.0, 1.0)) for denom in denoms]
 
 
 def mahalanobis_sq(cov: RegularizedCovariance | SpectralCovariance, d) -> float:

@@ -132,7 +132,9 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
     fold. It requires every group to have at least ``folds`` members.
     Unstratified assignment deals one shuffle of all rows round-robin. It
     refuses an empty test fold (``folds > n``) and a test fold that holds a
-    whole group, whose training fold would lack that group.
+    whole group, whose training fold would lack that group. Both modes
+    refuse a split whose smallest training fold keeps at most ``K`` rows,
+    too few for the within-group pooled covariance.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -160,6 +162,14 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
                     f"unstratified {folds}-fold split infeasible: test fold {held[0] + 1} holds all "
                     f"{int(data.group_counts[g])} observations of group {name!r}"
                 )
+    train = data.n - np.bincount(assignment, minlength=folds)
+    small = int(np.argmin(train))
+    if train[small] <= data.n_groups:
+        mode = "stratified" if stratified else "unstratified"
+        raise ValueError(
+            f"{mode} {folds}-fold split infeasible: training fold {small + 1} keeps {int(train[small])} rows, "
+            f"and the pooled covariance of K={data.n_groups} groups needs at least {data.n_groups + 1}"
+        )
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 

@@ -342,6 +342,17 @@ class TestErrors:
         assert "lw_lambda supports the identity and equal-correlation targets" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_lw_names_its_estimate_when_the_fit_fails(self, tmp_path, capsys):
+        # Each entry's residual cross product is the same in every row: no entry variance, so lw picks 0.
+        data = tmp_path / "four.csv"
+        data.write_text("group,a,b\nx,0,1\nx,1,0\ny,3,3\ny,4,2\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", data, "--label", "group", "--lambda", "lw", "--model", model]) == 1
+        assert ("error: --lambda lw estimated lambda=0.0: shrunk covariance (lam=0.0) is not positive definite: "
+                "S is singular") in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("algorithm", ["chol", "svd"])
     @pytest.mark.parametrize("priors,bad", [("nan,0.5", "nan"), ("0.5,inf", "inf")])
     def test_fit_rejects_non_finite_priors(self, tmp_path, capsys, algorithm, priors, bad):

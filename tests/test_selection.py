@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,6 +94,20 @@ class TestFolds:
         data = random_grouped(rng, counts, p=2)
         with pytest.raises(ValueError, match=re.escape(f"unstratified {folds}-fold split infeasible: {message}")):
             make_folds(data, folds, seed, stratified=False)
+
+    @pytest.mark.parametrize(
+        "stratified,counts,message",
+        [(True, (2, 2, 2), "stratified 2-fold split infeasible: training fold 1 keeps 3 rows, "
+                           "and the pooled covariance of K=3 groups needs at least 4"),
+         (False, (3, 2), "unstratified 2-fold split infeasible: training fold 1 keeps 2 rows, "
+                         "and the pooled covariance of K=2 groups needs at least 3")],
+        ids=["stratified", "unstratified"],
+    )
+    def test_training_fold_at_most_k_rows(self, rng, stratified, counts, message):
+        # Every test fold is feasible on its own; the training fold is too small for the pooled S.
+        data = random_grouped(rng, counts, p=2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_folds(data, 2, seed=0, stratified=stratified)
 
 
 class TestCrossValidate:
@@ -276,6 +291,17 @@ class TestExperiment:
         monkeypatch.setattr(selection, "_eigenbasis_blocks", counted("projections", project))
         run_simulated_experiment(seed=1, folds=5)  # the paper's shape: n = m = 50, p = 1000
         assert calls == {"eigh": 5, "svd": 0, "projections": 5}
+
+    def test_paper_shape_peaks_below_three_p_by_p_arrays(self):
+        # The lw pass on the full data sets the peak: its scatter and one scratch buffer.
+        p = 1000
+        tracemalloc.start()
+        try:
+            run_simulated_experiment(seed=1, p=p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * p * p * 8
 
 
 def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
