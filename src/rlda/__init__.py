@@ -8,7 +8,8 @@ The package covers four connected pieces of machinery:
   estimation with an inflated prior (:mod:`rlda.quantization`),
 * covariance shrinkage toward well-conditioned targets plus regularized
   group means (:mod:`rlda.covariance`, :mod:`rlda.regmeans`),
-* regularized LDA classifiers built on Cholesky or SVD kernels, with
+* regularized LDA classifiers on spectral kernels (every fixed target and
+  the SVD ridge form) or a Cholesky factor (a custom target), with
   cross-validated hyperparameter selection (:mod:`rlda.discriminant`,
   :mod:`rlda.selection`).
 

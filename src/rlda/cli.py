@@ -224,8 +224,6 @@ def _cmd_predict(args) -> tuple[dict, None]:
             truth = np.array([model.group_names.index(name) for name in data.group_names])[data.labels]
     else:
         values, _ = load_matrix_csv(args.data)
-    if values.shape[1] != model.p:
-        raise ValueError(f"query has {values.shape[1]} variables, model expects {model.p}")
     labels = model.classify(values)
     names = [model.group_names[int(lab)] for lab in np.atleast_1d(labels)]
     report = {"predictions": names, "n": len(names)}

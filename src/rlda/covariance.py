@@ -185,22 +185,24 @@ class SpectralCovariance:
     ``n x n`` Gram matrix of :func:`_spectrum`; ``r = 0`` is allowed)
     or the full eigendecomposition (``r = p``). The fixed target is
     ``T = spread I + theta2 11^T`` (the identity has ``spread = 1``,
-    ``theta2 = 0``). :meth:`solve` applies
-    ``M^-1`` in ``O(p r k)`` for ``k`` columns, with Sherman-Morrison for
-    the rank-one ``lam theta2 11^T``. Its weights, :attr:`base_weights` and
-    :meth:`rank_one_weight`, are ``O(r)`` and also serve callers that work
-    in the basis ``vt`` themselves; the solver is built on the first
-    :meth:`solve`, and :attr:`matrix` forms the dense ``M`` only when read.
+    ``theta2 = 0``). :meth:`solve` applies one formula for every target and
+    rank, ``M^-1 = V diag(w) V^T + (1/c) I - beta u u^T``, in ``O(p r k)``
+    for ``k`` columns: the last term is Sherman-Morrison for the rank-one
+    ``lam theta2 11^T``, and ``beta = 0`` for the identity. Its weights,
+    :attr:`base_weights` and :meth:`rank_one_weight`, are ``O(r)`` and also
+    serve callers that work in the basis ``vt`` themselves; the solver is
+    built on the first :meth:`solve`, and :attr:`matrix` forms the dense
+    ``M`` only when read.
     The SVD ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is the identity
     blend at ``1 - lam`` with ``S = Xc^T Xc``.
 
     Rank rule, shared with :func:`shrink_covariance`: ``lam = 0``
     (``M = S``) is feasible exactly when ``r = p`` and
     ``eig[-1] > p eps eig[0]``, the default tolerance of
-    ``numpy.linalg.matrix_rank``. With ``r = p`` the inverse is
-    ``V diag(1 / ((1 - lam) eig + lam spread)) V^T``, defined at
-    ``lam = 0``; with ``r < p`` it adds the out-of-span term
-    ``(I - V V^T) / (lam spread)`` (see :attr:`base_weights`).
+    ``numpy.linalg.matrix_rank``. With ``r = p``, ``1/c = 0`` and
+    ``w = 1 / ((1 - lam) eig + lam spread)``, defined at ``lam = 0``; with
+    ``r < p``, ``1/c = 1 / (lam spread)`` carries the directions out of the
+    span of ``V`` (see :attr:`base_weights`).
 
     Raises
     ------
@@ -263,8 +265,6 @@ class SpectralCovariance:
     def _solve(self) -> Callable[[np.ndarray], np.ndarray]:
         """``M^-1`` on ``p x k`` blocks, built on the first solve."""
         base_solve = _low_rank_solver(self.vt, *self.base_weights)
-        if self.theta2 == 0.0:
-            return base_solve
         u = base_solve(np.ones((self.p, 1)))[:, 0]  # B^-1 1
         weight = self.rank_one_weight(np.sum(u))
         return lambda b: base_solve(b) - np.outer(u, weight * (u @ b))

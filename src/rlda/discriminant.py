@@ -102,6 +102,12 @@ def resolve_priors(spec, counts: np.ndarray) -> np.ndarray:
     return pri / pri.sum()
 
 
+def _require_groups(data: GroupedDataset) -> None:
+    """Refuse a dataset of fewer than two groups, which leaves nothing to classify."""
+    if data.n_groups < 2:
+        raise ValueError("classification needs at least 2 groups")
+
+
 @dataclass(frozen=True)
 class RldaModel:
     """A fitted classifier: regularized means, shrunk covariance, priors."""
@@ -122,10 +128,6 @@ class RldaModel:
             raise ValueError("inconsistent dimensions between means, priors, and covariance")
         priors.setflags(write=False)
         object.__setattr__(self, "priors", priors)
-
-    @property
-    def p(self) -> int:
-        return self.pooled_mean.shape[0]
 
 
 def fit(
@@ -150,8 +152,7 @@ def fit(
     ValueError
         On fewer than two groups or invalid priors.
     """
-    if data.n_groups < 2:
-        raise ValueError("classification needs at least 2 groups")
+    _require_groups(data)
     mean_reg = mean_reg or MeanRegularizer.none()
     means = group_means(data)
     reg = regularize_means(means, mean_reg)
@@ -175,13 +176,14 @@ def fit(
     )
 
 
-def _as_query_matrix(z) -> tuple[np.ndarray, bool]:
+def _as_query_matrix(z, p: int) -> tuple[np.ndarray, bool]:
+    """``z`` as an ``(m, p)`` matrix, and whether it was a single p-vector."""
     z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        return z[None, :], True
-    if z.ndim == 2:
-        return z, False
-    raise ValueError("query must be a p-vector or an (m, p) matrix")
+    if z.ndim not in (1, 2):
+        raise ValueError("query must be a p-vector or an (m, p) matrix")
+    if z.shape[-1] != p:
+        raise ValueError(f"query has {z.shape[-1]} variables, model expects {p}")
+    return (z[None, :], True) if z.ndim == 1 else (z, False)
 
 
 def _linear_terms(solve, means_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,13 +264,13 @@ class LinearDiscriminant:
 
     def scores(self, z) -> np.ndarray:
         """Scores of every group at ``z``: ``(K,)`` for a p-vector, ``(m, K)`` for an ``(m, p)`` matrix."""
-        queries, single = _as_query_matrix(z)
+        queries, single = _as_query_matrix(z, self.p)
         scores = _score_blocks(queries @ self.weights, self.quad, self.log_priors)
         return scores[0] if single else scores
 
     def classify(self, z):
         """Group index (0-based) with the highest score; ties go to the smallest index."""
-        queries, single = _as_query_matrix(z)
+        queries, single = _as_query_matrix(z, self.p)
         return _best(self.scores(queries), single)
 
 
@@ -327,6 +329,7 @@ def classify_alg1(
     the group minimizing ``0.5 (m_k - z)^T Sred^-1 (m_k - z) - log pi_k``.
     ``s_convention`` selects the scaling of ``S``.
     """
+    _require_groups(data)
     means = group_means(data)
     blended = regularize_means(means, MeanRegularizer("l2", delta)).per_group
     s = pooled_covariance(data, means, s_convention)
@@ -367,10 +370,6 @@ class SvdRidgeModel:
         column_var.setflags(write=False)
         object.__setattr__(self, "column_variances", column_var)
 
-    @property
-    def p(self) -> int:
-        return self.cov.p
-
     def blended_means(self, delta: float) -> RegularizedMeans:
         """``(1 - delta) mean_k + delta pooled``: the l2 rule at ``delta``, the means this model scores."""
         return regularize_means(self.means, MeanRegularizer("l2", delta))
@@ -400,8 +399,7 @@ def fit_svd_ridge(data: GroupedDataset, lam: float, mode: str = "exact") -> SvdR
     spectral kernel is bound. ``"paper-literal"`` mode requires ``n < p``;
     ``"exact"`` mode accepts any shape.
     """
-    if data.n_groups < 2:
-        raise ValueError("classification needs at least 2 groups")
+    _require_groups(data)
     if mode == "paper-literal" and data.n >= data.p:
         raise ValueError("paper-literal mode is defined for n < p")
     means = group_means(data)
@@ -439,7 +437,7 @@ def svd_ridge_sq_distances(model: SvdRidgeModel, delta: float, z) -> np.ndarray:
     single query, ``(m, K)`` for a batch.
     """
     blended = model.blended_means(delta).per_group
-    queries, single = _as_query_matrix(z)
+    queries, single = _as_query_matrix(z, model.cov.p)
     solve = _ridge_solver(model)
     diffs = (row - queries for row in blended)  # d = m_k - z, one group at a time
     dist = np.column_stack([np.sum(d * solve(d.T).T, axis=1) for d in diffs])

@@ -28,7 +28,7 @@ import numpy as np
 from ._linalg import NotPositiveDefiniteError
 from .covariance import DEFAULT_THETA2, ShrinkageTarget, SpectralCovariance, _lw_lambdas, _shrinkage_kernel
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
-from .discriminant import _score_blocks, _scores
+from .discriminant import _require_groups, _score_blocks, _scores
 from .regmeans import KINDS, MeanRegularizer, regularize_means
 
 __all__ = [
@@ -184,9 +184,12 @@ def _grid_accuracies(
 
     Each table holds one array of shape ``(folds, len(lambda_grid),
     len(deltas))`` per mean rule; cells whose covariance is singular stay
-    NaN. ``lambda_grids`` holds each target's own intensity grid. Each
-    training fold's kernels, one map from ``lam`` to the covariance ``M``
-    per target, come from :func:`~rlda.covariance._shrinkage_kernel`: spectral
+    NaN. A target's arrays are views of one ``(folds, len(lambda_grid),
+    cells)`` array in which each rule's cells are a contiguous span, so
+    the accuracies of one (fold, intensity) fill one row of it.
+    ``lambda_grids`` holds each target's own intensity grid. Each training
+    fold's kernels, one map from ``lam`` to the covariance ``M`` per
+    target, come from :func:`~rlda.covariance._shrinkage_kernel`: spectral
     for a fixed target, dense for a custom one. Its two forms give the same
     table, ``lam = 0`` verdicts included, up to floating-point rounding of
     the scores. For each fold the mean rows of every (rule, delta) cell are
@@ -201,25 +204,22 @@ def _grid_accuracies(
     intensity, so its checks and the ``lam = 0`` rank rule decide that on
     either form. :func:`cross_validate` is the one-target call.
     """
-    out = [
-        {kind: np.full((len(fold_sets), len(lambda_grid), len(grid)), np.nan) for kind, grid in kind_grids.items()}
-        for lambda_grid in lambda_grids
-    ]
-    cells = [(kind, di, delta) for kind, grid in kind_grids.items() for di, delta in enumerate(grid)]
+    rules = [MeanRegularizer(kind, delta) for kind, grid in kind_grids.items() for delta in grid]
+    spans = np.cumsum([0, *map(len, kind_grids.values())])  # each mean rule's span in ``rules``
+    cells = len(rules)
+    full = [np.full((len(fold_sets), len(lambda_grid), cells), np.nan) for lambda_grid in lambda_grids]
     all_rows = np.arange(data.n)
     for f, test_idx in enumerate(fold_sets):
         train = data.subset(np.setdiff1d(all_rows, test_idx, assume_unique=True))
         means = group_means(train)
         k = train.n_groups
-        m_t = np.concatenate(
-            [regularize_means(means, MeanRegularizer(kind, delta)).per_group for kind, _, delta in cells]
-        ).T  # p x (cells K)
-        log_priors = np.tile(np.log(train.group_counts / train.n), len(cells))
+        m_t = np.concatenate([regularize_means(means, rule).per_group for rule in rules]).T  # p x (cells K)
+        log_priors = np.tile(np.log(train.group_counts / train.n), cells)
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
         basis = blocks = None
         kernels = _shrinkage_kernel(train, means, targets)
-        for table, lambda_grid, covariance in zip(out, lambda_grids, kernels, strict=True):
+        for acc, lambda_grid, covariance in zip(full, lambda_grids, kernels, strict=True):
             for li, lam in enumerate(lambda_grid):
                 try:
                     cov = covariance(lam)
@@ -232,11 +232,9 @@ def _grid_accuracies(
                     scores = _score_blocks(*blocks(cov), log_priors)
                 else:
                     scores = _scores(cov.solve, m_t, test_values, log_priors)
-                scores = scores.reshape(len(test_idx), len(cells), k)
-                acc = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
-                for (kind, di, _), value in zip(cells, acc):
-                    table[kind][f, li, di] = value
-    return out
+                scores = scores.reshape(len(test_idx), cells, k)
+                acc[f, li] = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
+    return [{kind: acc[..., lo:hi] for kind, lo, hi in zip(kind_grids, spans[:-1], spans[1:])} for acc in full]
 
 
 def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray):
@@ -247,31 +245,26 @@ def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray)
     (:attr:`~rlda.covariance.SpectralCovariance.base_weights`,
     :meth:`~rlda.covariance.SpectralCovariance.rank_one_weight`), each
     block is a weighted product of projections plus ``1/c`` times a raw
-    product (``Z m^T``, ``sum(m^T * m^T)``, ``Z 1``, ``1^T m^T``); those
-    are kept only when ``r < p``, since ``1/c`` reads 0 otherwise.
+    product (``Z m^T``, ``sum(m^T * m^T)``, ``Z 1``, ``1^T m^T``), also
+    formed once. Every kernel takes this one formula: full rank is
+    ``1/c = 0`` and the identity target ``beta = 0``.
     """
-    r, p = vt.shape
+    p = vt.shape[1]
     cols = means_t.shape[1]
     projected = vt @ np.hstack([means_t, queries.T, np.ones((p, 1))])
     pm, pz, p1 = projected[:, :cols], projected[:, cols:-1], projected[:, -1]
-    if r < p:
-        zm, mm = queries @ means_t, np.sum(means_t * means_t, axis=0)
-        z1, m1 = queries.sum(axis=1), means_t.sum(axis=0)
-    else:
-        zm = mm = z1 = m1 = 0.0
+    zm, mm = queries @ means_t, np.sum(means_t * means_t, axis=0)
+    z1, m1 = queries.sum(axis=1), means_t.sum(axis=0)
 
     def blocks(cov: SpectralCovariance) -> tuple[np.ndarray, np.ndarray]:
         w, inv_c = cov.base_weights
         wm = w[:, None] * pm
-        cross = pz.T @ wm + inv_c * zm
-        quad = np.sum(pm * wm, axis=0) + inv_c * mm
-        if cov.theta2 != 0.0:
-            w1 = w * p1
-            um = w1 @ pm + inv_c * m1  # u^T m^T with u = B^-1 1
-            zu = pz.T @ w1 + inv_c * z1  # Z u
-            beta = cov.rank_one_weight(w1 @ p1 + inv_c * p)
-            cross = cross - np.outer(zu, beta * um)
-            quad = quad - beta * um * um
+        w1 = w * p1
+        um = w1 @ pm + inv_c * m1  # u^T m^T with u = B^-1 1
+        zu = pz.T @ w1 + inv_c * z1  # Z u
+        beta = cov.rank_one_weight(w1 @ p1 + inv_c * p)
+        cross = pz.T @ wm + inv_c * zm - np.outer(zu, beta * um)
+        quad = np.sum(pm * wm, axis=0) + inv_c * mm - beta * um * um
         return cross, quad
 
     return blocks
@@ -282,23 +275,18 @@ def _selected(
 ) -> tuple[float, float | None, np.ndarray, int]:
     """The best mean-accuracy cell: lambda, delta, fold accuracies, active variables.
 
-    Ties resolve toward larger lambda, then delta. The active-variable count
-    is that of the mean rule at the selected delta applied to the full-data
-    group ``means``; delta is ``None`` for plain means.
+    The winner is the last maximum of the fold-mean accuracies in (lambda,
+    delta) order, so ties resolve toward larger lambda, then delta; a cell
+    that failed on any fold is skipped. The active-variable count is that
+    of the mean rule at the selected delta applied to the full-data group
+    ``means``; delta is ``None`` for plain means.
     """
     mean_acc = acc.mean(axis=0)  # NaN when any fold failed
-    best = None
-    for li in range(len(lambda_grid)):
-        for di in range(len(delta_grid)):
-            value = mean_acc[li, di]
-            if np.isnan(value):
-                continue
-            if best is None or value >= best[0]:
-                best = (value, li, di)
-    if best is None:
+    if np.isnan(mean_acc).all():
         cause = "; lambda=0 leaves M = S, which is singular on some training fold" if 0.0 in lambda_grid else ""
         raise NotPositiveDefiniteError(f"no feasible grid cell: every intensity fails on some training fold{cause}")
-    _, li, di = best
+    # nanargmax finds the first maximum; on the reversed cells that is the last one.
+    li, di = np.unravel_index(mean_acc.size - 1 - np.nanargmax(mean_acc.ravel()[::-1]), mean_acc.shape)
     n_active = regularize_means(means, MeanRegularizer(kind, delta_grid[di])).n_active
     delta = None if kind == "none" else float(delta_grid[di])
     return float(lambda_grid[li]), delta, acc[:, li, di], n_active
@@ -335,6 +323,7 @@ def cross_validate(
     (ties prefer the stronger regularization). The selected-variable count
     is that of the winning mean rule on the full dataset's group means.
     """
+    _require_groups(data)
     fold_sets = make_folds(data, cv.folds, cv.seed, cv.stratified)
     lambda_grid = cv.lambda_grid or default_lambda_grid()
     delta_grid = cv.delta_grid or default_delta_grid(mean_reg_kind, data)

@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -251,3 +254,42 @@ class TestSummaryValidation:
     def test_prior_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianPrior(theta=np.zeros(2), covariance=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: PosteriorSummary(mean=np.zeros(3), shrinkage_weight=np.eye(2)),
+            "matrix shrinkage weight must be p x p",
+            id="summary-weight-shape",
+        ),
+        pytest.param(
+            lambda: posterior_mean_general(np.zeros(3), 4, np.eye(3), GaussianPrior.full(np.zeros(2), np.eye(2))),
+            "prior mean must match xbar in length",
+            id="general-prior-mean-length",
+        ),
+        pytest.param(
+            # A GaussianPrior checks its own shapes; this prior stands for one that skipped them.
+            lambda: posterior_mean_general(
+                np.zeros(3), 4, np.eye(3), SimpleNamespace(theta=np.zeros(3), covariance=np.eye(2))
+            ),
+            "prior covariance must be p x p (got (2, 2) for p=3)",
+            id="general-prior-covariance-shape",
+        ),
+        pytest.param(lambda: posterior_mean_univariate(0.5, 0, 1.0, 0.0, 1.0), "n must be at least 1", id="n"),
+        pytest.param(lambda: posterior_mean_univariate(0.5, 3, 0.0, 0.0, 1.0), "variances must be positive", id="sigma2"),
+        pytest.param(lambda: posterior_mean_univariate(0.5, 3, 1.0, 0.0, -1.0), "variances must be positive", id="gamma2"),
+        pytest.param(lambda: james_stein(np.ones(3), 0.0), "sigma2 must be positive", id="james-stein-sigma2"),
+        pytest.param(
+            lambda: two_sample_posterior_means(
+                np.zeros(3), np.zeros(2), 4, 5, np.eye(3), GaussianPrior.full(np.zeros(3), np.eye(3))
+            ),
+            "xbar and ybar must have equal length",
+            id="two-sample-lengths",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

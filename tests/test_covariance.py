@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from rlda._linalg import solve_spd
+from rlda._linalg import ensure_symmetric, solve_spd
 
 from rlda.covariance import (
     GRAM_POOLED_MEAN,
@@ -512,3 +513,41 @@ class TestMahalanobis:
         d = rng.standard_normal(5)
         w = np.linalg.solve(cov.factor, d)
         assert float(w @ w) == pytest.approx(float(d @ np.linalg.solve(cov.matrix, d)), rel=1e-10)
+
+
+def test_ensure_symmetric_refuses_a_non_square_input():
+    with pytest.raises(ValueError, match=re.escape("S must be a square matrix, got shape (2, 3)")):
+        ensure_symmetric(np.zeros((2, 3)), "S")
+
+
+def _pooled_covariance(convention):
+    data = random_grouped(np.random.default_rng(0), (3, 3), p=2)
+    return pooled_covariance(data, group_means(data), convention)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: ShrinkageTarget("custom"), "custom target needs a matrix", id="custom-no-matrix"),
+        pytest.param(
+            lambda: ShrinkageTarget("equal-correlation"), "equal-correlation target needs theta2", id="equal-no-theta2"
+        ),
+        pytest.param(
+            lambda: ShrinkageTarget.custom(np.eye(2)).materialize(3),
+            "custom target is (2, 2), expected (3, 3)",
+            id="custom-materialize-p",
+        ),
+        pytest.param(
+            lambda: ShrinkageTarget.equal_correlation().materialize(3),
+            "equal-correlation target needs sigma2 or a data-derived default",
+            id="equal-materialize-no-sigma2",
+        ),
+        pytest.param(lambda: RegularizedCovariance(np.eye(2), 1.5), "lam must lie in [0, 1]", id="factor-lam"),
+        pytest.param(
+            lambda: _pooled_covariance("bogus"), "unknown pooled-covariance convention 'bogus'", id="pooled-convention"
+        ),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

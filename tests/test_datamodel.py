@@ -291,3 +291,43 @@ class TestSimulate:
         assert_allclose(sparse_shift(4, 2, 1.5), [1.5, 1.5, 0.0, 0.0])
         with pytest.raises(ValueError):
             sparse_shift(2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: GroupedDataset(np.zeros(3), np.zeros(3, dtype=int), ("a",)),
+            "values must be a 2-D array, got ndim=1",
+            id="values-ndim",
+        ),
+        pytest.param(
+            lambda: GroupedDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), ("a",)),
+            "labels must be a 1-D array with one entry per row",
+            id="labels-shape",
+        ),
+        pytest.param(
+            lambda: GroupedDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), ("a",)),
+            "dataset must contain at least one row and one column",
+            id="empty",
+        ),
+        pytest.param(
+            lambda: GroupedDataset(np.zeros((2, 2)), np.zeros(2, dtype=int), ()),
+            "at least one group is required",
+            id="no-groups",
+        ),
+        pytest.param(
+            lambda: GroupMeans(np.zeros(3), np.zeros((2, 2)), np.array([1, 1])),
+            "pooled mean length must match per_group columns",
+            id="means-pooled-shape",
+        ),
+        pytest.param(
+            lambda: GroupMeans(np.zeros(2), np.zeros((2, 2)), np.array([1])),
+            "counts must have one entry per group",
+            id="means-counts-shape",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

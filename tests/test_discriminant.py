@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +301,12 @@ class TestAlg1:
         one_shot = classify_alg1(data, ShrinkageTarget.identity(), 0.3, 0.2, priors, queries)
         fitted = fit(data, ShrinkageTarget.identity(), 0.3, MeanRegularizer("l2", 0.2), priors_spec=priors)
         assert_array_equal(one_shot, classify(fitted, queries))
+
+
+    def test_refuses_one_group(self, rng):
+        single = GroupedDataset(rng.standard_normal((20, 3)), np.zeros(20, dtype=int), ("only",))
+        with pytest.raises(ValueError, match="classification needs at least 2 groups"):
+            classify_alg1(single, ShrinkageTarget.identity(), 0.3, 0.0, "empirical", np.zeros(3))
 
 
 class TestAlg2:
@@ -794,3 +802,63 @@ class TestSerialization:
         back = decode_array(doc)
         assert back.flags.f_contiguous and not back.flags.c_contiguous
         assert_array_equal(back, arr)
+
+
+QUERY_CALLS = {
+    "classify": lambda data, z: classify(fit(data, ShrinkageTarget.identity(), 0.3), z),
+    "discriminant_scores": lambda data, z: discriminant_scores(fit(data, ShrinkageTarget.identity(), 0.3), z),
+    "LinearDiscriminant.scores": lambda data, z: linear_discriminant(fit_svd_ridge(data, 0.3)).scores(z),
+    "LinearDiscriminant.classify": lambda data, z: linear_discriminant(fit_svd_ridge(data, 0.3)).classify(z),
+    "classify_alg1": lambda data, z: classify_alg1(data, ShrinkageTarget.identity(), 0.3, 0.0, "empirical", z),
+    "classify_alg2": lambda data, z: classify_alg2(fit_svd_ridge(data, 0.3), 0.0, "empirical", z),
+    "svd_ridge_sq_distances": lambda data, z: svd_ridge_sq_distances(fit_svd_ridge(data, 0.3), 0.0, z),
+}
+
+
+@pytest.mark.parametrize("name", QUERY_CALLS)
+@pytest.mark.parametrize("shape", [(29,), (4, 29)], ids=["vector", "matrix"])
+def test_query_width_is_refused_by_name(name, shape):
+    data = random_grouped(np.random.default_rng(7), (10, 12), p=30)
+    with pytest.raises(ValueError, match=re.escape("query has 29 variables, model expects 30")):
+        QUERY_CALLS[name](data, np.zeros(shape))
+
+
+def _single_group():
+    return GroupedDataset(np.zeros((4, 3)), np.zeros(4, dtype=int), ("only",))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda model: resolve_priors("bogus", np.array([3, 3])), "unknown priors spec 'bogus'", id="spec"),
+        pytest.param(
+            lambda model: replace(model, pooled_mean=np.zeros(4)),
+            "inconsistent dimensions between means, priors, and covariance",
+            id="model-dimensions",
+        ),
+        pytest.param(
+            lambda model: classify(model, np.zeros((1, 2, 3))),
+            "query must be a p-vector or an (m, p) matrix",
+            id="query-ndim",
+        ),
+        pytest.param(
+            lambda model: linear_discriminant(model, delta=0.5),
+            "a target-shrinkage model fixes its mean rule and priors at fit time",
+            id="rlda-delta",
+        ),
+        pytest.param(
+            lambda model: fit_svd_ridge(_single_group(), 0.3),
+            "classification needs at least 2 groups",
+            id="svd-one-group",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(rng, call, message):
+    model = fit(random_grouped(rng, (5, 6), p=3), ShrinkageTarget.identity(), 0.3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(model)
+
+
+def test_model_to_dict_refuses_an_object_that_is_no_model():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        model_to_dict(object())

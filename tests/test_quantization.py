@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -212,3 +213,43 @@ class TestDemo:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: QuantizationScenario(sigma2=1.0, delta2=0.1, n=5, p=3, mu=np.zeros(2)),
+            "mu must be a length-p vector",
+            id="mu-length",
+        ),
+        pytest.param(
+            lambda: QuantizationScenario(sigma2=1.0, delta2=0.1, n=5, p=3, theta=np.zeros(3)),
+            "the random-center form needs both theta and psi",
+            id="random-no-psi",
+        ),
+        pytest.param(
+            lambda: QuantizationScenario(sigma2=1.0, delta2=0.1, n=5, p=3, theta=np.zeros(2), psi=np.eye(3)),
+            "theta must be length p and psi p x p",
+            id="theta-length",
+        ),
+        pytest.param(
+            lambda: QuantizationScenario(sigma2=1.0, delta2=0.1, n=5, p=3, theta=np.zeros(3), psi=np.eye(2)),
+            "theta must be length p and psi p x p",
+            id="psi-shape",
+        ),
+        pytest.param(
+            lambda: posterior_xi_random_mu(np.zeros(3), QuantizationScenario(1.0, 0.1, 5, 3, mu=np.zeros(3))),
+            "scenario must carry a random center (theta, psi)",
+            id="random-posterior-on-fixed",
+        ),
+        pytest.param(
+            lambda: demo_quantization(QuantizationScenario(1.0, 0.1, 5, 3, mu=np.zeros(3)), seed=0, replications=0),
+            "replications must be positive",
+            id="replications",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -16,6 +16,7 @@ from rlda.discriminant import _score_blocks, _scores, classify, fit
 from rlda.regmeans import MeanRegularizer, regularize_means
 from rlda.selection import (
     CvConfig,
+    CvResult,
     _grid_accuracies,
     cross_validate,
     default_delta_grid,
@@ -184,6 +185,11 @@ class TestCrossValidate:
             for delta in deltas:
                 oracle = manual_fold_accuracies(data, ShrinkageTarget.identity(), "l1", fold_sets, lam, delta)
                 assert by_cell[(lam, delta)] == pytest.approx(oracle.mean())
+
+    def test_refuses_one_group(self, rng):
+        single = GroupedDataset(rng.standard_normal((20, 3)), np.zeros(20, dtype=int), ("only",))
+        with pytest.raises(ValueError, match="classification needs at least 2 groups"):
+            cross_validate(single, ShrinkageTarget.identity(), "none", CvConfig(seed=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="folds"):
@@ -536,3 +542,25 @@ class TestEigenbasisScores:
         assert len(projections) == len(fold_sets)
         for kind in kind_grids:
             assert np.array_equal(acc[kind], dense[kind], equal_nan=True), kind
+
+
+def _cv_result(**fields):
+    valid = dict(best_lambda=0.5, best_delta=None, accuracy_mean=0.9, accuracy_sd=0.1, n_selected_variables=3, table=())
+    return CvResult(**{**valid, **fields})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: default_delta_grid("l1"), "threshold grids are data-adaptive; pass the dataset", id="data"),
+        pytest.param(lambda: default_delta_grid("bogus"), "unknown mean regularizer kind 'bogus'", id="kind"),
+        pytest.param(lambda: _cv_result(accuracy_mean=1.5), "accuracy_mean must lie in [0, 1]", id="accuracy-mean"),
+        pytest.param(lambda: _cv_result(accuracy_sd=-0.1), "accuracy_sd must be nonnegative", id="accuracy-sd"),
+        pytest.param(
+            lambda: _cv_result(n_selected_variables=-1), "n_selected_variables must be nonnegative", id="selected"
+        ),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
