@@ -1,4 +1,7 @@
-"""Shared dense linear algebra helpers: SPD factorization and solves.
+"""Shared helpers: the finiteness rule, SPD factorization and solves.
+
+:func:`require_finite` builds every "``<name>`` must be finite" refusal;
+dense matrices meet it in :func:`ensure_symmetric`.
 
 The three functions that factorize or substitute import ``scipy.linalg`` on
 their first call, not at module scope: SciPy costs 0.2–0.3 s and 28 MB per
@@ -18,6 +21,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "cholesky_lower",
     "ensure_symmetric",
+    "require_finite",
     "solve_cholesky",
     "solve_lower",
     "solve_spd",
@@ -32,14 +36,24 @@ class NotPositiveDefiniteError(ValueError):
     """
 
 
+def require_finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array; raises ``ValueError`` naming ``name`` and its first NaN or inf."""
+    arr = np.asarray(values, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {arr[~finite][0]}")
+    return arr
+
+
 _SYMMETRY_TOL = 1e-8  # largest accepted max |a - a^T|, relative to max(1, max |a|)
 
 
 def ensure_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    """Validate symmetry within ``_SYMMETRY_TOL`` (relative) and return the symmetrized matrix."""
+    """Validate a finite square matrix, symmetric within ``_SYMMETRY_TOL`` (relative); return it symmetrized."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    require_finite(a, name)
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_cholesky
+from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, require_finite, solve_cholesky
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -54,7 +54,7 @@ class GaussianPrior:
 
     def __post_init__(self):
         if self.theta is not None:
-            theta = _finite_vector(self.theta, "theta")
+            theta = require_finite(self.theta, "theta").reshape(-1)
             theta.setflags(write=False)
             object.__setattr__(self, "theta", theta)
         cov = ensure_symmetric(self.covariance, "prior covariance")
@@ -119,18 +119,10 @@ def _validate_sample(xbar, n: int, name: str = "xbar", count: str = "n") -> np.n
     if n < 1:
         raise ValueError(f"sample count {count} must be at least 1")
     xbar = _vector_or_block(xbar)
-    _finite_vector(xbar, name)  # checks every value, whatever the shape
+    require_finite(xbar, name)
     if not xbar.size:
         raise ValueError(f"{name} must hold at least one value")
     return xbar
-
-
-def _finite_vector(values, name: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=float).reshape(-1)
-    bad = vec[~np.isfinite(vec)]
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {bad[0]}")
-    return vec
 
 
 def posterior_mean_conjugate_scalar(xbar, n: int, c: float, theta) -> PosteriorSummary:
@@ -153,7 +145,7 @@ def posterior_mean_conjugate_scalar(xbar, n: int, c: float, theta) -> PosteriorS
     xbar = _validate_sample(xbar, n)
     if not 0 < c < np.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
-    theta = _finite_vector(theta, "theta")
+    theta = require_finite(theta, "theta").reshape(-1)
     if theta.shape != xbar.shape[-1:]:
         raise ValueError("theta must match xbar in length")
     delta = c / (n + c)
@@ -220,6 +212,8 @@ def posterior_mean_univariate(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    for name, value in (("xbar", xbar), ("sigma2", sigma2), ("theta", theta), ("gamma2", gamma2)):
+        require_finite(value, name)
     if sigma2 <= 0 or gamma2 <= 0:
         raise ValueError("variances must be positive")
     if form == "precision":
@@ -235,10 +229,11 @@ def james_stein(x, sigma2: float) -> np.ndarray:
     Defined for ``p >= 3`` and nonzero ``x``; the multiplier may be
     negative (no positive-part clipping).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = require_finite(x, "x").reshape(-1)
     p = x.shape[0]
     if p < 3:
         raise ValueError("james_stein requires dimension p >= 3")
+    require_finite(sigma2, "sigma2")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     norm_sq = float(x @ x)

@@ -155,8 +155,12 @@ def _resolve_target_options(args) -> None:
 
 
 def _check_route_options(args) -> None:
-    """Reject the ``fit`` options that the chosen ``--algorithm`` would silently ignore."""
+    """Reject the ``fit`` options that the chosen ``--algorithm`` would silently ignore or cannot take."""
     if args.algorithm == "svd":
+        if args.lam in ("cv", "lw"):
+            raise ValueError("--algorithm svd needs a numeric --lambda (cv/lw apply to chol)")
+        if args.delta == "cv":
+            raise ValueError("--algorithm svd needs a numeric --delta")
         if args.mean_reg in ("l1", "hard"):
             raise ValueError(
                 f"--mean-reg {args.mean_reg} does not apply to --algorithm svd, whose --delta is an l2 blend weight"
@@ -190,11 +194,7 @@ def _cmd_fit(args) -> tuple[dict, str]:
             **chosen,
         }
     else:
-        if args.lam in ("cv", "lw"):
-            raise ValueError("--algorithm svd needs a numeric --lambda (cv/lw apply to chol)")
         lam = _number("--lambda", args.lam)
-        if args.delta == "cv":
-            raise ValueError("--algorithm svd needs a numeric --delta")
         delta = 0.0 if args.delta is None else _number("--delta", args.delta)
         mode = "paper-literal" if args.mode == "paper" else "exact"
         model = fit_svd_ridge(data, lam, mode=mode)

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import require_finite
+
 __all__ = [
     "GroupedDataset",
     "GroupMeans",
@@ -205,9 +207,7 @@ class SimulationConfig:
         shift = np.asarray(self.shift, dtype=float)
         if shift.shape != (self.p,):
             raise ValueError("shift must be a length-p vector")
-        bad = shift[~np.isfinite(shift)]
-        if bad.size:
-            raise ValueError(f"shift must be finite, got {bad[0]}")
+        require_finite(shift, "shift")
         shift.setflags(write=False)
         object.__setattr__(self, "shift", shift)
 

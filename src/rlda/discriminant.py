@@ -19,7 +19,8 @@ here scores through the resulting :class:`LinearDiscriminant`. A saved
 model is that object too, so ``rlda predict`` scores from the stored
 discriminant without rebuilding a kernel. The score expression itself
 lives in :func:`_score_blocks`, which the cross-validation grid also calls
-with the two blocks it builds in a spectral kernel's eigenbasis.
+with the blocks ``(Z a, quad)`` of either kernel form. Every query passes
+:func:`_as_query_matrix`, which refuses a wrong width and NaN or inf.
 
 Two fitting routes are provided. The target-shrinkage route (``fit``)
 keeps the form that :func:`~rlda.covariance._shrinkage_kernel` picks from
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import require_finite
 from .covariance import (
     GRAM_POOLED_MEAN,
     WITHIN_GROUP,
@@ -92,9 +94,7 @@ def resolve_priors(spec, counts: np.ndarray) -> np.ndarray:
         pri = np.asarray(spec, dtype=float).reshape(-1)
         if pri.shape != (k,):
             raise ValueError(f"priors must have length {k}")
-        bad = pri[~np.isfinite(pri)]
-        if bad.size:
-            raise ValueError(f"priors must be finite, got {bad[0]}")
+        require_finite(pri, "priors")
         if np.any(pri <= 0):
             raise ValueError("priors must be strictly positive")
         if abs(pri.sum() - 1.0) > 1e-8:
@@ -183,6 +183,7 @@ def _as_query_matrix(z, p: int) -> tuple[np.ndarray, bool]:
         raise ValueError("query must be a p-vector or an (m, p) matrix")
     if z.shape[-1] != p:
         raise ValueError(f"query has {z.shape[-1]} variables, model expects {p}")
+    require_finite(z, "query")
     return (z[None, :], True) if z.ndim == 1 else (z, False)
 
 
@@ -192,29 +193,13 @@ def _linear_terms(solve, means_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, np.sum(means_t * a, axis=0)
 
 
-def _scores(solve, means_t: np.ndarray, queries: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
-    """Scores of every column of ``m^T`` at the ``m x p`` queries ``Z``; see :func:`_score_blocks`.
-
-    For column blocks that are no model's groups, such as the
-    cross-validation grid's every (mean rule, group) cell at once.
-    """
-    a, quad = _linear_terms(solve, means_t)
-    return _score_blocks(queries @ a, quad, log_priors)
-
-
 def _score_blocks(cross: np.ndarray, quad: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
     """``Z a - 0.5 sum(m^T * a) + log pi`` from the ``m x K`` block ``cross = Z a`` and ``quad = sum(m^T * a)``.
 
-    ``a = M^-1 m^T``; a caller that has both blocks without ``a`` itself
-    (the cross-validation grid, in a kernel's eigenbasis) scores here too.
+    ``a = M^-1 m^T``. The columns need not be a model's groups: the
+    cross-validation grid scores every (mean rule, group) cell at once.
     """
     return cross - 0.5 * quad + log_priors
-
-
-def _best(scores: np.ndarray, single: bool):
-    """Highest-scoring group per query; ties go to the smallest index."""
-    labels = np.argmax(scores, axis=1)
-    return int(labels[0]) if single else labels
 
 
 @dataclass(frozen=True)
@@ -244,9 +229,7 @@ class LinearDiscriminant:
                 f"and {k} group names disagree on K or p"
             )
         for name, values in fields.items():
-            bad = values[~np.isfinite(values)]
-            if bad.size:
-                raise ValueError(f"{name} must be finite, got {bad[0]}")
+            require_finite(values, name)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         total = np.exp(log_priors).sum()
@@ -270,8 +253,8 @@ class LinearDiscriminant:
 
     def classify(self, z):
         """Group index (0-based) with the highest score; ties go to the smallest index."""
-        queries, single = _as_query_matrix(z, self.p)
-        return _best(self.scores(queries), single)
+        labels = np.argmax(self.scores(z), axis=-1)
+        return int(labels) if labels.ndim == 0 else labels
 
 
 def _discriminant(solve, means: np.ndarray, priors: np.ndarray, group_names) -> LinearDiscriminant:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import cholesky_lower, ensure_symmetric
+from ._linalg import cholesky_lower, ensure_symmetric, require_finite
 from .bayes import GaussianPrior, PosteriorSummary, posterior_mean_conjugate_scalar, posterior_mean_general
 
 __all__ = [
@@ -65,8 +65,7 @@ class QuantizationScenario:
             mu = np.asarray(self.mu, dtype=float).reshape(-1)
             if mu.shape != (self.p,):
                 raise ValueError("mu must be a length-p vector")
-            if not np.isfinite(mu).all():
-                raise ValueError("mu must be finite")
+            require_finite(mu, "mu")
             mu.setflags(write=False)
             object.__setattr__(self, "mu", mu)
         else:
@@ -76,6 +75,7 @@ class QuantizationScenario:
             psi = ensure_symmetric(self.psi, "psi")
             if theta.shape != (self.p,) or psi.shape != (self.p, self.p):
                 raise ValueError("theta must be length p and psi p x p")
+            require_finite(theta, "theta")
             theta.setflags(write=False)
             psi.setflags(write=False)
             object.__setattr__(self, "theta", theta)
@@ -152,9 +152,7 @@ def demo_quantization(
     """
     if replications < 1:
         raise ValueError("replications must be positive")
-    if fit_delta2 is not None and not np.isfinite(fit_delta2):
-        raise ValueError(f"fit_delta2 must be finite, got {fit_delta2}")
-    if fit_delta2 is not None and fit_delta2 < 0:
+    if fit_delta2 is not None and require_finite(fit_delta2, "fit_delta2") < 0:
         raise ValueError(f"fit_delta2 must be nonnegative, got {fit_delta2}")
     fitted = scenario if fit_delta2 is None else replace(scenario, delta2=float(fit_delta2))
     _require_rounding_variance(fitted)  # before any draw: the draw is O(replications n p)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import require_finite
 from .datamodel import GroupMeans
 
 __all__ = [
@@ -84,14 +85,16 @@ class RegularizedMeans:
 
 def soft_threshold_scalar(x: float, delta: float) -> float:
     """``sgn(x) * max(|x| - delta, 0)``: the magnitude-shrinking rule."""
-    if delta < 0:
+    require_finite(x, "x")
+    if require_finite(delta, "delta") < 0:
         raise ValueError("delta must be nonnegative")
     return float(np.sign(x) * max(abs(x) - delta, 0.0))
 
 
 def hard_threshold_scalar(x: float, delta: float) -> float:
     """``x`` if ``|x| > delta`` else 0; boundary values are zeroed."""
-    if delta < 0:
+    require_finite(x, "x")
+    if require_finite(delta, "delta") < 0:
         raise ValueError("delta must be nonnegative")
     return float(x) if abs(x) > delta else 0.0
 

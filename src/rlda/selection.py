@@ -21,6 +21,7 @@ not depend on evaluation order and repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from ._linalg import NotPositiveDefiniteError
 from .covariance import DEFAULT_THETA2, ShrinkageTarget, SpectralCovariance, _lw_lambdas, _shrinkage_kernel
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
-from .discriminant import _require_groups, _score_blocks, _scores
+from .discriminant import _linear_terms, _require_groups, _score_blocks
 from .regmeans import KINDS, MeanRegularizer, regularize_means
 
 __all__ = [
@@ -193,13 +194,14 @@ def _grid_accuracies(
     for a fixed target, dense for a custom one. Its two forms give the same
     table, ``lam = 0`` verdicts included, up to floating-point rounding of
     the scores. For each fold the mean rows of every (rule, delta) cell are
-    stacked once into one ``p x (cells K)`` block ``m^T``, and every
-    (target, intensity) scores all cells at once through
-    :func:`~rlda.discriminant._score_blocks`. Spectral kernels on one basis
-    ``vt`` (every fixed target of a fold) share one
-    :func:`_eigenbasis_blocks` projection of the fold, so an intensity
-    costs ``O(n_test r cells K)`` and no ``p``-dimensional product; a dense
-    ``M`` solves ``a = M^-1 m^T``. An intensity whose ``M`` is not positive
+    stacked once into one ``p x (cells K)`` block ``m^T``. Each (target,
+    intensity) reduces its kernel to the pair ``(Z a, sum(m^T * a))``,
+    ``a = M^-1 m^T``, and one :func:`~rlda.discriminant._score_blocks` call
+    scores all cells from it. Spectral kernels on one basis ``vt`` (every
+    fixed target of a fold) share one :func:`_eigenbasis_blocks`
+    projection, so an intensity costs ``O(n_test r cells K)`` and no
+    ``p``-dimensional product; a dense ``M`` solves for ``a``
+    (:func:`_solved_blocks`). An intensity whose ``M`` is not positive
     definite leaves its cells NaN: the covariance is still built per
     intensity, so its checks and the ``lam = 0`` rank rule decide that on
     either form. :func:`cross_validate` is the one-target call.
@@ -225,16 +227,20 @@ def _grid_accuracies(
                     cov = covariance(lam)
                 except NotPositiveDefiniteError:
                     continue
-                if isinstance(cov, SpectralCovariance):
-                    if cov.vt is not basis:  # once per fold: every intensity and target shares vt
-                        basis = cov.vt
-                        blocks = _eigenbasis_blocks(basis, m_t, test_values)
-                    scores = _score_blocks(*blocks(cov), log_priors)
-                else:
-                    scores = _scores(cov.solve, m_t, test_values, log_priors)
-                scores = scores.reshape(len(test_idx), cells, k)
+                if not isinstance(cov, SpectralCovariance):
+                    basis, blocks = None, functools.partial(_solved_blocks, m_t, test_values)
+                elif cov.vt is not basis:  # once per fold: every intensity and target shares vt
+                    basis = cov.vt
+                    blocks = _eigenbasis_blocks(basis, m_t, test_values)
+                scores = _score_blocks(*blocks(cov), log_priors).reshape(len(test_idx), cells, k)
                 acc[f, li] = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
     return [{kind: acc[..., lo:hi] for kind, lo, hi in zip(kind_grids, spans[:-1], spans[1:])} for acc in full]
+
+
+def _solved_blocks(means_t: np.ndarray, queries: np.ndarray, cov) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of :func:`_eigenbasis_blocks` for a dense ``cov``, from ``a = M^-1 m^T`` solved outright."""
+    a, quad = _linear_terms(cov.solve, means_t)
+    return queries @ a, quad
 
 
 def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray):

@@ -277,10 +277,46 @@ class TestSummaryValidation:
             "prior covariance must be p x p (got (2, 2) for p=3)",
             id="general-prior-covariance-shape",
         ),
+        pytest.param(
+            lambda: posterior_mean_general(
+                np.zeros(2), 4, [[1.0, 0.0], [0.0, np.nan]], GaussianPrior.full(np.zeros(2), np.eye(2))
+            ),
+            "sigma must be finite, got nan",
+            id="general-sigma-non-finite",
+        ),
+        pytest.param(
+            lambda: GaussianPrior.full(np.zeros(2), [[1.0, np.inf], [np.inf, 1.0]]),
+            "prior covariance must be finite, got inf",
+            id="prior-covariance-non-finite",
+        ),
         pytest.param(lambda: posterior_mean_univariate(0.5, 0, 1.0, 0.0, 1.0), "n must be at least 1", id="n"),
+        pytest.param(
+            lambda: posterior_mean_univariate(np.nan, 3, 1.0, 0.0, 1.0),
+            "xbar must be finite, got nan",
+            id="univariate-xbar",
+        ),
+        pytest.param(
+            lambda: posterior_mean_univariate(0.5, 3, np.nan, 0.0, 1.0),
+            "sigma2 must be finite, got nan",
+            id="univariate-sigma2",
+        ),
+        pytest.param(
+            lambda: posterior_mean_univariate(0.5, 3, 1.0, np.inf, 1.0),
+            "theta must be finite, got inf",
+            id="univariate-theta",
+        ),
+        pytest.param(
+            lambda: posterior_mean_univariate(0.5, 3, 1.0, 0.0, np.nan),
+            "gamma2 must be finite, got nan",
+            id="univariate-gamma2",
+        ),
         pytest.param(lambda: posterior_mean_univariate(0.5, 3, 0.0, 0.0, 1.0), "variances must be positive", id="sigma2"),
         pytest.param(lambda: posterior_mean_univariate(0.5, 3, 1.0, 0.0, -1.0), "variances must be positive", id="gamma2"),
         pytest.param(lambda: james_stein(np.ones(3), 0.0), "sigma2 must be positive", id="james-stein-sigma2"),
+        pytest.param(
+            lambda: james_stein(np.ones(3), np.nan), "sigma2 must be finite, got nan", id="james-stein-sigma2-nan"
+        ),
+        pytest.param(lambda: james_stein([1.0, np.nan, 1.0], 1.0), "x must be finite, got nan", id="james-stein-x-nan"),
         pytest.param(
             lambda: two_sample_posterior_means(
                 np.zeros(3), np.zeros(2), 4, 5, np.eye(3), GaussianPrior.full(np.zeros(3), np.eye(3))

@@ -530,6 +530,11 @@ def _pooled_covariance(convention):
     [
         pytest.param(lambda: ShrinkageTarget("custom"), "custom target needs a matrix", id="custom-no-matrix"),
         pytest.param(
+            lambda: ShrinkageTarget.custom([[1.0, np.nan], [np.nan, 1.0]]),
+            "custom target must be finite, got nan",
+            id="custom-non-finite",
+        ),
+        pytest.param(
             lambda: ShrinkageTarget("equal-correlation"), "equal-correlation target needs theta2", id="equal-no-theta2"
         ),
         pytest.param(

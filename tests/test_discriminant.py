@@ -823,6 +823,18 @@ def test_query_width_is_refused_by_name(name, shape):
         QUERY_CALLS[name](data, np.zeros(shape))
 
 
+@pytest.mark.parametrize("name", QUERY_CALLS)
+@pytest.mark.parametrize("shape", [(30,), (4, 30)], ids=["vector", "matrix"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_non_finite_query_is_refused_by_name(name, shape, bad):
+    # Unrefused, a NaN query scores NaN for every group, and argmax labels it group 0.
+    data = random_grouped(np.random.default_rng(7), (10, 12), p=30)
+    z = np.zeros(shape)
+    z.flat[-1] = bad
+    with pytest.raises(ValueError, match=re.escape(f"query must be finite, got {bad}")):
+        QUERY_CALLS[name](data, z)
+
+
 def _single_group():
     return GroupedDataset(np.zeros((4, 3)), np.zeros(4, dtype=int), ("only",))
 

@@ -224,6 +224,23 @@ class TestDemo:
             id="mu-length",
         ),
         pytest.param(
+            lambda: QuantizationScenario(sigma2=1.0, delta2=0.1, n=5, p=3, mu=[0.0, np.nan, 0.0]),
+            "mu must be finite, got nan",
+            id="mu-non-finite",
+        ),
+        pytest.param(
+            lambda: QuantizationScenario(sigma2=1.0, delta2=0.1, n=5, p=2, theta=[0.0, np.nan], psi=np.eye(2)),
+            "theta must be finite, got nan",
+            id="theta-non-finite",
+        ),
+        pytest.param(
+            lambda: QuantizationScenario(
+                sigma2=1.0, delta2=0.1, n=5, p=2, theta=np.zeros(2), psi=[[1.0, np.nan], [np.nan, 1.0]]
+            ),
+            "psi must be finite, got nan",
+            id="psi-non-finite",
+        ),
+        pytest.param(
             lambda: QuantizationScenario(sigma2=1.0, delta2=0.1, n=5, p=3, theta=np.zeros(3)),
             "the random-center form needs both theta and psi",
             id="random-no-psi",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +66,18 @@ class TestScalarOps:
             soft_threshold_scalar(1.0, -0.1)
         with pytest.raises(ValueError):
             hard_threshold_scalar(1.0, -0.1)
+
+    @pytest.mark.parametrize("rule", [soft_threshold_scalar, hard_threshold_scalar], ids=["soft", "hard"])
+    @pytest.mark.parametrize(
+        "x, delta, message",
+        [(np.nan, 1.0, "x must be finite, got nan"), (np.inf, 1.0, "x must be finite, got inf"),
+         (1.0, np.nan, "delta must be finite, got nan")],
+        ids=["x-nan", "x-inf", "delta-nan"],
+    )
+    def test_non_finite_argument_rejected(self, rule, x, delta, message):
+        # Unrefused, the hard rule maps a NaN to 0.0 and the soft rule returns NaN.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rule(x, delta)
 
 
 def toy_means():

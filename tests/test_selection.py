@@ -12,7 +12,7 @@ from rlda import covariance, selection
 from rlda._linalg import NotPositiveDefiniteError
 from rlda.covariance import WITHIN_GROUP, ShrinkageTarget, lw_lambda, pooled_covariance, shrink_covariance
 from rlda.datamodel import GroupedDataset, group_means
-from rlda.discriminant import _score_blocks, _scores, classify, fit
+from rlda.discriminant import _linear_terms, _score_blocks, classify, fit
 from rlda.regmeans import MeanRegularizer, regularize_means
 from rlda.selection import (
     CvConfig,
@@ -514,7 +514,8 @@ class TestEigenbasisScores:
                 solved.append(np.nan)
                 continue
             got = _score_blocks(*blocks(cov), log_priors)
-            expected = _scores(cov.solve, means_t, queries, log_priors)
+            a, quad = _linear_terms(cov.solve, means_t)
+            expected = _score_blocks(queries @ a, quad, log_priors)
             eig = np.linalg.eigvalsh(cov.matrix)
             # Either route rounds like eps * cond(M) * |z| |m| / eig_max(M); 64 p leaves a wide margin.
             tol = 64 * p * np.finfo(float).eps * (eig[-1] / eig[0]) * scale / eig[-1]
