@@ -1,7 +1,9 @@
-"""Shared helpers: the finiteness rule, SPD factorization and solves.
+"""Shared helpers: the finiteness and unit-interval rules, SPD factorization and solves.
 
 :func:`require_finite` builds every "``<name>`` must be finite" refusal;
-dense matrices meet it in :func:`ensure_symmetric`.
+dense matrices meet it in :func:`ensure_symmetric`. :func:`require_unit_interval`
+builds every "``<name>`` must lie in [0, 1]" refusal: shrinkage intensities,
+the l2 blend weight and CV accuracies.
 
 The three functions that factorize or substitute import ``scipy.linalg`` on
 their first call, not at module scope: SciPy costs 0.2–0.3 s and 28 MB per
@@ -22,6 +24,7 @@ __all__ = [
     "cholesky_lower",
     "ensure_symmetric",
     "require_finite",
+    "require_unit_interval",
     "solve_cholesky",
     "solve_lower",
     "solve_spd",
@@ -43,6 +46,13 @@ def require_finite(values, name: str) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {arr[~finite][0]}")
     return arr
+
+
+def require_unit_interval(value, name: str) -> float:
+    """``value`` as a float; raises ``ValueError`` naming ``name`` and the value unless it lies in [0, 1]."""
+    if not 0.0 <= float(value) <= 1.0:  # also false for NaN
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return float(value)
 
 
 _SYMMETRY_TOL = 1e-8  # largest accepted max |a - a^T|, relative to max(1, max |a|)

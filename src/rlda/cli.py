@@ -72,6 +72,14 @@ def _parse_floats(option: str, text: str) -> list[float]:
     return [_number(option, tok, "comma-separated numbers") for tok in text.split(",") if tok.strip()]
 
 
+def _grid_option(option: str, text: str | None) -> tuple[float, ...] | None:
+    """A grid option's values, ``None`` when it was not given; text that holds no number is refused."""
+    grid = None if text is None else tuple(_parse_floats(option, text))
+    if grid == ():
+        raise ValueError(f"{option}: expected comma-separated numbers, got {text!r}")
+    return grid
+
+
 def _target_from_args(args: argparse.Namespace) -> ShrinkageTarget:
     spec = args.target
     if spec == "t1":
@@ -246,8 +254,8 @@ def _cmd_cv(args) -> tuple[dict, str]:
     cv = CvConfig(
         folds=args.folds,
         seed=args.seed,
-        lambda_grid=tuple(_parse_floats("--lambda-grid", args.lambda_grid)) if args.lambda_grid else None,
-        delta_grid=tuple(_parse_floats("--delta-grid", args.delta_grid)) if args.delta_grid else None,
+        lambda_grid=_grid_option("--lambda-grid", args.lambda_grid),
+        delta_grid=_grid_option("--delta-grid", args.delta_grid),
         stratified=not args.no_stratify,
     )
     result = cross_validate(data, target, args.mean_reg, cv)

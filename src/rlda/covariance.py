@@ -16,7 +16,9 @@ lower Cholesky factor of a dense blend, so solves and quadratic forms never
 invert anything. :class:`SpectralCovariance` is the one spectral kernel:
 ``V diag(eig) V^T`` blended with a fixed target and inverted through its
 eigenpairs, which :func:`_spectrum` takes from a centered row block. It
-also holds the SVD ridge classifier. The ridge form ``lam S + (1 - lam) I``
+also holds the SVD ridge classifier, and :func:`_eigenbasis_blocks` applies
+its ``M^-1`` in the eigenbasis for the cross-validation grid, so every
+``M^-1`` is applied in this module. The ridge form ``lam S + (1 - lam) I``
 has no function of its own: it is the identity blend at ``1 - lam``, dense
 through :func:`shrink_covariance` or spectral on the spectrum of the
 pooled-mean-centered rows. In ``fit`` and in the cross-validation grid
@@ -38,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, solve_cholesky
+from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, require_unit_interval, solve_cholesky
 from .datamodel import GroupedDataset, GroupMeans, group_means
 
 __all__ = [
@@ -156,8 +158,7 @@ class RegularizedCovariance:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
+        require_unit_interval(self.lam, "lam")
         factor = np.asarray(self.factor, dtype=float)
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
@@ -188,11 +189,11 @@ class SpectralCovariance:
     ``theta2 = 0``). :meth:`solve` applies one formula for every target and
     rank, ``M^-1 = V diag(w) V^T + (1/c) I - beta u u^T``, in ``O(p r k)``
     for ``k`` columns: the last term is Sherman-Morrison for the rank-one
-    ``lam theta2 11^T``, and ``beta = 0`` for the identity. Its weights,
-    :attr:`base_weights` and :meth:`rank_one_weight`, are ``O(r)`` and also
-    serve callers that work in the basis ``vt`` themselves; the solver is
-    built on the first :meth:`solve`, and :attr:`matrix` forms the dense
-    ``M`` only when read.
+    ``lam theta2 11^T``, and ``beta = 0`` for the identity. Its ``O(r)``
+    weights, :attr:`_base_weights` and :meth:`_rank_one_weight`, are read
+    only by that solver and by :func:`_eigenbasis_blocks`, which applies the
+    same formula in the basis ``vt``. The solver is built on the first
+    :meth:`solve`, and :attr:`matrix` forms the dense ``M`` only when read.
     The SVD ridge kernel ``lam Xc^T Xc + (1 - lam) I`` is the identity
     blend at ``1 - lam`` with ``S = Xc^T Xc``.
 
@@ -202,7 +203,7 @@ class SpectralCovariance:
     ``numpy.linalg.matrix_rank``. With ``r = p``, ``1/c = 0`` and
     ``w = 1 / ((1 - lam) eig + lam spread)``, defined at ``lam = 0``; with
     ``r < p``, ``1/c = 1 / (lam spread)`` carries the directions out of the
-    span of ``V`` (see :attr:`base_weights`).
+    span of ``V`` (see :attr:`_base_weights`).
 
     Raises
     ------
@@ -228,8 +229,7 @@ class SpectralCovariance:
             raise ValueError("eigenvalues must be nonnegative and non-increasing")
         if self.spread <= 0.0:
             raise ValueError("spread must be positive")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
+        require_unit_interval(self.lam, "lam")
         r, p = vt.shape
         if self.lam == 0.0:
             if r < p:
@@ -243,7 +243,7 @@ class SpectralCovariance:
         object.__setattr__(self, "eig", eig)
 
     @property
-    def base_weights(self) -> tuple[np.ndarray, float]:
+    def _base_weights(self) -> tuple[np.ndarray, float]:
         """``(w, 1/c)`` with ``B^-1 = V diag(w) V^T + (1/c) I`` for the base kernel ``B = M - lam theta2 11^T``.
 
         ``B = V diag((1 - lam) eig) V^T + c I`` with ``c = lam spread``.
@@ -257,16 +257,16 @@ class SpectralCovariance:
             return 1.0 / (scaled + c), 0.0
         return -scaled / (c * (scaled + c)), 1.0 / c
 
-    def rank_one_weight(self, one_b_one: float) -> float:
+    def _rank_one_weight(self, one_b_one: float) -> float:
         """Sherman-Morrison: ``M^-1 = B^-1 - weight u u^T`` with ``u = B^-1 1`` and ``one_b_one = 1^T u``."""
         return self.lam * self.theta2 / (1.0 + self.lam * self.theta2 * one_b_one)
 
     @functools.cached_property
     def _solve(self) -> Callable[[np.ndarray], np.ndarray]:
         """``M^-1`` on ``p x k`` blocks, built on the first solve."""
-        base_solve = _low_rank_solver(self.vt, *self.base_weights)
+        base_solve = _low_rank_solver(self.vt, *self._base_weights)
         u = base_solve(np.ones((self.p, 1)))[:, 0]  # B^-1 1
-        weight = self.rank_one_weight(np.sum(u))
+        weight = self._rank_one_weight(np.sum(u))
         return lambda b: base_solve(b) - np.outer(u, weight * (u @ b))
 
     @property
@@ -283,6 +283,42 @@ class SpectralCovariance:
         """The dense ``(1 - lam) S + lam T``, built on every read (``O(p^2 r)``)."""
         s = (self.vt.T * self.eig) @ self.vt
         return (1.0 - self.lam) * s + self.lam * (self.spread * np.eye(self.p) + self.theta2)
+
+
+def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray):
+    """``cov -> (Z a, sum(m^T * a))`` with ``a = M^-1 m^T``, for every :class:`SpectralCovariance` on ``vt``.
+
+    The formula of :meth:`SpectralCovariance.solve`, applied in the basis
+    ``vt``: ``[m^T | Z^T | 1]`` is projected onto its ``r`` rows once. With
+    ``M^-1 = B^-1 - beta u u^T`` and ``B^-1 = V diag(w) V^T + (1/c) I``
+    (:attr:`~SpectralCovariance._base_weights`,
+    :meth:`~SpectralCovariance._rank_one_weight`), each block is a weighted
+    product of projections plus ``1/c`` times a raw product (``Z m^T``,
+    ``sum(m^T * m^T)``, ``Z 1``, ``1^T m^T``), also formed once. Every
+    kernel takes this one formula: full rank is ``1/c = 0`` and the
+    identity target ``beta = 0``. A kernel on ``vt`` then costs
+    ``O(n_test r cols)`` for the ``cols`` columns of ``m^T``, with no
+    ``p``-dimensional product.
+    """
+    p = vt.shape[1]
+    cols = means_t.shape[1]
+    projected = vt @ np.hstack([means_t, queries.T, np.ones((p, 1))])
+    pm, pz, p1 = projected[:, :cols], projected[:, cols:-1], projected[:, -1]
+    zm, mm = queries @ means_t, np.sum(means_t * means_t, axis=0)
+    z1, m1 = queries.sum(axis=1), means_t.sum(axis=0)
+
+    def blocks(cov: SpectralCovariance) -> tuple[np.ndarray, np.ndarray]:
+        w, inv_c = cov._base_weights
+        wm = w[:, None] * pm
+        w1 = w * p1
+        um = w1 @ pm + inv_c * m1  # u^T m^T with u = B^-1 1
+        zu = pz.T @ w1 + inv_c * z1  # Z u
+        beta = cov._rank_one_weight(w1 @ p1 + inv_c * p)
+        cross = pz.T @ wm + inv_c * zm - np.outer(zu, beta * um)
+        quad = np.sum(pm * wm, axis=0) + inv_c * mm - beta * um * um
+        return cross, quad
+
+    return blocks
 
 
 def pooled_covariance(data: GroupedDataset, means: GroupMeans, convention: str = WITHIN_GROUP) -> np.ndarray:
@@ -341,8 +377,7 @@ def shrink_covariance(s: np.ndarray, target: ShrinkageTarget, lam: float) -> Reg
     jittered: a failure raises the recoverable :class:`NotPositiveDefiniteError`.
     The ridge form ``lam S + (1 - lam) I`` is the identity target at ``1 - lam``.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    require_unit_interval(lam, "lam")
     s = ensure_symmetric(s, "S")
     p = s.shape[0]
     t = target.materialize(p, default_sigma2=float(np.mean(np.diag(s))) if p else None)

@@ -259,13 +259,13 @@ def simulate(config: SimulationConfig) -> GroupedDataset:
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and the data rows of a comma-separated UTF-8 file.
+    """The stripped header and the data rows of a comma-separated UTF-8 file, with or without a byte-order mark.
 
     Raises ``ValueError`` on an empty file, on a row whose cell count
     differs from the header's (reporting its file row), and on a file
     with no data rows.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -282,7 +282,7 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
 
 def _csv_header(path) -> list[str]:
     """The stripped header of a CSV file, without reading its data rows; ``[]`` for an empty file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return [h.strip() for h in next(csv.reader(fh), [])]
 
 

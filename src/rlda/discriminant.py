@@ -78,15 +78,17 @@ __all__ = [
 def resolve_priors(spec, counts: np.ndarray) -> np.ndarray:
     """Turn a priors argument into a validated probability vector.
 
-    ``"empirical"`` gives the group proportions, ``"uniform"`` equal
-    weights; anything array-like is validated (finite, strictly positive,
-    summing to one within 1e-8) and exactly renormalized.
+    ``"empirical"`` gives the group proportions ``counts / counts.sum()``,
+    rounded once: ``fit``, the classifiers and the CV grid all take them
+    here. ``"uniform"`` gives equal weights; anything array-like is
+    validated (finite, strictly positive, summing to one within 1e-8).
+    Both are exactly renormalized.
     """
     k = len(counts)
     if isinstance(spec, str):
         if spec == "empirical":
-            pri = counts / counts.sum()
-        elif spec == "uniform":
+            return counts / counts.sum()
+        if spec == "uniform":
             pri = np.full(k, 1.0 / k)
         else:
             raise ValueError(f"unknown priors spec {spec!r}")

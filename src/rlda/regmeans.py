@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import require_finite
+from ._linalg import require_finite, require_unit_interval
 from .datamodel import GroupMeans
 
 __all__ = [
@@ -47,8 +47,8 @@ class MeanRegularizer:
         if not np.isfinite(self.delta):
             what = "threshold" if self.kind in ("l1", "hard") else "parameter"
             raise ValueError(f"{self.kind} mean-rule {what} delta must be finite, got {self.delta}")
-        if self.kind == "l2" and not 0.0 <= self.delta <= 1.0:
-            raise ValueError("l2 blend weight must lie in [0, 1]")
+        if self.kind == "l2":
+            require_unit_interval(self.delta, "l2 blend weight")
         if self.kind in ("l1", "hard") and self.delta < 0:
             raise ValueError("threshold must be nonnegative")
 

@@ -1,20 +1,16 @@
 """Cross-validated hyperparameter selection and the simulation benchmark.
 
-The grid evaluator, :func:`_grid_accuracies`, scores every (fold, target,
-intensity, mean rule, threshold) cell from one kernel per target and
-training fold: a map from the intensity ``lam`` to the regularized
-covariance, in the form that :func:`~rlda.covariance._shrinkage_kernel`
-picks from the target.
-Both forms judge ``lam = 0`` (``M = S``) by one rank rule, so a singular
-``S`` leaves it NaN. Either way the regularized mean rows of all rules and
-thresholds are built once per fold as one block. The fixed targets of a
-fold share one spectral decomposition, whose kernels project that block,
-the fold's test rows and the ones vector onto the eigenbasis once, after
-which each (target, intensity) scores every cell without a
-``p``-dimensional product; a dense kernel solves the block once per
-intensity. The 1000-dimensional benchmark runs both targets on one pass
-and one shared analytic-intensity pass; ``perfbench/run.py --workload
-paper-experiment`` times it per seed.
+This module owns the folds, the grid's cells and the selection among
+them; every rule it applies is stated elsewhere. The grid evaluator,
+:func:`_grid_accuracies`, scores every (fold, target, intensity, mean
+rule, threshold) cell from one kernel per target and training fold: the
+covariance module picks its form and applies ``M^-1`` (in the eigenbasis
+through :func:`~rlda.covariance._eigenbasis_blocks`), the priors are
+:func:`~rlda.discriminant.resolve_priors`'s empirical ones, and
+:func:`~rlda.discriminant._score_blocks` scores. A singular ``lam = 0``
+leaves its cells NaN. The 1000-dimensional benchmark runs both targets on
+one pass and one shared analytic-intensity pass; ``perfbench/run.py
+--workload paper-experiment`` times it per seed.
 Fold assignment is computed once up front from the seed, so results do
 not depend on evaluation order and repeated runs are bit-identical.
 """
@@ -26,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError
-from .covariance import DEFAULT_THETA2, ShrinkageTarget, SpectralCovariance, _lw_lambdas, _shrinkage_kernel
+from ._linalg import NotPositiveDefiniteError, require_unit_interval
+from .covariance import DEFAULT_THETA2, ShrinkageTarget, SpectralCovariance, _eigenbasis_blocks, _lw_lambdas, _shrinkage_kernel
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
-from .discriminant import _linear_terms, _require_groups, _score_blocks
+from .discriminant import _linear_terms, _require_groups, _score_blocks, resolve_priors
 from .regmeans import KINDS, MeanRegularizer, regularize_means
 
 __all__ = [
@@ -91,8 +87,7 @@ class CvConfig:
                     raise ValueError(f"{name} must be non-empty")
                 object.__setattr__(self, name, tuple(float(v) for v in grid))
         for lam in self.lambda_grid or ():
-            if not 0.0 <= lam <= 1.0:  # also false for nan
-                raise ValueError(f"lambda_grid values must lie in [0, 1], got {lam}")
+            require_unit_interval(lam, "lambda_grid values")
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,7 @@ class CvResult:
     table: tuple = field(repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.accuracy_mean <= 1.0:
-            raise ValueError("accuracy_mean must lie in [0, 1]")
+        require_unit_interval(self.accuracy_mean, "accuracy_mean")
         if self.accuracy_sd < 0.0:
             raise ValueError("accuracy_sd must be nonnegative")
         if self.n_selected_variables < 0:
@@ -197,14 +191,14 @@ def _grid_accuracies(
     stacked once into one ``p x (cells K)`` block ``m^T``. Each (target,
     intensity) reduces its kernel to the pair ``(Z a, sum(m^T * a))``,
     ``a = M^-1 m^T``, and one :func:`~rlda.discriminant._score_blocks` call
-    scores all cells from it. Spectral kernels on one basis ``vt`` (every
-    fixed target of a fold) share one :func:`_eigenbasis_blocks`
-    projection, so an intensity costs ``O(n_test r cells K)`` and no
-    ``p``-dimensional product; a dense ``M`` solves for ``a``
-    (:func:`_solved_blocks`). An intensity whose ``M`` is not positive
-    definite leaves its cells NaN: the covariance is still built per
-    intensity, so its checks and the ``lam = 0`` rank rule decide that on
-    either form. :func:`cross_validate` is the one-target call.
+    scores all cells from it, with the fold's empirical log-priors.
+    Spectral kernels on one basis ``vt`` (every fixed target of a fold)
+    share one :func:`~rlda.covariance._eigenbasis_blocks` projection; a
+    dense ``M`` solves for ``a`` (:func:`_solved_blocks`). An intensity
+    whose ``M`` is not positive definite leaves its cells NaN: the
+    covariance is still built per intensity, so its checks and the
+    ``lam = 0`` rank rule decide that on either form.
+    :func:`cross_validate` is the one-target call.
     """
     rules = [MeanRegularizer(kind, delta) for kind, grid in kind_grids.items() for delta in grid]
     spans = np.cumsum([0, *map(len, kind_grids.values())])  # each mean rule's span in ``rules``
@@ -216,7 +210,7 @@ def _grid_accuracies(
         means = group_means(train)
         k = train.n_groups
         m_t = np.concatenate([regularize_means(means, rule).per_group for rule in rules]).T  # p x (cells K)
-        log_priors = np.tile(np.log(train.group_counts / train.n), cells)
+        log_priors = np.tile(np.log(resolve_priors("empirical", train.group_counts)), cells)
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
         basis = blocks = None
@@ -238,42 +232,9 @@ def _grid_accuracies(
 
 
 def _solved_blocks(means_t: np.ndarray, queries: np.ndarray, cov) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of :func:`_eigenbasis_blocks` for a dense ``cov``, from ``a = M^-1 m^T`` solved outright."""
+    """:func:`~rlda.covariance._eigenbasis_blocks`'s pair for a dense ``cov``: ``a = M^-1 m^T`` solved outright."""
     a, quad = _linear_terms(cov.solve, means_t)
     return queries @ a, quad
-
-
-def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray):
-    """``cov -> (Z a, sum(m^T * a))`` with ``a = M^-1 m^T``, for every spectral ``cov`` on ``vt``.
-
-    ``[m^T | Z^T | 1]`` is projected onto the ``r`` rows of ``vt`` once. With
-    ``M^-1 = B^-1 - beta u u^T`` and ``B^-1 = V diag(w) V^T + (1/c) I``
-    (:attr:`~rlda.covariance.SpectralCovariance.base_weights`,
-    :meth:`~rlda.covariance.SpectralCovariance.rank_one_weight`), each
-    block is a weighted product of projections plus ``1/c`` times a raw
-    product (``Z m^T``, ``sum(m^T * m^T)``, ``Z 1``, ``1^T m^T``), also
-    formed once. Every kernel takes this one formula: full rank is
-    ``1/c = 0`` and the identity target ``beta = 0``.
-    """
-    p = vt.shape[1]
-    cols = means_t.shape[1]
-    projected = vt @ np.hstack([means_t, queries.T, np.ones((p, 1))])
-    pm, pz, p1 = projected[:, :cols], projected[:, cols:-1], projected[:, -1]
-    zm, mm = queries @ means_t, np.sum(means_t * means_t, axis=0)
-    z1, m1 = queries.sum(axis=1), means_t.sum(axis=0)
-
-    def blocks(cov: SpectralCovariance) -> tuple[np.ndarray, np.ndarray]:
-        w, inv_c = cov.base_weights
-        wm = w[:, None] * pm
-        w1 = w * p1
-        um = w1 @ pm + inv_c * m1  # u^T m^T with u = B^-1 1
-        zu = pz.T @ w1 + inv_c * z1  # Z u
-        beta = cov.rank_one_weight(w1 @ p1 + inv_c * p)
-        cross = pz.T @ wm + inv_c * zm - np.outer(zu, beta * um)
-        quad = np.sum(pm * wm, axis=0) + inv_c * mm - beta * um * um
-        return cross, quad
-
-    return blocks
 
 
 def _selected(

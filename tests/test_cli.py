@@ -157,6 +157,18 @@ class TestPipeline:
         assert run(["predict", "--model", model, "--data", flipped, "--out", pred]) == 0
         assert read_json(pred)["accuracy"] == 1.0
 
+    def test_predict_reads_a_query_saved_with_a_byte_order_mark(self, tmp_path):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.3",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        query = tmp_path / "bom.csv"
+        query.write_text("cohort,m1,m2,m3\nlow,0,0,0\nhigh,8,-8,8\n", encoding="utf-8-sig")
+        pred = tmp_path / "pred.json"
+        assert run(["predict", "--model", model, "--data", query, "--out", pred]) == 0
+        doc = read_json(pred)
+        assert doc["predictions"] == ["low", "high"]
+        assert doc["accuracy"] == 1.0
+
     def test_custom_target_cv_fit_predict(self, tmp_path):
         target = write_spd_target(tmp_path)
         cv = tmp_path / "cv.json"
@@ -710,8 +722,13 @@ class TestErrors:
             (["fit", "--lambda", "0.5", "--priors", "0.5,abc"], "--priors: expected comma-separated numbers, got 'abc'"),
             (["bayes", "--xbar", "1,abc", "--theta", "0,0", "--c", 1, "--n", 3],
              "--xbar: expected comma-separated numbers, got 'abc'"),
+            (["cv", "--lambda-grid", ""], "--lambda-grid: expected comma-separated numbers, got ''"),
+            (["cv", "--lambda-grid", ","], "--lambda-grid: expected comma-separated numbers, got ','"),
+            (["cv", "--mean-reg", "l2", "--delta-grid", ""], "--delta-grid: expected comma-separated numbers, got ''"),
+            (["cv", "--mean-reg", "l2", "--delta-grid", ","], "--delta-grid: expected comma-separated numbers, got ','"),
         ],
-        ids=["lambda", "delta", "lambda-grid", "priors", "xbar"],
+        ids=["lambda", "delta", "lambda-grid", "priors", "xbar",
+             "lambda-grid-empty", "lambda-grid-comma", "delta-grid-empty", "delta-grid-comma"],
     )
     def test_malformed_number_names_its_option(self, tmp_path, capsys, args, message):
         dataset = [] if args[0] == "bayes" else ["--data", FIXTURE, "--label", "cohort"]

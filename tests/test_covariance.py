@@ -25,6 +25,7 @@ from rlda.covariance import (
     spectral_covariance,
 )
 from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate, sparse_shift
+from rlda.regmeans import MeanRegularizer
 from rlda.selection import default_lambda_grid
 
 from conftest import duplicated_column_dataset, random_grouped, random_spd, rank_deficient_dataset
@@ -554,5 +555,27 @@ def _pooled_covariance(convention):
     ],
 )
 def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: RegularizedCovariance(np.eye(2), 1.5), "lam must lie in [0, 1], got 1.5", id="factor"),
+        pytest.param(
+            lambda: SpectralCovariance(np.eye(2), np.ones(2), 1.0, 0.0, float("nan")),
+            "lam must lie in [0, 1], got nan",
+            id="spectral-nan",
+        ),
+        pytest.param(
+            lambda: shrink_covariance(np.eye(2), ShrinkageTarget.identity(), -0.1),
+            "lam must lie in [0, 1], got -0.1",
+            id="shrink",
+        ),
+        pytest.param(lambda: MeanRegularizer("l2", 1.2), "l2 blend weight must lie in [0, 1], got 1.2", id="l2-weight"),
+    ],
+)
+def test_unit_interval_refusals_give_the_value(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -111,6 +111,13 @@ class TestLoadMatrixCsv:
         assert header == ["a", "b"]
         assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("a,b\n1,2\n", encoding="utf-8-sig")
+        matrix, header = load_matrix_csv(path)
+        assert header == ["a", "b"]
+        assert_array_equal(matrix, [[1.0, 2.0]])
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_location(self, tmp_path, cell):
         path = self.write(tmp_path, f"a,b,c\n1,2,3\n4,5,6\n7,8,{cell}\n")
@@ -202,6 +209,13 @@ class TestLoadCsv:
         back = load_csv(path, "grp")
         assert_array_equal(back.labels, d.labels)
         assert_allclose(back.values, d.values, rtol=0, atol=0)
+
+    def test_byte_order_mark_before_the_label_column(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("grp,f1,f2\nx,1,2\ny,3,4\n", encoding="utf-8-sig")
+        d = load_csv(path, "grp")
+        assert d.group_names == ("x", "y")
+        assert_array_equal(d.values, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_crlf_and_padded_cells(self, tmp_path):
         path = tmp_path / "crlf.csv"

@@ -204,6 +204,25 @@ class TestCrossValidate:
         CvConfig(lambda_grid=(0.0, 1.0))
 
 
+class TestOrigin:
+    """Plain and blended means move with the data, so the none and l2 rules do not depend on the origin.
+
+    The thresholding rules (l1, hard) cut the raw means at 0, so their
+    results do depend on it; see README's mean-rule text.
+    """
+
+    @pytest.mark.parametrize("n, p, shift", [(20, 60, 3.0), (60, 30, 0.6)], ids=["n<p", "n>p"])
+    @pytest.mark.parametrize("target", [ShrinkageTarget.identity(), ShrinkageTarget.equal_correlation()], ids=["t1", "t2"])
+    def test_a_common_offset_changes_no_cell_and_no_label(self, n, p, shift, target):
+        data = simulate(SimulationConfig(n=n, m=n, p=p, sigma=1.0, c=0.4, shift=sparse_shift(p, 5, shift), seed=3))
+        moved = GroupedDataset(data.values + 5.0, data.labels, data.group_names)
+        for kind in ("none", "l2"):
+            tables = [cross_validate(d, target, kind, CvConfig(seed=2)).table for d in (data, moved)]
+            assert tables[0] == tables[1]
+        labels = [classify(fit(d, target, 0.3, MeanRegularizer("l2", 0.4)), d.values) for d in (data, moved)]
+        assert_array_equal(labels[0], labels[1])
+
+
 class TestDefaultGrids:
     def test_lambda_grid_spans_unit_interval(self):
         grid = default_lambda_grid()
