@@ -73,7 +73,7 @@ def _parse_floats(option: str, text: str) -> list[float]:
 
 
 def _grid_option(option: str, text: str | None) -> tuple[float, ...] | None:
-    """A grid option's values, ``None`` when it was not given; text that holds no number is refused."""
+    """A grid's or ``--priors``' numbers, ``None`` when not given; text that holds no number is refused."""
     grid = None if text is None else tuple(_parse_floats(option, text))
     if grid == ():
         raise ValueError(f"{option}: expected comma-separated numbers, got {text!r}")
@@ -91,9 +91,10 @@ def _target_from_args(args: argparse.Namespace) -> ShrinkageTarget:
 
 
 def _priors_from_args(value: str):
+    """``empirical``, ``uniform`` or the listed numbers; text that holds no number is refused by the option's name."""
     if value in ("empirical", "uniform"):
         return value
-    return _parse_floats("--priors", value)
+    return _grid_option("--priors", value)
 
 
 # ----------------------------------------------------------------- simulate
@@ -118,7 +119,7 @@ def _cmd_simulate(args) -> tuple[dict, str]:
 # ---------------------------------------------------------------------- fit
 
 
-def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[RldaModel, dict]:
+def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget, priors) -> tuple[RldaModel, dict]:
     """Fix ``--lambda`` (a number or ``lw``) and ``--delta`` (a number); one CV run picks whichever is ``cv``.
 
     A kernel that is not positive definite at the ``lw`` estimate is reported with that estimate.
@@ -145,7 +146,7 @@ def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget) -> tuple[Rlda
         chosen.setdefault("lambda_rule", "cv")
     reg = MeanRegularizer(args.mean_reg, 0.0 if delta is None else delta)
     try:
-        model = fit(data, target, lam, reg, priors_spec=_priors_from_args(args.priors))
+        model = fit(data, target, lam, reg, priors_spec=priors)
     except NotPositiveDefiniteError as exc:
         if args.lam != "lw":
             raise
@@ -187,10 +188,11 @@ def _check_route_options(args) -> None:
 def _cmd_fit(args) -> tuple[dict, str]:
     _check_route_options(args)
     _resolve_target_options(args)
+    priors = _priors_from_args(args.priors)
     data = load_csv(args.data, args.label)
     if args.algorithm == "chol":
         target = _target_from_args(args)
-        model, chosen = _fit_chol(args, data, target)
+        model, chosen = _fit_chol(args, data, target, priors)
         save_model(model, args.model, extra_config={"label_column": args.label})
         report = {
             "algorithm": "chol",
@@ -206,11 +208,11 @@ def _cmd_fit(args) -> tuple[dict, str]:
         delta = 0.0 if args.delta is None else _number("--delta", args.delta)
         mode = "paper-literal" if args.mode == "paper" else "exact"
         model = fit_svd_ridge(data, lam, mode=mode)
-        priors = resolve_priors(_priors_from_args(args.priors), data.group_counts)
+        resolved = resolve_priors(priors, data.group_counts)
         save_model(
             model,
             args.model,
-            extra_config={"label_column": args.label, "delta": delta, "priors": priors.tolist()},
+            extra_config={"label_column": args.label, "delta": delta, "priors": resolved.tolist()},
         )
         report = {"algorithm": "svd", "model": args.model, "lambda": lam, "mode": mode, "delta": delta}
     return report, f"model written to {args.model}"
@@ -249,13 +251,15 @@ def _cmd_cv(args) -> tuple[dict, str]:
             f"--delta-grid {args.delta_grid} does not apply to --mean-reg none, which leaves the means as they are"
         )
     _resolve_target_options(args)
+    lambda_grid = _grid_option("--lambda-grid", args.lambda_grid)
+    delta_grid = _grid_option("--delta-grid", args.delta_grid)
     data = load_csv(args.data, args.label)
     target = _target_from_args(args)
     cv = CvConfig(
         folds=args.folds,
         seed=args.seed,
-        lambda_grid=_grid_option("--lambda-grid", args.lambda_grid),
-        delta_grid=_grid_option("--delta-grid", args.delta_grid),
+        lambda_grid=lambda_grid,
+        delta_grid=delta_grid,
         stratified=not args.no_stratify,
     )
     result = cross_validate(data, target, args.mean_reg, cv)

@@ -6,11 +6,14 @@ Conventions
 - Group labels are 0-based integer indices into ``group_names``; names are
   assigned by first appearance during ingestion, which keeps the encoding
   deterministic.
-- CSV files pass through one reader, ``_read_rows``, which rejects an
-  empty file, a ragged row and a file without data rows. :func:`load_csv`
-  (labeled) and :func:`load_matrix_csv` (unlabeled) add only their column
-  checks, and both parse cells in ``_numeric_matrix``, which names the
-  first bad cell by file row and column.
+- :func:`load_csv` (labeled) and :func:`load_matrix_csv` (unlabeled)
+  parse a CSV file with numpy's C reader, ``_parse_in_c``, whose values
+  equal ``float()``'s bit for bit. Only that reader parses; it decides no
+  error message. Every file it does not read exactly as ``csv.reader``
+  and ``float()`` would, every malformed one included, goes to the
+  ``csv.reader`` path, ``_parse_with_csv_reader``. There ``_read_rows``
+  rejects an empty file, a ragged row and a file without data rows, and
+  ``_numeric_matrix`` names the first bad cell by file row and column.
 - All containers are immutable after construction and safe to share across
   threads.
 """
@@ -261,9 +264,9 @@ def simulate(config: SimulationConfig) -> GroupedDataset:
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     """The stripped header and the data rows of a comma-separated UTF-8 file, with or without a byte-order mark.
 
-    Raises ``ValueError`` on an empty file, on a row whose cell count
-    differs from the header's (reporting its file row), and on a file
-    with no data rows.
+    This is the ``csv.reader`` path's reader. It raises ``ValueError`` on
+    an empty file, on a row whose cell count differs from the header's
+    (reporting its file row), and on a file with no data rows.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -286,25 +289,79 @@ def _csv_header(path) -> list[str]:
         return [h.strip() for h in next(csv.reader(fh), [])]
 
 
-def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
-    """Load a grouped dataset from a headered, comma-separated UTF-8 file.
+# The parse of a file: its stripped header, the (n, p) feature matrix, and for
+# a labeled file the group index of each row and the group names.
+_Parsed = tuple[list[str], np.ndarray, np.ndarray | None, tuple[str, ...]]
 
-    Every column except ``label_column`` must be numeric and finite. Label
-    strings are mapped to group indices in order of first appearance.
-    Fitting needs ``min_groups=2``; a labeled batch of queries may hold a
-    single group.
+
+def _parse_in_c(path, label_column: str | None = None) -> _Parsed | None:
+    """The file parsed by numpy's C reader; ``None`` where it could differ from ``csv.reader`` + ``float()``.
+
+    ``numpy.loadtxt`` splits cells as ``csv.reader``'s default dialect
+    does and converts each through ``PyOS_string_to_double``, which
+    ``float()`` calls too, so the values are bit-identical. ``None`` hands
+    the file to :func:`_parse_with_csv_reader`, which parses it or names
+    its first bad row or cell. It is returned when numpy refuses the file,
+    as it does a digit separator such as ``1_0`` or a non-ASCII digit,
+    which ``float()`` reads; when numpy's row count differs from the
+    file's lines, as where it skips a blank line, which ``csv.reader``
+    reads as a row of 0 cells, or joins a quoted line break; on a line
+    longer than ``csv``'s field size limit; on a NUL in a label, which
+    ``csv`` refuses before Python 3.11; on a cell that is not finite; and
+    on a file that fails a label or column check of :func:`load_csv`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = [h.strip() for h in next(csv.reader(fh), [])]
+            lines = fh.readlines()  # split at \n, \r\n or a lone \r, as csv.reader reads them
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    # numpy warns on a file of blank lines, so a blank first line goes to csv.reader (which refuses it) unread;
+    # and no line may be long enough to hold a field over csv's size limit.
+    if not lines or not lines[0].rstrip("\r\n") or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    groups: dict[str, int] = {}  # name -> index, in first-appearance order
+    converters = None
+    if label_column is not None:
+        if label_column not in header or len(header) < 2:
+            return None
+        label_idx = header.index(label_column)
+
+        def group_index(cell: str) -> int:
+            name = cell.strip()
+            if not name or "\0" in name:
+                raise ValueError("empty label or NUL")
+            return groups.setdefault(name, len(groups))
+
+        converters = {label_idx: group_index}
+    try:
+        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=converters)
+    except ValueError:
+        return None
+    if table.shape != (len(lines), len(header)):
+        return None
+    labels = None
+    if label_column is not None:
+        labels = table[:, label_idx].astype(int)
+        table = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(table).all():
+        return None
+    return header, table, labels, tuple(groups)
+
+
+def _parse_with_csv_reader(path, label_column: str | None = None) -> _Parsed:
+    """The file parsed by ``csv.reader`` and one ``float()`` per cell; a malformed file is refused by its first fault.
 
     Raises
     ------
-    FileNotFoundError
-        If the file does not exist.
     ValueError
         On an empty file, a ragged row, no data rows, a missing label
-        column, no feature column, an empty label, a missing or
-        non-numeric cell (reporting row and column), or fewer than
-        ``min_groups`` groups.
+        column, no feature column, an empty label, or a missing,
+        non-numeric or non-finite cell (reporting row and column).
     """
     header, rows = _read_rows(path)
+    if label_column is None:
+        return header, _numeric_matrix(path, header, rows), None, ()
     if label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not found in header {header}")
     label_idx = header.index(label_column)
@@ -318,10 +375,32 @@ def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
         if not name:
             raise ValueError(f"{path}: row {row_num}, column {label_column!r}: empty label")
         labels.append(groups.setdefault(name, len(groups)))
-    values = _numeric_matrix(path, feature_names, rows)
-    if len(groups) < min_groups:
-        raise ValueError(f"{path}: fewer than {min_groups} groups (found {len(groups)})")
-    return GroupedDataset(values=values, labels=np.array(labels), group_names=tuple(groups))
+    return header, _numeric_matrix(path, feature_names, rows), np.array(labels), tuple(groups)
+
+
+def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
+    """Load a grouped dataset from a headered, comma-separated UTF-8 file.
+
+    Every column except ``label_column`` must be numeric and finite. Label
+    strings are mapped to group indices in order of first appearance.
+    Fitting needs ``min_groups=2``; a labeled batch of queries may hold a
+    single group. Numbers are parsed in C and equal ``float()`` of each
+    cell bit for bit.
+
+    Raises
+    ------
+    FileNotFoundError
+        If the file does not exist.
+    ValueError
+        On an empty file, a ragged row, no data rows, a missing label
+        column, no feature column, an empty label, a missing or
+        non-numeric cell (reporting row and column), or fewer than
+        ``min_groups`` groups.
+    """
+    _, values, labels, group_names = _parse_in_c(path, label_column) or _parse_with_csv_reader(path, label_column)
+    if len(group_names) < min_groups:
+        raise ValueError(f"{path}: fewer than {min_groups} groups (found {len(group_names)})")
+    return GroupedDataset(values=values, labels=labels, group_names=group_names)
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -330,15 +409,17 @@ def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     Every cell must be numeric and finite; a bad cell is reported by row
     and column, as in :func:`load_csv`.
     """
-    header, rows = _read_rows(path)
-    return _numeric_matrix(path, header, rows), header
+    header, values, _, _ = _parse_in_c(path) or _parse_with_csv_reader(path)
+    return values, header
 
 
 def _numeric_matrix(path, names: list[str], rows: list[list[str]]) -> np.ndarray:
-    """The cells of the data rows (file rows 2, 3, ...) as one finite float matrix.
+    """The cells of the data rows (file rows 2, 3, ...) as one finite float matrix, by one ``float()`` per cell.
 
-    ``names`` labels the columns in error messages. Every cell is parsed and the matrix checked by one ``isfinite``; only a
-    failure scans the cells again, to name the first bad one.
+    This is the ``csv.reader`` path's parser. ``names`` labels the columns
+    in error messages. Every cell is parsed and the matrix checked by one
+    ``isfinite``; only a failure scans the cells again, to name the first
+    bad one.
     """
     try:
         values = np.array([[float(cell) for cell in row] for row in rows])

@@ -726,9 +726,12 @@ class TestErrors:
             (["cv", "--lambda-grid", ","], "--lambda-grid: expected comma-separated numbers, got ','"),
             (["cv", "--mean-reg", "l2", "--delta-grid", ""], "--delta-grid: expected comma-separated numbers, got ''"),
             (["cv", "--mean-reg", "l2", "--delta-grid", ","], "--delta-grid: expected comma-separated numbers, got ','"),
+            (["fit", "--lambda", "0.5", "--priors", ""], "--priors: expected comma-separated numbers, got ''"),
+            (["fit", "--lambda", "0.5", "--priors", ","], "--priors: expected comma-separated numbers, got ','"),
         ],
         ids=["lambda", "delta", "lambda-grid", "priors", "xbar",
-             "lambda-grid-empty", "lambda-grid-comma", "delta-grid-empty", "delta-grid-comma"],
+             "lambda-grid-empty", "lambda-grid-comma", "delta-grid-empty", "delta-grid-comma",
+             "priors-empty", "priors-comma"],
     )
     def test_malformed_number_names_its_option(self, tmp_path, capsys, args, message):
         dataset = [] if args[0] == "bayes" else ["--data", FIXTURE, "--label", "cohort"]
@@ -737,6 +740,16 @@ class TestErrors:
         assert run([*args, *dataset, *model, "--out", tmp_path / "out.json"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", [["cv", "--lambda-grid", ""], ["fit", "--lambda", "0.5", "--priors", ""]], ids=["cv-grid", "fit-priors"]
+    )
+    def test_number_options_are_checked_before_the_csv_is_read(self, tmp_path, capsys, command):
+        option = command[-2]
+        model = ["--model", tmp_path / "m.json"] if command[0] == "fit" else []
+        capsys.readouterr()
+        assert run([*command, "--data", tmp_path / "nonexist.csv", "--label", "group", *model]) == 1
+        assert f"error: {option}: expected comma-separated numbers, got ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("csvs", [[], ["--sigma-csv"], ["--prior-cov-csv"]], ids=["none", "sigma-only", "prior-only"])
     def test_bayes_needs_c_or_both_covariances(self, tmp_path, capsys, csvs):

@@ -1,7 +1,10 @@
+import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rlda.datamodel import (
@@ -15,6 +18,7 @@ from rlda.datamodel import (
     simulate,
     sparse_shift,
 )
+from rlda.datamodel import _parse_in_c
 
 from conftest import random_grouped
 
@@ -244,6 +248,143 @@ class TestLoadCsv:
         path = self.write(tmp_path, text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_csv(path, "grp")
+
+
+def read_with_float(path, label_column=None):
+    """Oracle: ``csv.reader``'s cells and one ``float()`` per cell; labels coded by first appearance."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    groups = {}
+    labels = []
+    if label_column is not None:
+        idx = [h.strip() for h in header].index(label_column)
+        labels = [groups.setdefault(row.pop(idx).strip(), len(groups)) for row in rows]
+    return np.array([[float(c) for c in row] for row in rows]), labels, tuple(groups)
+
+
+def load_either(path, label_column=None):
+    """``load_matrix_csv`` without a label column, else ``load_csv`` taking a single group."""
+    return load_matrix_csv(path) if label_column is None else load_csv(path, label_column, min_groups=1)
+
+
+def assert_reads_as_float_does(path, label_column=None):
+    expected, labels, names = read_with_float(path, label_column)
+    loaded = load_either(path, label_column)
+    if label_column is None:
+        values, _ = loaded
+    else:
+        values = loaded.values
+        assert loaded.labels.tolist() == labels and loaded.group_names == names
+    assert values.shape == expected.shape
+    assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["-0.0", "5e-324", "1.7976931348623157e308", "-2.2250738585072014e-308", "1E+300", "4e-7"]),
+)
+CELL_STYLES = ["{}", " {} ", '"{}"', '" {}\t"']
+
+
+class TestCsvReaderMatchesFloat:
+    """The C reader against the per-cell ``float()`` oracle, compared bit for bit."""
+
+    @pytest.mark.parametrize(
+        "text,label_column",
+        [
+            ("a,b,c\n-0.0,5e-324,1.7976931348623157e308\n7,-12345678901234567890,1e-5\n1E+300,.5,+2.\n", None),
+            ('a,b\n 1.5 ,"2.5"\n" -3 ",\t4e2\t\n', None),
+            ("a,b\r\n1,2\r\n3,4\r\n", None),
+            ("\ufeffa,b\n0.1,0.2\n", None),
+            ('f1,grp,f2\n1,"a,b",2\n3, c ,4\n5,"a,b",6\n', "grp"),
+            ('\ufeffgrp,f1\r\n"x ""y""",0.30000000000000004\r\nz,-0.0', "grp"),
+        ],
+        ids=["edge-values", "padded-and-quoted", "crlf", "bom", "quoted-label-with-comma", "bom-crlf-escaped-quote"],
+    )
+    def test_files(self, tmp_path, text, label_column):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _parse_in_c(path, label_column) is not None  # the C reader, not the fallback, reads it
+        assert_reads_as_float_does(path, label_column)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.tuples(NUMBERS, st.sampled_from(CELL_STYLES)), min_size=2, max_size=2),
+                      min_size=1, max_size=5),
+        labels=st.lists(st.sampled_from(["a", " b ", '"c,d"']), min_size=5, max_size=5),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        encoding=st.sampled_from(["utf-8", "utf-8-sig"]),
+    )
+    def test_random_cells(self, tmp_path_factory, rows, labels, newline, encoding):
+        lines = [[style.format(number) for number, style in row] for row in rows]
+        unlabeled = newline.join(["a,b", *(",".join(cells) for cells in lines)]) + newline
+        labeled = newline.join(["a,grp,b", *(f"{a},{g},{b}" for (a, b), g in zip(lines, labels))]) + newline
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        for text, label_column in ((unlabeled, None), (labeled, "grp")):
+            path.write_text(text, encoding=encoding, newline="")
+            assert _parse_in_c(path, label_column) is not None
+            assert_reads_as_float_does(path, label_column)
+
+    # Where numpy's reader and csv.reader + float() part ways, the csv.reader reading holds.
+    @pytest.mark.parametrize(
+        "text,row",
+        [("a,g\n1,x\n\n2,y\n", 3), ("a,g\n1,x\n2,y\n\n", 4), ("a,g\r\n1,x\r\n\r\n", 3)],
+        ids=["mid-file", "at-the-end", "crlf"],
+    )
+    def test_blank_line_is_a_row_of_no_cells(self, tmp_path, text, row):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for label_column in (None, "g"):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: row {row} has 0 cells, expected 2")):
+                load_either(path, label_column)
+
+    def test_digit_separators_and_non_ascii_digits_read_as_float_does(self, tmp_path):
+        path = tmp_path / "digits.csv"
+        path.write_text("a,b,g\n1_0,\u0661\u0662,x\n2,3,y\n", encoding="utf-8")
+        assert_array_equal(load_csv(path, "g").values, [[10.0, 12.0], [2.0, 3.0]])
+        assert_reads_as_float_does(path, "g")
+
+    def test_hash_is_a_cell_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("a,b\n1,2\n#1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("row 3, column 'a': non-numeric cell '#1'")):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text,label_column",
+        [("a,b\n" + " " * 131073 + "1,2\n", None), ("a,g\n1," + "x" * 131073 + "\n2,y\n", "g")],
+        ids=["number", "label"],
+    )
+    def test_field_over_the_csv_size_limit_is_refused(self, tmp_path, text, label_column):
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(csv.Error, match=re.escape(f"field larger than field limit ({csv.field_size_limit()})")):
+            load_either(path, label_column)
+
+    def test_nul_in_a_label_reads_as_csv_reader_does(self, tmp_path):
+        path = tmp_path / "nul.csv"
+        path.write_text("a,g\n1,x\0y\n2,z\n", encoding="utf-8")
+        try:
+            read_with_float(path, "g")
+        except csv.Error as exc:  # csv refuses NUL before Python 3.11
+            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+                load_csv(path, "g")
+        else:
+            assert_reads_as_float_does(path, "g")
+
+    def test_reading_peaks_below_three_times_the_file(self, tmp_path):
+        path = tmp_path / "train.csv"
+        save_csv(random_grouped(np.random.default_rng(5), (50, 50), p=1000), path)
+        load_csv(path, "group")  # first-call imports stay out of the measurement
+        tracemalloc.start()
+        try:
+            load_csv(path, "group")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The file's lines and the parsed table; one Python str per cell would take about 6x.
+        assert peak <= 3 * path.stat().st_size
 
 
 class TestSimulate:
