@@ -72,12 +72,12 @@ def _parse_floats(option: str, text: str) -> list[float]:
     return [_number(option, tok, "comma-separated numbers") for tok in text.split(",") if tok.strip()]
 
 
-def _grid_option(option: str, text: str | None) -> tuple[float, ...] | None:
-    """A grid's or ``--priors``' numbers, ``None`` when not given; text that holds no number is refused."""
-    grid = None if text is None else tuple(_parse_floats(option, text))
-    if grid == ():
+def _numbers_option(option: str, text: str | None) -> tuple[float, ...] | None:
+    """An option's comma-separated numbers, ``None`` when it was not given; text that holds no number is refused."""
+    numbers = None if text is None else tuple(_parse_floats(option, text))
+    if numbers == ():
         raise ValueError(f"{option}: expected comma-separated numbers, got {text!r}")
-    return grid
+    return numbers
 
 
 def _target_from_args(args: argparse.Namespace) -> ShrinkageTarget:
@@ -94,7 +94,7 @@ def _priors_from_args(value: str):
     """``empirical``, ``uniform`` or the listed numbers; text that holds no number is refused by the option's name."""
     if value in ("empirical", "uniform"):
         return value
-    return _grid_option("--priors", value)
+    return _numbers_option("--priors", value)
 
 
 # ----------------------------------------------------------------- simulate
@@ -251,8 +251,8 @@ def _cmd_cv(args) -> tuple[dict, str]:
             f"--delta-grid {args.delta_grid} does not apply to --mean-reg none, which leaves the means as they are"
         )
     _resolve_target_options(args)
-    lambda_grid = _grid_option("--lambda-grid", args.lambda_grid)
-    delta_grid = _grid_option("--delta-grid", args.delta_grid)
+    lambda_grid = _numbers_option("--lambda-grid", args.lambda_grid)
+    delta_grid = _numbers_option("--delta-grid", args.delta_grid)
     data = load_csv(args.data, args.label)
     target = _target_from_args(args)
     cv = CvConfig(

@@ -305,7 +305,7 @@ def _parse_in_c(path, label_column: str | None = None) -> _Parsed | None:
     as it does a digit separator such as ``1_0`` or a non-ASCII digit,
     which ``float()`` reads; when numpy's row count differs from the
     file's lines, as where it skips a blank line, which ``csv.reader``
-    reads as a row of 0 cells, or joins a quoted line break; on a line
+    reads as a row of 0 cells, or joins a quoted line break; on a field
     longer than ``csv``'s field size limit; on a NUL in a label, which
     ``csv`` refuses before Python 3.11; on a cell that is not finite; and
     on a file that fails a label or column check of :func:`load_csv`.
@@ -316,9 +316,13 @@ def _parse_in_c(path, label_column: str | None = None) -> _Parsed | None:
             lines = fh.readlines()  # split at \n, \r\n or a lone \r, as csv.reader reads them
     except (UnicodeDecodeError, csv.Error):
         return None
-    # numpy warns on a file of blank lines, so a blank first line goes to csv.reader (which refuses it) unread;
-    # and no line may be long enough to hold a field over csv's size limit.
-    if not lines or not lines[0].rstrip("\r\n") or max(map(len, lines)) > csv.field_size_limit():
+    # numpy warns on a file of blank lines, so a blank first line goes to csv.reader (which refuses it) unread.
+    if not lines or not lines[0].rstrip("\r\n"):
+        return None
+    # A field over csv's size limit goes to csv.reader, which refuses it. Splitting a line at every comma can cut a
+    # quoted field short, but numpy refuses a number holding a comma and group_index measures a label itself.
+    limit = csv.field_size_limit()
+    if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
         return None
     groups: dict[str, int] = {}  # name -> index, in first-appearance order
     converters = None
@@ -329,13 +333,15 @@ def _parse_in_c(path, label_column: str | None = None) -> _Parsed | None:
 
         def group_index(cell: str) -> int:
             name = cell.strip()
-            if not name or "\0" in name:
-                raise ValueError("empty label or NUL")
+            if not name or "\0" in name or len(cell) > limit:
+                raise ValueError("empty label, NUL or a field over the size limit")
             return groups.setdefault(name, len(groups))
 
         converters = {label_idx: group_index}
-    try:
-        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=converters)
+    try:  # encoding=None hands the converter str, not numpy 1.x's default latin-1 bytes
+        table = np.loadtxt(
+            lines, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=converters, encoding=None
+        )
     except ValueError:
         return None
     if table.shape != (len(lines), len(header)):

@@ -353,14 +353,26 @@ class TestCsvReaderMatchesFloat:
 
     @pytest.mark.parametrize(
         "text,label_column",
-        [("a,b\n" + " " * 131073 + "1,2\n", None), ("a,g\n1," + "x" * 131073 + "\n2,y\n", "g")],
-        ids=["number", "label"],
+        [
+            ("a,b\n" + " " * 131073 + "1,2\n", None),
+            ("a,g\n1," + "x" * 131073 + "\n2,y\n", "g"),
+            ('a,g\n1,"' + "x," * 65537 + '"\n2,y\n', "g"),
+        ],
+        ids=["number", "label", "quoted-label-with-commas"],
     )
     def test_field_over_the_csv_size_limit_is_refused(self, tmp_path, text, label_column):
         path = tmp_path / "long.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(csv.Error, match=re.escape(f"field larger than field limit ({csv.field_size_limit()})")):
             load_either(path, label_column)
+
+    def test_line_over_the_csv_size_limit_with_short_fields_is_read_in_c(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        save_csv(random_grouped(np.random.default_rng(3), (2, 2), p=8000), path)
+        with open(path, encoding="utf-8") as fh:
+            assert max(map(len, fh)) > csv.field_size_limit()
+        assert _parse_in_c(path, "group") is not None
+        assert_reads_as_float_does(path, "group")
 
     def test_nul_in_a_label_reads_as_csv_reader_does(self, tmp_path):
         path = tmp_path / "nul.csv"
