@@ -285,38 +285,74 @@ class SpectralCovariance:
         return (1.0 - self.lam) * s + self.lam * (self.spread * np.eye(self.p) + self.theta2)
 
 
-def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray):
+def _blended(block: np.ndarray, blend: np.ndarray | None) -> np.ndarray:
+    """The cells of ``block``'s columns: its first ``b`` mixed by the ``b x e`` ``blend``, then the rest unchanged.
+
+    Without a ``blend`` the columns are the cells. The mix is one matrix
+    product on the last axis, so it acts alike on means, their
+    projections, and any block linear in them.
+    """
+    if blend is None:
+        return block
+    b = blend.shape[0]
+    return np.concatenate([block[..., :b] @ blend, block[..., b:]], axis=-1)
+
+
+def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray, blend: np.ndarray | None = None):
     """``cov -> (Z a, sum(m^T * a))`` with ``a = M^-1 m^T``, for every :class:`SpectralCovariance` on ``vt``.
 
-    The formula of :meth:`SpectralCovariance.solve`, applied in the basis
-    ``vt``: ``[m^T | Z^T | 1]`` is projected onto its ``r`` rows once. With
-    ``M^-1 = B^-1 - beta u u^T`` and ``B^-1 = V diag(w) V^T + (1/c) I``
+    The cells ``m^T`` are :func:`_blended` ``(means_t, blend)``. With a
+    ``b x e`` ``blend`` (the l2 span of :func:`~rlda.regmeans._l2_blend`)
+    the first ``b`` columns of ``means_t`` are a base that gives ``e``
+    cells, and the others are cells as they are. ``M^-1`` meets the columns
+    of ``means_t`` only: ``Z a`` is linear in ``m``, so it is blended into
+    the cells after, at ``O(n_test b e)``, and the quadratic term comes from
+    the projected cells, blended once per basis, at ``O(r cells)``.
+
+    This is the formula of :meth:`SpectralCovariance.solve` applied in the
+    basis ``vt``: ``[means_t | Z^T | 1]`` is projected onto its ``r`` rows
+    once. With ``M^-1 = B^-1 - beta u u^T`` and
+    ``B^-1 = V diag(w) V^T + (1/c) I``
     (:attr:`~SpectralCovariance._base_weights`,
     :meth:`~SpectralCovariance._rank_one_weight`), each block is a weighted
-    product of projections plus ``1/c`` times a raw product (``Z m^T``,
-    ``sum(m^T * m^T)``, ``Z 1``, ``1^T m^T``), also formed once. Every
-    kernel takes this one formula: full rank is ``1/c = 0`` and the
-    identity target ``beta = 0``. A kernel on ``vt`` then costs
-    ``O(n_test r cols)`` for the ``cols`` columns of ``m^T``, with no
-    ``p``-dimensional product.
+    product of projections, plus ``1/c`` times a raw product (``Z m^T``,
+    ``sum(m^T * m^T)``, ``Z 1``, ``1^T m^T``), minus the rank-one terms.
+    Only the terms whose weight can be nonzero are formed: at full rank
+    (``r = p``) ``1/c = 0``, so no raw product is, and on the identity
+    target (``theta2 = 0``) ``beta = 0``, so no rank-one term is. A kernel
+    on ``vt`` then costs ``O(n_test r cols)`` for the ``cols`` columns of
+    ``means_t``, with no ``p``-dimensional product.
     """
-    p = vt.shape[1]
+    r, p = vt.shape
     cols = means_t.shape[1]
     projected = vt @ np.hstack([means_t, queries.T, np.ones((p, 1))])
     pm, pz, p1 = projected[:, :cols], projected[:, cols:-1], projected[:, -1]
-    zm, mm = queries @ means_t, np.sum(means_t * means_t, axis=0)
-    z1, m1 = queries.sum(axis=1), means_t.sum(axis=0)
+    p_cells = _blended(pm, blend)
+    in_span = r == p  # 1/c = 0
+    if not in_span:
+        m_cells = _blended(means_t, blend)
+        zm, mm = queries @ means_t, np.sum(m_cells * m_cells, axis=0)
+        z1, m1 = queries.sum(axis=1), means_t.sum(axis=0)
 
     def blocks(cov: SpectralCovariance) -> tuple[np.ndarray, np.ndarray]:
         w, inv_c = cov._base_weights
         wm = w[:, None] * pm
-        w1 = w * p1
-        um = w1 @ pm + inv_c * m1  # u^T m^T with u = B^-1 1
-        zu = pz.T @ w1 + inv_c * z1  # Z u
-        beta = cov._rank_one_weight(w1 @ p1 + inv_c * p)
-        cross = pz.T @ wm + inv_c * zm - np.outer(zu, beta * um)
-        quad = np.sum(pm * wm, axis=0) + inv_c * mm - beta * um * um
-        return cross, quad
+        cross = pz.T @ wm
+        quad = np.sum(p_cells * (wm if blend is None else w[:, None] * p_cells), axis=0)
+        if not in_span:
+            cross += inv_c * zm
+            quad += inv_c * mm
+        if cov.theta2 != 0.0:
+            w1 = w * p1
+            um, zu = w1 @ pm, pz.T @ w1  # u^T m^T and Z u with u = B^-1 1
+            if not in_span:
+                um += inv_c * m1
+                zu += inv_c * z1
+            beta = cov._rank_one_weight(w1 @ p1 + inv_c * p)
+            cross -= np.outer(zu, beta * um)
+            u_cells = _blended(um, blend)
+            quad -= beta * u_cells * u_cells
+        return _blended(cross, blend), quad
 
     return blocks
 

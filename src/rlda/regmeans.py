@@ -123,3 +123,17 @@ def regularize_means(means: GroupMeans, reg: MeanRegularizer) -> RegularizedMean
     else:
         mask = np.ones(raw.shape[1], dtype=bool)
     return RegularizedMeans(per_group=out, active_mask=mask)
+
+
+def _l2_blend(deltas, k: int) -> np.ndarray:
+    """The l2 rule at each of ``deltas`` as weights on the ``K + 1`` base columns ``[m_1 ... m_K | pooled]``.
+
+    The rule is linear in ``delta``, so every l2 cell lies in the span of
+    those columns. Column ``d K + k`` of the ``(K + 1) x (len(deltas) K)``
+    result holds ``1 - deltas[d]`` in row ``k`` and ``deltas[d]`` in row
+    ``K``: ``[per_group.T | pooled] @ _l2_blend(deltas, K)`` stacks the
+    ``per_group.T`` of :func:`regularize_means` at each weight, up to
+    rounding, and a weight of 0 copies the group means exactly.
+    """
+    d = np.asarray(deltas, dtype=float)
+    return np.vstack([np.kron(1.0 - d, np.eye(k)), np.repeat(d, k)])

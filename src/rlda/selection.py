@@ -7,7 +7,10 @@ rule, threshold) cell from one kernel per target and training fold: the
 covariance module picks its form and applies ``M^-1`` (in the eigenbasis
 through :func:`~rlda.covariance._eigenbasis_blocks`), the priors are
 :func:`~rlda.discriminant.resolve_priors`'s empirical ones, and
-:func:`~rlda.discriminant._score_blocks` scores. A singular ``lam = 0``
+:func:`~rlda.discriminant._score_blocks` scores. The l2 rule is linear in
+its weight, so ``M^-1`` meets only the ``K + 1`` group and pooled means
+for all its cells (:func:`~rlda.regmeans._l2_blend` states the blend),
+and the other rules' means as they are. A singular ``lam = 0``
 leaves its cells NaN. The 1000-dimensional benchmark runs both targets on
 one pass and one shared analytic-intensity pass; ``perfbench/run.py
 --workload paper-experiment`` times it per seed.
@@ -23,10 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NotPositiveDefiniteError, require_unit_interval
-from .covariance import DEFAULT_THETA2, ShrinkageTarget, SpectralCovariance, _eigenbasis_blocks, _lw_lambdas, _shrinkage_kernel
+from .covariance import (
+    DEFAULT_THETA2,
+    ShrinkageTarget,
+    SpectralCovariance,
+    _blended,
+    _eigenbasis_blocks,
+    _lw_lambdas,
+    _shrinkage_kernel,
+)
 from .datamodel import GroupedDataset, GroupMeans, SimulationConfig, group_means, simulate, sparse_shift
-from .discriminant import _linear_terms, _require_groups, _score_blocks, resolve_priors
-from .regmeans import KINDS, MeanRegularizer, regularize_means
+from .discriminant import _require_groups, _score_blocks, resolve_priors
+from .regmeans import KINDS, MeanRegularizer, _l2_blend, regularize_means
 
 __all__ = [
     "CvConfig",
@@ -187,11 +198,16 @@ def _grid_accuracies(
     target, come from :func:`~rlda.covariance._shrinkage_kernel`: spectral
     for a fixed target, dense for a custom one. Its two forms give the same
     table, ``lam = 0`` verdicts included, up to floating-point rounding of
-    the scores. For each fold the mean rows of every (rule, delta) cell are
-    stacked once into one ``p x (cells K)`` block ``m^T``. Each (target,
-    intensity) reduces its kernel to the pair ``(Z a, sum(m^T * a))``,
-    ``a = M^-1 m^T``, and one :func:`~rlda.discriminant._score_blocks` call
-    scores all cells from it, with the fold's empirical log-priors.
+    the scores. For each fold the means are stacked once into one ``p x
+    columns`` block: with an l2 grid, first the ``K + 1`` base columns
+    ``[m_1 ... m_K | pooled]`` of its span, whose blend
+    (:func:`~rlda.regmeans._l2_blend`) gives every l2 cell and, at weight
+    0, every plain one; then the ``K`` mean rows of every other (rule,
+    delta) cell. Each (target, intensity) reduces its kernel to the pair
+    ``(Z a, sum(m^T * a))``, ``a = M^-1 m^T``, over the cells ``m^T``, and
+    one :func:`~rlda.discriminant._score_blocks` call scores all cells from
+    it, with the fold's empirical log-priors. ``M^-1`` is applied to the
+    stacked columns only; ``Z a`` is blended into the cells after.
     Spectral kernels on one basis ``vt`` (every fixed target of a fold)
     share one :func:`~rlda.covariance._eigenbasis_blocks` projection; a
     dense ``M`` solves for ``a`` (:func:`_solved_blocks`). An intensity
@@ -200,16 +216,24 @@ def _grid_accuracies(
     ``lam = 0`` rank rule decide that on either form.
     :func:`cross_validate` is the one-target call.
     """
-    rules = [MeanRegularizer(kind, delta) for kind, grid in kind_grids.items() for delta in grid]
-    spans = np.cumsum([0, *map(len, kind_grids.values())])  # each mean rule's span in ``rules``
-    cells = len(rules)
+    rules = {kind: [MeanRegularizer(kind, delta) for delta in grid] for kind, grid in kind_grids.items()}
+    # The l2 span comes first: its K + 1 base columns give every l2 cell and, sharing the pass, the plain ones.
+    spanned = [kind for kind in ("none", "l2") if kind in rules] if "l2" in rules else []
+    order = spanned + [kind for kind in rules if kind not in spanned]
+    bounds = np.cumsum([0, *(len(rules[kind]) for kind in order)])
+    spans = {kind: slice(lo, hi) for kind, lo, hi in zip(order, bounds[:-1], bounds[1:])}
+    cells = int(bounds[-1])
+    weights = [0.0 if kind == "none" else rule.delta for kind in spanned for rule in rules[kind]]
+    blend = _l2_blend(weights, data.n_groups) if spanned else None
     full = [np.full((len(fold_sets), len(lambda_grid), cells), np.nan) for lambda_grid in lambda_grids]
     all_rows = np.arange(data.n)
     for f, test_idx in enumerate(fold_sets):
         train = data.subset(np.setdiff1d(all_rows, test_idx, assume_unique=True))
         means = group_means(train)
         k = train.n_groups
-        m_t = np.concatenate([regularize_means(means, rule).per_group for rule in rules]).T  # p x (cells K)
+        base = [means.per_group, means.pooled[None, :]] if spanned else []
+        direct = [regularize_means(means, rule).per_group for kind in order[len(spanned):] for rule in rules[kind]]
+        m_t = np.concatenate(base + direct).T  # p x columns: the l2 span's base, then every other cell
         log_priors = np.tile(np.log(resolve_priors("empirical", train.group_counts)), cells)
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
@@ -222,19 +246,26 @@ def _grid_accuracies(
                 except NotPositiveDefiniteError:
                     continue
                 if not isinstance(cov, SpectralCovariance):
-                    basis, blocks = None, functools.partial(_solved_blocks, m_t, test_values)
+                    basis, blocks = None, functools.partial(_solved_blocks, m_t, test_values, blend=blend)
                 elif cov.vt is not basis:  # once per fold: every intensity and target shares vt
                     basis = cov.vt
-                    blocks = _eigenbasis_blocks(basis, m_t, test_values)
+                    blocks = _eigenbasis_blocks(basis, m_t, test_values, blend)
                 scores = _score_blocks(*blocks(cov), log_priors).reshape(len(test_idx), cells, k)
                 acc[f, li] = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
-    return [{kind: acc[..., lo:hi] for kind, lo, hi in zip(kind_grids, spans[:-1], spans[1:])} for acc in full]
+    return [{kind: acc[..., spans[kind]] for kind in kind_grids} for acc in full]
 
 
-def _solved_blocks(means_t: np.ndarray, queries: np.ndarray, cov) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~rlda.covariance._eigenbasis_blocks`'s pair for a dense ``cov``: ``a = M^-1 m^T`` solved outright."""
-    a, quad = _linear_terms(cov.solve, means_t)
-    return queries @ a, quad
+def _solved_blocks(
+    means_t: np.ndarray, queries: np.ndarray, cov, blend: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~rlda.covariance._eigenbasis_blocks`'s pair for a dense ``cov``: ``a = M^-1 m^T`` solved outright.
+
+    ``a`` is solved on the columns of ``means_t`` and blended into the
+    cells with them, as :func:`~rlda.covariance._blended` states.
+    """
+    a = cov.solve(means_t)
+    quad = np.sum(_blended(means_t, blend) * _blended(a, blend), axis=0)
+    return _blended(queries @ a, blend), quad
 
 
 def _selected(

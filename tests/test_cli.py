@@ -169,6 +169,19 @@ class TestPipeline:
         assert doc["predictions"] == ["low", "high"]
         assert doc["accuracy"] == 1.0
 
+    def test_predict_refuses_a_query_that_is_not_utf8_by_name(self, tmp_path, capsys):
+        # The model stores its label column, so predict first reads the query's header.
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.3",
+                    "--model", model, "--out", tmp_path / "fit.json"]) == 0
+        assert load_model(model)[1]["label_column"] == "cohort"
+        query = tmp_path / "latin1.csv"
+        query.write_bytes("cohort,m1,m2,m3\nl\xf6w,0,0,0\nhigh,8,-8,8\n".encode("latin-1"))
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", query, "--out", tmp_path / "pred.json"]) == 1
+        assert f"error: {query}: not UTF-8 text ('utf-8' codec can't decode byte 0xf6" in capsys.readouterr().err
+        assert not (tmp_path / "pred.json").exists()
+
     def test_custom_target_cv_fit_predict(self, tmp_path):
         target = write_spd_target(tmp_path)
         cv = tmp_path / "cv.json"

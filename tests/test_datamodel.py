@@ -250,6 +250,17 @@ class TestLoadCsv:
             load_csv(path, "grp")
 
 
+@pytest.mark.parametrize(
+    "load", [lambda path: load_csv(path, "grp"), load_matrix_csv], ids=["load_csv", "load_matrix_csv"]
+)
+def test_file_that_is_not_utf8_is_refused_by_name(tmp_path, load):
+    # Latin-1 text: the C reader hands the file on, and the csv.reader path names it.
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("f1,f2,grp\n1,2,caf\xe9\n3,4,th\xe9\n".encode("latin-1"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9")):
+        load(path)
+
+
 def read_with_float(path, label_column=None):
     """Oracle: ``csv.reader``'s cells and one ``float()`` per cell; labels coded by first appearance."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:

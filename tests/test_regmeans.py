@@ -9,6 +9,7 @@ from rlda.datamodel import GroupedDataset, group_means
 from rlda.regmeans import (
     MeanRegularizer,
     RegularizedMeans,
+    _l2_blend,
     hard_threshold_scalar,
     regularize_means,
     soft_threshold_scalar,
@@ -139,6 +140,15 @@ class TestRegularizeMeans:
         for j in range(10):
             all_zero = np.all(out.per_group[:, j] == 0.0)
             assert out.active_mask[j] == (not all_zero)
+
+    def test_l2_blend_weights_stack_the_rule_on_its_base(self, rng):
+        means = group_means(random_grouped(rng, (4, 3, 5), p=6))
+        deltas = (0.0, 0.1, 0.45, 0.9, 1.0)
+        base = np.vstack([means.per_group, means.pooled]).T
+        cells = base @ _l2_blend(deltas, 3)
+        rules = [regularize_means(means, MeanRegularizer("l2", d)).per_group for d in deltas]
+        assert_allclose(cells, np.concatenate(rules).T, rtol=1e-15, atol=1e-15 * np.abs(base).max())
+        assert np.array_equal(cells[:, :3], means.per_group.T)  # a zero weight copies the group means
 
     def test_l2_preserves_pooled_mean(self, rng):
         data = random_grouped(rng, (4, 8), p=3)

@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from rlda._linalg import NotPositiveDefiniteError
 from rlda.covariance import WITHIN_GROUP, ShrinkageTarget, lw_lambda, pooled_covariance, shrink_covariance
 from rlda.datamodel import GroupedDataset, group_means
 from rlda.discriminant import _linear_terms, _score_blocks, classify, fit
-from rlda.regmeans import MeanRegularizer, regularize_means
+from rlda.regmeans import MeanRegularizer, _l2_blend, regularize_means
 from rlda.selection import (
     CvConfig,
     CvResult,
@@ -28,7 +29,7 @@ from rlda.selection import (
 
 from rlda.datamodel import SimulationConfig, simulate, sparse_shift
 
-from conftest import random_grouped
+from conftest import random_grouped, random_spd
 
 
 def manual_fold_accuracies(data, target, kind, fold_sets, lam, delta):
@@ -328,6 +329,25 @@ class TestExperiment:
             tracemalloc.stop()
         assert peak <= 3 * p * p * 8
 
+    def test_full_rank_grid_peaks_below_three_times_the_data(self):
+        # The benchmark's tall shape: n = 2000 >= p = 200, K = 4 equicorrelated groups, each shifted in five coordinates.
+        n, p, k, shift, c = 2000, 200, 4, 0.6, 0.4
+        rng = np.random.default_rng(7)
+        labels = np.arange(n) % k
+        centers = np.zeros((k, p))
+        for g in range(k):
+            centers[g, 5 * g : 5 * g + 5] = shift
+        z, z0 = rng.standard_normal((n, p)), rng.standard_normal(n)
+        values = np.sqrt(1.0 - c) * z + np.sqrt(c) * z0[:, None] + centers[labels]
+        data = GroupedDataset(values, labels, tuple(f"g{g}" for g in range(k)))
+        tracemalloc.start()
+        try:
+            cross_validate(data, ShrinkageTarget.identity(), "l2", CvConfig(folds=5, seed=7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * data.values.nbytes
+
 
 def _dense_kernel(train: GroupedDataset, means, target: ShrinkageTarget):
     """Per-intensity Cholesky factor of the shrunk covariance, as a function of ``lam``."""
@@ -523,6 +543,14 @@ class TestEigenbasisScores:
         means_t = np.concatenate([regularize_means(means, rule).per_group for rule in rules]).T
         log_priors = np.tile(np.log(train.group_counts / train.n), len(rules))
         blocks = selection._eigenbasis_blocks(kernel(1.0).vt, means_t, queries)
+        # The l2 span: K + 1 base columns blended into every cell, then a cell that is not blended.
+        deltas = (0.0, 0.3, 0.9, 1.0)
+        hard = regularize_means(means, rules[2]).per_group
+        base_t = np.concatenate([means.per_group, means.pooled[None, :], hard]).T
+        blend = _l2_blend(deltas, k)
+        span_t = np.concatenate([regularize_means(means, MeanRegularizer("l2", d)).per_group for d in deltas] + [hard]).T
+        span_priors = np.tile(log_priors[:k], len(deltas) + 1)
+        span_blocks = selection._eigenbasis_blocks(kernel(1.0).vt, base_t, queries, blend)
         scale = max(np.linalg.norm(queries, axis=1).max(), np.linalg.norm(means_t, axis=0).max()) ** 2
         projected, solved = [], []
         for lam in default_lambda_grid():
@@ -539,12 +567,30 @@ class TestEigenbasisScores:
             # Either route rounds like eps * cond(M) * |z| |m| / eig_max(M); 64 p leaves a wide margin.
             tol = 64 * p * np.finfo(float).eps * (eig[-1] / eig[0]) * scale / eig[-1]
             assert np.abs(got - expected).max() <= tol, lam
+            a, quad = _linear_terms(cov.solve, span_t)
+            span_expected = _score_blocks(queries @ a, quad, span_priors)
+            for route in (span_blocks, functools.partial(selection._solved_blocks, base_t, queries, blend=blend)):
+                assert np.abs(_score_blocks(*route(cov), span_priors) - span_expected).max() <= tol, lam
             projected.append(got.sum())
             solved.append(expected.sum())
         assert np.isnan(projected).tolist() == np.isnan(solved).tolist()
         # lambda = 0 is S itself: singular on a thin fold, where every other intensity is feasible.
         assert np.isnan(projected[0]) == thin
         assert not np.isnan(projected[1:]).any()
+
+    @pytest.mark.parametrize("target", [*TARGETS, None], ids=["identity", "equal-correlation", "custom"])
+    def test_l2_grid_applies_m_inverse_to_k_plus_one_columns(self, monkeypatch, target):
+        # Ten l2 cells of K = 3 groups come from the group means and the pooled mean alone.
+        data = random_grouped(np.random.default_rng(4), (10, 12, 11), p=30, spread=0.5)
+        if target is None:  # the dense kernel solves the block: cov.solve(b)
+            target = ShrinkageTarget.custom(random_spd(np.random.default_rng(5), data.p))
+            owner, name = covariance.RegularizedCovariance, "solve"
+        else:  # the eigenbasis projects it: _eigenbasis_blocks(vt, means_t, ...)
+            owner, name = selection, "_eigenbasis_blocks"
+        widths, original = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: widths.append(args[1].shape[1]) or original(*args))
+        cross_validate(data, target, "l2", CvConfig(folds=3, seed=2))
+        assert widths and set(widths) == {data.n_groups + 1}
 
     @pytest.mark.parametrize("target", TARGETS, ids=["identity", "equal-correlation"])
     @pytest.mark.parametrize("counts,p", [((8, 8, 9), 40), ((40, 40, 40), 10)], ids=["thin", "square"])
