@@ -64,7 +64,6 @@ from .covariance import (
     mahalanobis_sq,
     pooled_covariance,
     shrink_covariance,
-    spectral_covariance,
 )
 from .regmeans import (
     MeanRegularizer,
@@ -120,7 +119,6 @@ __all__ = [
     "mahalanobis_sq",
     "pooled_covariance",
     "shrink_covariance",
-    "spectral_covariance",
     "MeanRegularizer",
     "RegularizedMeans",
     "hard_threshold_scalar",

@@ -223,7 +223,10 @@ def _cmd_fit(args) -> tuple[dict, str]:
 
 def _cmd_predict(args) -> tuple[dict, None]:
     model, config = load_model(args.model)
-    label_column = args.label or config.get("label_column")
+    stored = config.get("label_column")
+    if stored is not None and not isinstance(stored, str):
+        raise ValueError(f"{args.model}: malformed model document: label_column is not a string ({stored!r})")
+    label_column = args.label or stored
     truth = None
     # An explicit --label must name a column; the model's stored one is used only where present.
     if label_column and (args.label or label_column in _csv_header(args.data)):

@@ -16,11 +16,13 @@ lower Cholesky factor of a dense blend, so solves and quadratic forms never
 invert anything. :class:`SpectralCovariance` is the one spectral kernel:
 ``V diag(eig) V^T`` blended with a fixed target and inverted through its
 eigenpairs, which :func:`_spectrum` takes from a centered row block. It
-also holds the SVD ridge classifier, and :func:`_eigenbasis_blocks` applies
-its ``M^-1`` in the eigenbasis for the cross-validation grid, so every
-``M^-1`` is applied in this module. The ridge form ``lam S + (1 - lam) I``
-has no function of its own: it is the identity blend at ``1 - lam``, dense
-through :func:`shrink_covariance` or spectral on the spectrum of the
+also holds the SVD ridge classifier. The cross-validation grid hands every
+kernel of a training fold to one scorer, :func:`_fold_blocks`, which
+applies a spectral ``M^-1`` in the eigenbasis (:func:`_eigenbasis_blocks`)
+and a dense one through its Cholesky solve, so every ``M^-1`` is applied
+in this module. The ridge form ``lam S + (1 - lam) I`` has no function of
+its own: it is the identity blend at ``1 - lam``, dense through
+:func:`shrink_covariance` or spectral on the spectrum of the
 pooled-mean-centered rows. In ``fit`` and in the cross-validation grid
 alike, :func:`_shrinkage_kernel` picks the form from the target alone:
 spectral for a fixed target, the dense Cholesky factor for a custom one.
@@ -52,7 +54,6 @@ __all__ = [
     "mahalanobis_sq",
     "pooled_covariance",
     "shrink_covariance",
-    "spectral_covariance",
 ]
 
 WITHIN_GROUP = "within-group"
@@ -357,6 +358,34 @@ def _eigenbasis_blocks(vt: np.ndarray, means_t: np.ndarray, queries: np.ndarray,
     return blocks
 
 
+def _fold_blocks(means_t: np.ndarray, queries: np.ndarray, blend: np.ndarray | None = None):
+    """``cov -> (Z a, sum(m^T * a))`` with ``a = M^-1 m^T``, for every kernel of one training fold.
+
+    The cross-validation grid's one scorer. The cells are :func:`_blended`
+    ``(means_t, blend)``, as in :func:`_eigenbasis_blocks`, and the pair is
+    what :func:`~rlda.discriminant._score_blocks` scores. A
+    :class:`SpectralCovariance` is scored in its eigenbasis:
+    the kernels of a fold share one ``vt`` (every intensity of every fixed
+    target), so its :func:`_eigenbasis_blocks` projection is built on the
+    first one and reused. Any other kernel solves ``a`` on the columns of
+    ``means_t`` outright through its ``solve`` and blends it into the cells
+    with them.
+    """
+    basis = project = None
+
+    def blocks(cov) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal basis, project
+        if not isinstance(cov, SpectralCovariance):
+            a = cov.solve(means_t)
+            quad = np.sum(_blended(means_t, blend) * _blended(a, blend), axis=0)
+            return _blended(queries @ a, blend), quad
+        if cov.vt is not basis:
+            basis, project = cov.vt, _eigenbasis_blocks(cov.vt, means_t, queries, blend)
+        return project(cov)
+
+    return blocks
+
+
 def pooled_covariance(data: GroupedDataset, means: GroupMeans, convention: str = WITHIN_GROUP) -> np.ndarray:
     """Pooled covariance of a grouped dataset under the named scaling.
 
@@ -472,30 +501,6 @@ def _spectral_kernel(
     p = vt.shape[1]
     sigma2, theta2 = target._fixed_params(p, float(np.sum(eig) / p))
     return lambda lam: SpectralCovariance(vt, eig, sigma2 - theta2, theta2, lam)
-
-
-def spectral_covariance(
-    data: GroupedDataset, means: GroupMeans, target: ShrinkageTarget
-) -> Callable[[float], SpectralCovariance]:
-    """Every ``(1 - lam) S + lam T`` of ``data`` from one decomposition, as a function of ``lam``.
-
-    ``S`` is the within-group pooled covariance of ``data``. Its spectrum
-    ``(vt, eig)`` is :func:`_spectrum` of the rows of :func:`_centered_rows`,
-    and :func:`_spectral_kernel` binds the target to it: the form that
-    :func:`_shrinkage_kernel` gives every fixed target. :class:`SpectralCovariance`
-    inverts ``M`` through the eigenpairs, with Sherman-Morrison for the
-    equal-correlation target's rank-one term, so applying ``M^-1`` to a
-    ``p x k`` block costs ``O(p r k)``.
-
-    Raises
-    ------
-    ValueError
-        For a custom target, or for an equal-correlation target that is
-        not positive definite.
-    """
-    if target.kind == "custom":
-        raise ValueError("the spectral kernel supports the identity and equal-correlation targets")
-    return _spectral_kernel(_spectrum(*_centered_rows(data, means)), target)
 
 
 def _shrinkage_kernel(

@@ -12,9 +12,9 @@ Conventions
   error message. Every file it does not read exactly as ``csv.reader``
   and ``float()`` would, every malformed one included, goes to the
   ``csv.reader`` path, ``_parse_with_csv_reader``. There ``_read_rows``
-  rejects a file that is not UTF-8, an empty file, a ragged row and a
-  file without data rows, and ``_numeric_matrix`` names the first bad
-  cell by file row and column.
+  rejects a file that is not UTF-8 or that ``csv`` refuses, an empty
+  file, a ragged row and a file without data rows, and ``_numeric_matrix``
+  names the first bad cell by file row and column.
 - All containers are immutable after construction and safe to share across
   threads.
 """
@@ -264,28 +264,32 @@ def simulate(config: SimulationConfig) -> GroupedDataset:
 
 
 @contextlib.contextmanager
-def _utf8_text(path):
-    """``path`` open for ``csv.reader`` as UTF-8 text, without its byte-order mark.
+def _csv_reader(path):
+    """A ``csv.reader`` over ``path`` as UTF-8 text, without its byte-order mark.
 
-    A file that is not UTF-8 is refused with a ``ValueError`` naming it.
+    A file that is not UTF-8 is refused with a ``ValueError`` naming it,
+    and so is one that ``csv`` refuses (a field over its size limit, or a
+    NUL before Python 3.11), naming the file row as well.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     """The stripped header and the data rows of a comma-separated UTF-8 file, with or without a byte-order mark.
 
     This is the ``csv.reader`` path's reader. It raises ``ValueError`` on
-    a file that is not UTF-8, on an empty file, on a row whose cell count
-    differs from the header's (reporting its file row), and on a file with
-    no data rows.
+    a file that is not UTF-8 or that ``csv`` refuses, on an empty file, on
+    a row whose cell count differs from the header's (reporting its file
+    row), and on a file with no data rows.
     """
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -301,8 +305,8 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
 
 def _csv_header(path) -> list[str]:
     """The stripped header of a CSV file, without reading its data rows; ``[]`` for an empty file."""
-    with _utf8_text(path) as fh:
-        return [h.strip() for h in next(csv.reader(fh), [])]
+    with _csv_reader(path) as reader:
+        return [h.strip() for h in next(reader, [])]
 
 
 # The parse of a file: its stripped header, the (n, p) feature matrix, and for
@@ -377,10 +381,10 @@ def _parse_with_csv_reader(path, label_column: str | None = None) -> _Parsed:
     Raises
     ------
     ValueError
-        On a file that is not UTF-8, an empty file, a ragged row, no data
-        rows, a missing label column, no feature column, an empty label,
-        or a missing, non-numeric or non-finite cell (reporting row and
-        column).
+        On a file that is not UTF-8 or that ``csv`` refuses (reporting its
+        row), an empty file, a ragged row, no data rows, a missing label
+        column, no feature column, an empty label, or a missing,
+        non-numeric or non-finite cell (reporting row and column).
     """
     header, rows = _read_rows(path)
     if label_column is None:
@@ -415,10 +419,11 @@ def load_csv(path, label_column: str, min_groups: int = 2) -> GroupedDataset:
     FileNotFoundError
         If the file does not exist.
     ValueError
-        On a file that is not UTF-8, an empty file, a ragged row, no data
-        rows, a missing label column, no feature column, an empty label,
-        a missing or non-numeric cell (reporting row and column), or fewer
-        than ``min_groups`` groups.
+        On a file that is not UTF-8 or that ``csv`` refuses (reporting its
+        row), an empty file, a ragged row, no data rows, a missing label
+        column, no feature column, an empty label, a missing or
+        non-numeric cell (reporting row and column), or fewer than
+        ``min_groups`` groups.
     """
     _, values, labels, group_names = _parse_in_c(path, label_column) or _parse_with_csv_reader(path, label_column)
     if len(group_names) < min_groups:

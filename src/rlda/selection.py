@@ -4,9 +4,9 @@ This module owns the folds, the grid's cells and the selection among
 them; every rule it applies is stated elsewhere. The grid evaluator,
 :func:`_grid_accuracies`, scores every (fold, target, intensity, mean
 rule, threshold) cell from one kernel per target and training fold: the
-covariance module picks its form and applies ``M^-1`` (in the eigenbasis
-through :func:`~rlda.covariance._eigenbasis_blocks`), the priors are
-:func:`~rlda.discriminant.resolve_priors`'s empirical ones, and
+covariance module picks its form and applies ``M^-1`` (every kernel of a
+fold goes to its one scorer, :func:`~rlda.covariance._fold_blocks`), the
+priors are :func:`~rlda.discriminant.resolve_priors`'s empirical ones, and
 :func:`~rlda.discriminant._score_blocks` scores. The l2 rule is linear in
 its weight, so ``M^-1`` meets only the ``K + 1`` group and pooled means
 for all its cells (:func:`~rlda.regmeans._l2_blend` states the blend),
@@ -20,7 +20,6 @@ not depend on evaluation order and repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +28,7 @@ from ._linalg import NotPositiveDefiniteError, require_unit_interval
 from .covariance import (
     DEFAULT_THETA2,
     ShrinkageTarget,
-    SpectralCovariance,
-    _blended,
-    _eigenbasis_blocks,
+    _fold_blocks,
     _lw_lambdas,
     _shrinkage_kernel,
 )
@@ -207,10 +204,10 @@ def _grid_accuracies(
     ``(Z a, sum(m^T * a))``, ``a = M^-1 m^T``, over the cells ``m^T``, and
     one :func:`~rlda.discriminant._score_blocks` call scores all cells from
     it, with the fold's empirical log-priors. ``M^-1`` is applied to the
-    stacked columns only; ``Z a`` is blended into the cells after.
-    Spectral kernels on one basis ``vt`` (every fixed target of a fold)
-    share one :func:`~rlda.covariance._eigenbasis_blocks` projection; a
-    dense ``M`` solves for ``a`` (:func:`_solved_blocks`). An intensity
+    stacked columns only; ``Z a`` is blended into the cells after. Every
+    kernel of a fold, whatever its form, reduces through one
+    :func:`~rlda.covariance._fold_blocks` scorer, which projects once for
+    all the fold's spectral kernels and solves a dense ``M``. An intensity
     whose ``M`` is not positive definite leaves its cells NaN: the
     covariance is still built per intensity, so its checks and the
     ``lam = 0`` rank rule decide that on either form.
@@ -237,7 +234,7 @@ def _grid_accuracies(
         log_priors = np.tile(np.log(resolve_priors("empirical", train.group_counts)), cells)
         test_values = data.values[test_idx]
         test_labels = data.labels[test_idx]
-        basis = blocks = None
+        blocks = _fold_blocks(m_t, test_values, blend)
         kernels = _shrinkage_kernel(train, means, targets)
         for acc, lambda_grid, covariance in zip(full, lambda_grids, kernels, strict=True):
             for li, lam in enumerate(lambda_grid):
@@ -245,27 +242,9 @@ def _grid_accuracies(
                     cov = covariance(lam)
                 except NotPositiveDefiniteError:
                     continue
-                if not isinstance(cov, SpectralCovariance):
-                    basis, blocks = None, functools.partial(_solved_blocks, m_t, test_values, blend=blend)
-                elif cov.vt is not basis:  # once per fold: every intensity and target shares vt
-                    basis = cov.vt
-                    blocks = _eigenbasis_blocks(basis, m_t, test_values, blend)
                 scores = _score_blocks(*blocks(cov), log_priors).reshape(len(test_idx), cells, k)
                 acc[f, li] = np.mean(np.argmax(scores, axis=2) == test_labels[:, None], axis=0)
     return [{kind: acc[..., spans[kind]] for kind in kind_grids} for acc in full]
-
-
-def _solved_blocks(
-    means_t: np.ndarray, queries: np.ndarray, cov, blend: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~rlda.covariance._eigenbasis_blocks`'s pair for a dense ``cov``: ``a = M^-1 m^T`` solved outright.
-
-    ``a`` is solved on the columns of ``means_t`` and blended into the
-    cells with them, as :func:`~rlda.covariance._blended` states.
-    """
-    a = cov.solve(means_t)
-    quad = np.sum(_blended(means_t, blend) * _blended(a, blend), axis=0)
-    return _blended(queries @ a, blend), quad
 
 
 def _selected(

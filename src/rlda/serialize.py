@@ -143,9 +143,9 @@ def save_model(model, path, extra_config: dict | None = None) -> None:
 def load_model(path) -> tuple[LinearDiscriminant, dict]:
     """Load a persisted model (schema version 1, 2 or 3); returns ``(discriminant, config)``.
 
-    Any other file, or a document whose values fail the discriminant's or
-    the model's own checks, raises ``ValueError`` naming ``path`` and the
-    cause.
+    Any other file, a document whose ``config`` is not a JSON object, or
+    one whose values fail the discriminant's or the model's own checks,
+    raises ``ValueError`` naming ``path`` and the cause.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -159,6 +159,8 @@ def load_model(path) -> tuple[LinearDiscriminant, dict]:
     if doc.get("version") not in READABLE_VERSIONS:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
     try:
+        if not isinstance(doc.get("config", {}), dict):
+            raise ValueError("config is not a JSON object")
         return _discriminant_from_dict(doc), doc["config"]
     except KeyError as exc:
         raise ValueError(f"{path}: malformed model document: missing key {exc.args[0]!r}") from None

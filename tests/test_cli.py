@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -614,6 +615,51 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{model}: {cause}" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", [None, "model-v1-chol.json", "model-v2-spectral.json", "model-v2-svd-paper.json"],
+                             ids=["v3", "v1-chol", "v2-spectral", "v2-svd"])
+    def test_predict_refuses_a_config_that_is_not_an_object(self, tmp_path, capsys, source):
+        model = tmp_path / "model.json"
+        if source is None:
+            assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5", "--model", model]) == 0
+        else:
+            model.write_bytes((DATA / source).read_bytes())
+        doc = read_json(model)
+        doc["config"] = "oops"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", FIXTURE, "--out", tmp_path / "pred.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"{model}: malformed model document: config is not a JSON object" in err and "Traceback" not in err
+
+    def test_predict_refuses_a_stored_label_column_that_is_not_a_string(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5", "--model", model]) == 0
+        doc = read_json(model)
+        doc["config"]["label_column"] = 5
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", FIXTURE, "--out", tmp_path / "pred.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"{model}: malformed model document: label_column is not a string (5)" in err
+        assert "non-numeric" not in err
+
+    @pytest.mark.parametrize("command", ["cv", "predict"])
+    def test_a_field_over_the_csv_size_limit_is_an_error_line(self, tmp_path, capsys, command):
+        data = tmp_path / "long.csv"
+        if command == "cv":
+            data.write_text("a,g\n1," + "x" * 131073 + "\n2,y\n", encoding="utf-8")
+            args = ["cv", "--data", data, "--label", "g"]
+        else:
+            model = tmp_path / "model.json"
+            assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "0.5", "--model", model]) == 0
+            data.write_text("m1,m2,m3\n1,2," + " " * 131073 + "3\n", encoding="utf-8")
+            args = ["predict", "--model", model, "--data", data]
+        capsys.readouterr()
+        assert run([*args, "--out", tmp_path / "out.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert f"{data}: row 2: field larger than field limit ({csv.field_size_limit()})" in err
 
     def test_fit_rejects_a_delta_without_a_mean_rule(self, tmp_path, capsys):
         model, out = tmp_path / "m.json", tmp_path / "fit.json"

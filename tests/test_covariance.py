@@ -21,8 +21,8 @@ from rlda.covariance import (
     mahalanobis_sq,
     pooled_covariance,
     SpectralCovariance,
+    _shrinkage_kernel,
     shrink_covariance,
-    spectral_covariance,
 )
 from rlda.datamodel import GroupedDataset, SimulationConfig, group_means, simulate, sparse_shift
 from rlda.regmeans import MeanRegularizer
@@ -104,7 +104,7 @@ class TestShrink:
         with pytest.raises(NotPositiveDefiniteError, match=message):
             shrink_covariance(s, ShrinkageTarget.identity(), 0.0)
         with pytest.raises(NotPositiveDefiniteError, match=message):
-            spectral_covariance(d, group_means(d), ShrinkageTarget.identity())(0.0)
+            _shrinkage_kernel(d, group_means(d), (ShrinkageTarget.identity(),))[0](0.0)
         assert shrink_covariance(s, ShrinkageTarget.identity(), 0.05).lam == 0.05
 
     def test_rank_rule_edge_matches_spectral_kernel(self):
@@ -308,7 +308,7 @@ class TestSpectralShrinkage:
             assume(False)
         b = np.random.default_rng(seed).standard_normal((p, 3))
         expected = solve_spd(matrix, b)
-        got = spectral_covariance(d, means, target)(lam).solve(b)
+        got = _shrinkage_kernel(d, means, (target,))[0](lam).solve(b)
         eig = np.linalg.eigvalsh(matrix)
         tol = 1e-11 * eig[-1] / eig[0] * np.abs(expected).max()
         assert np.abs(got - expected).max() <= tol
@@ -317,22 +317,20 @@ class TestSpectralShrinkage:
     def test_lambda_zero_is_singular(self, rng, target):
         d = random_grouped(rng, (4, 5), p=12)
         with pytest.raises(NotPositiveDefiniteError):
-            spectral_covariance(d, group_means(d), target)(0.0)
+            _shrinkage_kernel(d, group_means(d), (target,))[0](0.0)
 
     def test_lambda_one_applies_target_inverse(self, rng):
         d = random_grouped(rng, (4, 5), p=12)
         target = ShrinkageTarget.equal_correlation(0.3, sigma2=2.0)
         b = rng.standard_normal((12, 2))
-        got = spectral_covariance(d, group_means(d), target)(1.0).solve(b)
+        got = _shrinkage_kernel(d, group_means(d), (target,))[0](1.0).solve(b)
         assert_allclose(got, np.linalg.solve(target.materialize(12), b), rtol=1e-12, atol=1e-12)
 
     def test_rejects_unsupported_inputs(self, rng):
         d = random_grouped(rng, (4, 5), p=12)
         means = group_means(d)
-        with pytest.raises(ValueError, match="identity and equal-correlation"):
-            spectral_covariance(d, means, ShrinkageTarget.custom(np.eye(12)))
         with pytest.raises(ValueError, match="lam must lie"):
-            spectral_covariance(d, means, ShrinkageTarget.identity())(1.5)
+            _shrinkage_kernel(d, means, (ShrinkageTarget.identity(),))[0](1.5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -353,7 +351,7 @@ class TestSpectralShrinkage:
         except ValueError:  # target not positive definite at this variance scale
             assume(False)
         b = np.random.default_rng(seed).standard_normal((p, 3))
-        cov = spectral_covariance(d, means, target)(lam)
+        cov = _shrinkage_kernel(d, means, (target,))[0](lam)
         assert cov.vt.shape == (p, p)
         expected = dense.solve(b)
         # Relative to the solution's scale: single entries may cancel to near zero.
@@ -365,7 +363,7 @@ class TestSpectralShrinkage:
         with pytest.raises(ValueError) as from_target:
             target.materialize(12)
         with pytest.raises(ValueError) as from_kernel:
-            spectral_covariance(d, group_means(d), target)
+            _shrinkage_kernel(d, group_means(d), (target,))[0]
         assert str(from_kernel.value) == str(from_target.value)
 
 
@@ -407,7 +405,7 @@ class TestFoldSpectrum:
         means = group_means(d)
         vt, eig = _spectrum(*_centered_rows(d, means))
         assert vt.shape == (0, 12) and eig.shape == (0,)
-        kernel = spectral_covariance(d, means, target)
+        kernel = _shrinkage_kernel(d, means, (target,))[0]
         b = np.random.default_rng(6).standard_normal((12, 2))
         for lam in (0.05, 0.5, 1.0):
             assert_allclose(kernel(lam).solve(b), b / (lam * spread), rtol=1e-15)
@@ -422,11 +420,11 @@ class TestFoldSpectrum:
         vt, eig = _spectrum(*_centered_rows(d, means))
         assert vt.shape == (11, 11) and eig.shape == (11,)
         with pytest.raises(NotPositiveDefiniteError, match="S is singular"):
-            spectral_covariance(d, means, target)(0.0)
+            _shrinkage_kernel(d, means, (target,))[0](0.0)
         dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, 0.3)
         b = rng.standard_normal((11, 3))
         expected = dense.solve(b)
-        got = spectral_covariance(d, means, target)(0.3).solve(b)
+        got = _shrinkage_kernel(d, means, (target,))[0](0.3).solve(b)
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
@@ -436,7 +434,7 @@ class TestSpectralCovariance:
         for counts in ((4, 5), (20, 25)):  # n < p: Gram eigh; n >= p: eigh(S)
             d = random_grouped(rng, counts, p=12)
             means = group_means(d)
-            cov = spectral_covariance(d, means, target)(0.4)
+            cov = _shrinkage_kernel(d, means, (target,))[0](0.4)
             dense = shrink_covariance(pooled_covariance(d, means, WITHIN_GROUP), target, 0.4)
             assert (cov.p, cov.lam) == (12, 0.4)
             assert_allclose(cov.matrix, dense.matrix, rtol=0, atol=1e-12)
@@ -447,7 +445,7 @@ class TestSpectralCovariance:
     def test_solves_a_vector_like_a_column(self, rng):
         # n - K = 10 < p = 12 = n: eigh(S) keeps all p rows of V^T.
         d = random_grouped(rng, (6, 6), p=12)
-        cov = spectral_covariance(d, group_means(d), ShrinkageTarget.equal_correlation(0.2))(0.3)
+        cov = _shrinkage_kernel(d, group_means(d), (ShrinkageTarget.equal_correlation(0.2),))[0](0.3)
         assert cov.vt.shape == (12, 12)
         z = rng.standard_normal(12)
         assert np.array_equal(cov.solve(z), cov.solve(z[:, None])[:, 0])
@@ -455,7 +453,7 @@ class TestSpectralCovariance:
     def test_lambda_zero_raises(self, rng):
         d = random_grouped(rng, (4, 5), p=12)
         with pytest.raises(NotPositiveDefiniteError, match="rank at most n - K < p=12"):
-            spectral_covariance(d, group_means(d), ShrinkageTarget.identity())(0.0)
+            _shrinkage_kernel(d, group_means(d), (ShrinkageTarget.identity(),))[0](0.0)
 
     def test_rank_rule_at_lambda_zero(self):
         # Feasible exactly when r = p and eig[-1] > p * eps * eig[0] (numpy's matrix_rank tolerance).

@@ -1,4 +1,3 @@
-import functools
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -300,7 +299,7 @@ class TestExperiment:
 
     def test_one_decomposition_and_projection_per_fold(self, monkeypatch):
         calls = {"eigh": 0, "svd": 0, "projections": 0}
-        project = selection._eigenbasis_blocks
+        project = covariance._eigenbasis_blocks
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -314,7 +313,7 @@ class TestExperiment:
             **{**vars(np.linalg), **{name: counted(name, getattr(np.linalg, name)) for name in ("eigh", "svd")}}
         )
         monkeypatch.setattr(covariance, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
-        monkeypatch.setattr(selection, "_eigenbasis_blocks", counted("projections", project))
+        monkeypatch.setattr(covariance, "_eigenbasis_blocks", counted("projections", project))
         run_simulated_experiment(seed=1, folds=5)  # the paper's shape: n = m = 50, p = 1000
         assert calls == {"eigh": 5, "svd": 0, "projections": 5}
 
@@ -512,6 +511,27 @@ class TestKernelRule:
                 dense = cross_validate(data, target, kind, cv).to_dict()
             assert dense == spectral, (lam, kind)
 
+    @pytest.mark.parametrize("counts,p", [((8, 9, 8), 40), ((40, 40, 40), 10)], ids=["thin", "square"])
+    def test_one_pass_over_three_target_kinds_equals_the_one_target_passes(self, monkeypatch, counts, p):
+        # Each fold scores both fixed targets from one projection and solves the custom one.
+        data = random_grouped(np.random.default_rng(8), counts, p=p, spread=0.5)
+        fold_sets = make_folds(data, 4, seed=5)
+        targets = (*TARGETS, ShrinkageTarget.custom(random_spd(np.random.default_rng(9), p)))
+        lambda_grid = default_lambda_grid()
+        kind_grids = {"none": (0.0,), "l2": (0.0, 0.5, 0.9), "hard": default_delta_grid("hard", data)}
+        alone = [grid_cells(data, target, fold_sets, lambda_grid, kind_grids) for target in targets]
+        projections = []
+        project = covariance._eigenbasis_blocks
+        monkeypatch.setattr(covariance, "_eigenbasis_blocks", lambda *args: projections.append(args) or project(*args))
+        together = _grid_accuracies(data, fold_sets, targets, (lambda_grid,) * len(targets), kind_grids)
+        assert len(projections) == len(fold_sets)
+        for target, table, expected in zip(targets, together, alone, strict=True):
+            for kind in kind_grids:
+                assert np.array_equal(table[kind], expected[kind], equal_nan=True), (target.kind, kind)
+                # lambda = 0 is S itself: singular on the n < p folds only.
+                assert np.isnan(table[kind][:, 0]).all() == (data.n < p)
+                assert not np.isnan(table[kind][:, 1:]).any()
+
 
 class TestEigenbasisScores:
     """A spectral kernel's grid scores, built in its eigenbasis, equal the scores through ``cov.solve``."""
@@ -536,13 +556,13 @@ class TestEigenbasisScores:
         target = ShrinkageTarget.identity() if theta2 is None else ShrinkageTarget.equal_correlation(theta2)
         means = group_means(train)
         try:
-            kernel = covariance.spectral_covariance(train, means, target)
+            kernel = covariance._shrinkage_kernel(train, means, (target,))[0]
         except ValueError:  # target not positive definite at this variance scale
             assume(False)
         rules = [MeanRegularizer("none", 0.0), MeanRegularizer("l2", 0.5), MeanRegularizer("hard", 0.3)]
         means_t = np.concatenate([regularize_means(means, rule).per_group for rule in rules]).T
         log_priors = np.tile(np.log(train.group_counts / train.n), len(rules))
-        blocks = selection._eigenbasis_blocks(kernel(1.0).vt, means_t, queries)
+        blocks = covariance._eigenbasis_blocks(kernel(1.0).vt, means_t, queries)
         # The l2 span: K + 1 base columns blended into every cell, then a cell that is not blended.
         deltas = (0.0, 0.3, 0.9, 1.0)
         hard = regularize_means(means, rules[2]).per_group
@@ -550,7 +570,9 @@ class TestEigenbasisScores:
         blend = _l2_blend(deltas, k)
         span_t = np.concatenate([regularize_means(means, MeanRegularizer("l2", d)).per_group for d in deltas] + [hard]).T
         span_priors = np.tile(log_priors[:k], len(deltas) + 1)
-        span_blocks = selection._eigenbasis_blocks(kernel(1.0).vt, base_t, queries, blend)
+        span_blocks = covariance._eigenbasis_blocks(kernel(1.0).vt, base_t, queries, blend)
+        # The fold scorer's dense branch, reached by a kernel that offers only a solve.
+        solved_blocks = covariance._fold_blocks(base_t, queries, blend)
         scale = max(np.linalg.norm(queries, axis=1).max(), np.linalg.norm(means_t, axis=0).max()) ** 2
         projected, solved = [], []
         for lam in default_lambda_grid():
@@ -569,8 +591,8 @@ class TestEigenbasisScores:
             assert np.abs(got - expected).max() <= tol, lam
             a, quad = _linear_terms(cov.solve, span_t)
             span_expected = _score_blocks(queries @ a, quad, span_priors)
-            for route in (span_blocks, functools.partial(selection._solved_blocks, base_t, queries, blend=blend)):
-                assert np.abs(_score_blocks(*route(cov), span_priors) - span_expected).max() <= tol, lam
+            for route, form in ((span_blocks, cov), (solved_blocks, SimpleNamespace(solve=cov.solve))):
+                assert np.abs(_score_blocks(*route(form), span_priors) - span_expected).max() <= tol, lam
             projected.append(got.sum())
             solved.append(expected.sum())
         assert np.isnan(projected).tolist() == np.isnan(solved).tolist()
@@ -586,7 +608,7 @@ class TestEigenbasisScores:
             target = ShrinkageTarget.custom(random_spd(np.random.default_rng(5), data.p))
             owner, name = covariance.RegularizedCovariance, "solve"
         else:  # the eigenbasis projects it: _eigenbasis_blocks(vt, means_t, ...)
-            owner, name = selection, "_eigenbasis_blocks"
+            owner, name = covariance, "_eigenbasis_blocks"
         widths, original = [], getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: widths.append(args[1].shape[1]) or original(*args))
         cross_validate(data, target, "l2", CvConfig(folds=3, seed=2))
@@ -600,8 +622,8 @@ class TestEigenbasisScores:
         kind_grids = {"none": (0.0,), "l2": (0.0, 0.5), "l1": (0.1,)}
         dense = dense_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
         projections = []
-        project = selection._eigenbasis_blocks
-        monkeypatch.setattr(selection, "_eigenbasis_blocks", lambda *args: projections.append(args) or project(*args))
+        project = covariance._eigenbasis_blocks
+        monkeypatch.setattr(covariance, "_eigenbasis_blocks", lambda *args: projections.append(args) or project(*args))
         monkeypatch.setattr(covariance.SpectralCovariance, "solve", refuse("SpectralCovariance.solve"))
         monkeypatch.setattr(covariance, "shrink_covariance", refuse("the dense kernel"))
         acc = grid_cells(data, target, fold_sets, default_lambda_grid(), kind_grids)
