@@ -1,9 +1,10 @@
-"""Shared helpers: the finiteness and unit-interval rules, SPD factorization and solves.
+"""Shared helpers: the finiteness, unit-interval and lower-bound rules, SPD factorization and solves.
 
 :func:`require_finite` builds every "``<name>`` must be finite" refusal;
 dense matrices meet it in :func:`ensure_symmetric`. :func:`require_unit_interval`
 builds every "``<name>`` must lie in [0, 1]" refusal: shrinkage intensities,
-the l2 blend weight and CV accuracies.
+the l2 blend weight and CV accuracies. :func:`require_lower_bound` builds
+every scalar "must be positive / nonnegative / at least ``k``" refusal.
 
 The three functions that factorize or substitute import ``scipy.linalg`` on
 their first call, not at module scope: SciPy costs 0.2–0.3 s and 28 MB per
@@ -24,6 +25,7 @@ __all__ = [
     "cholesky_lower",
     "ensure_symmetric",
     "require_finite",
+    "require_lower_bound",
     "require_unit_interval",
     "solve_cholesky",
     "solve_lower",
@@ -53,6 +55,16 @@ def require_unit_interval(value, name: str) -> float:
     if not 0.0 <= float(value) <= 1.0:  # also false for NaN
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return float(value)
+
+
+def require_lower_bound(value, name: str, least: float = 0, *, positive: bool = False) -> float:
+    """``value`` as a float; refused by name and value unless finite and ``>= least`` (``> 0`` if ``positive``)."""
+    v = float(value)
+    if not ((0 < v if positive else least <= v) and v < np.inf):  # NaN fails both comparisons
+        require_finite(v, name)
+        bound = "positive" if positive else "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return v
 
 
 _SYMMETRY_TOL = 1e-8  # largest accepted max |a - a^T|, relative to max(1, max |a|)

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, require_finite, solve_cholesky
+from ._linalg import (
+    NotPositiveDefiniteError,
+    cholesky_lower,
+    ensure_symmetric,
+    require_finite,
+    require_lower_bound,
+    solve_cholesky,
+)
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -116,8 +123,7 @@ def _vector_or_block(values) -> np.ndarray:
 
 def _validate_sample(xbar, n: int, name: str = "xbar", count: str = "n") -> np.ndarray:
     """The sample mean ``xbar`` of ``n`` observations, as a ``(p,)`` vector or an ``(m, p)`` block of them."""
-    if n < 1:
-        raise ValueError(f"sample count {count} must be at least 1")
+    require_lower_bound(n, f"sample count {count}", 1)
     xbar = _vector_or_block(xbar)
     require_finite(xbar, name)
     if not xbar.size:
@@ -143,8 +149,7 @@ def posterior_mean_conjugate_scalar(xbar, n: int, c: float, theta) -> PosteriorS
         Prior mean.
     """
     xbar = _validate_sample(xbar, n)
-    if not 0 < c < np.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
+    require_lower_bound(c, "c", positive=True)
     theta = require_finite(theta, "theta").reshape(-1)
     if theta.shape != xbar.shape[-1:]:
         raise ValueError("theta must match xbar in length")
@@ -210,12 +215,11 @@ def posterior_mean_univariate(
     algebraically identical ``(gamma2 n xbar + theta sigma2) /
     (n gamma2 + sigma2)``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    for name, value in (("xbar", xbar), ("sigma2", sigma2), ("theta", theta), ("gamma2", gamma2)):
-        require_finite(value, name)
-    if sigma2 <= 0 or gamma2 <= 0:
-        raise ValueError("variances must be positive")
+    require_lower_bound(n, "n", 1)
+    require_finite(xbar, "xbar")
+    require_lower_bound(sigma2, "sigma2", positive=True)
+    require_finite(theta, "theta")
+    require_lower_bound(gamma2, "gamma2", positive=True)
     if form == "precision":
         return (n * xbar / sigma2 + theta / gamma2) / (n / sigma2 + 1.0 / gamma2)
     if form == "variance":
@@ -233,9 +237,7 @@ def james_stein(x, sigma2: float) -> np.ndarray:
     p = x.shape[0]
     if p < 3:
         raise ValueError("james_stein requires dimension p >= 3")
-    require_finite(sigma2, "sigma2")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    require_lower_bound(sigma2, "sigma2", positive=True)
     norm_sq = float(x @ x)
     if norm_sq == 0.0:
         raise ValueError("james_stein is undefined at the zero vector")

@@ -119,20 +119,15 @@ def _cmd_simulate(args) -> tuple[dict, str]:
 # ---------------------------------------------------------------------- fit
 
 
-def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget, priors) -> tuple[RldaModel, dict]:
-    """Fix ``--lambda`` (a number or ``lw``) and ``--delta`` (a number); one CV run picks whichever is ``cv``.
+def _fit_chol(args, data: GroupedDataset, target: ShrinkageTarget, priors, lam, delta) -> tuple[RldaModel, dict]:
+    """Fix ``--lambda`` (``lam``, or ``lw``) and ``--delta`` (``delta``); one CV run picks whichever is ``cv``.
 
     A kernel that is not positive definite at the ``lw`` estimate is reported with that estimate.
     """
     chosen = {}
-    lam = delta = None
     if args.lam == "lw":
         lam = lw_lambda(data, target)
         chosen["lambda_rule"] = "lw"
-    elif args.lam != "cv":
-        lam = _number("--lambda", args.lam, "a number, cv or lw")
-    if args.delta not in (None, "cv"):
-        delta = _number("--delta", args.delta, "a number or cv")
     if "cv" in (args.lam, args.delta):
         cv = CvConfig(
             folds=args.folds,
@@ -189,10 +184,14 @@ def _cmd_fit(args) -> tuple[dict, str]:
     _check_route_options(args)
     _resolve_target_options(args)
     priors = _priors_from_args(args.priors)
+    # Parsed before any file is read; svd has refused cv and lw already.
+    expected = ("a number, cv or lw", "a number or cv") if args.algorithm == "chol" else ("a number", "a number")
+    lam = None if args.lam in ("cv", "lw") else _number("--lambda", args.lam, expected[0])
+    delta = None if args.delta in (None, "cv") else _number("--delta", args.delta, expected[1])
     data = load_csv(args.data, args.label)
     if args.algorithm == "chol":
         target = _target_from_args(args)
-        model, chosen = _fit_chol(args, data, target, priors)
+        model, chosen = _fit_chol(args, data, target, priors, lam, delta)
         save_model(model, args.model, extra_config={"label_column": args.label})
         report = {
             "algorithm": "chol",
@@ -204,8 +203,7 @@ def _cmd_fit(args) -> tuple[dict, str]:
             **chosen,
         }
     else:
-        lam = _number("--lambda", args.lam)
-        delta = 0.0 if args.delta is None else _number("--delta", args.delta)
+        delta = 0.0 if delta is None else delta
         mode = "paper-literal" if args.mode == "paper" else "exact"
         model = fit_svd_ridge(data, lam, mode=mode)
         resolved = resolve_priors(priors, data.group_counts)
@@ -427,7 +425,7 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         report, note = args.func(args)
         _emit({**_base_doc(args), **report}, args.out)
-    except (ValueError, OSError, NotPositiveDefiniteError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # NotPositiveDefiniteError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if note:

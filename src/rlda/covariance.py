@@ -42,7 +42,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, cholesky_lower, ensure_symmetric, require_unit_interval, solve_cholesky
+from ._linalg import (
+    NotPositiveDefiniteError,
+    cholesky_lower,
+    ensure_symmetric,
+    require_lower_bound,
+    require_unit_interval,
+    solve_cholesky,
+)
 from .datamodel import GroupedDataset, GroupMeans, group_means
 
 __all__ = [
@@ -228,8 +235,7 @@ class SpectralCovariance:
         # Once the values are non-increasing, the last one is the smallest.
         if eig.size and ((eig[1:] > eig[:-1]).any() or eig[-1] < 0):
             raise ValueError("eigenvalues must be nonnegative and non-increasing")
-        if self.spread <= 0.0:
-            raise ValueError("spread must be positive")
+        require_lower_bound(self.spread, "spread", positive=True)
         require_unit_interval(self.lam, "lam")
         r, p = vt.shape
         if self.lam == 0.0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import require_finite
+from ._linalg import require_finite, require_lower_bound
 
 __all__ = [
     "GroupedDataset",
@@ -203,12 +203,11 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.p < 1:
-            raise ValueError(f"n, m, p must be positive (got n={self.n}, m={self.m}, p={self.p})")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        for name in ("n", "m", "p"):
+            require_lower_bound(getattr(self, name), name, 1)
+        require_lower_bound(self.sigma, "sigma", positive=True)
         if not 0.0 <= self.c < 1.0:
-            raise ValueError("c must lie in [0, 1)")
+            raise ValueError(f"c must lie in [0, 1), got {self.c}")
         shift = np.asarray(self.shift, dtype=float)
         if shift.shape != (self.p,):
             raise ValueError("shift must be a length-p vector")
@@ -223,8 +222,7 @@ def sparse_shift(p: int, shift_count: int = 5, value: float = 3.0) -> np.ndarray
     ``p`` is checked first and ``shift_count`` against it, so a simulation
     built on this shift names the dimension or the count that is wrong.
     """
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
+    require_lower_bound(p, "p", 1)
     if not 0 <= shift_count <= p:
         raise ValueError(f"shift_count must lie in [0, p] with p={p}, got {shift_count}")
     shift = np.zeros(p)

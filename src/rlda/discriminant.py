@@ -367,7 +367,7 @@ def _ridge_kernel(vt: np.ndarray, eig: np.ndarray, lam: float) -> SpectralCovari
     :func:`~rlda.covariance._spectral_kernel`, at intensity ``1 - lam``.
     """
     if not 0.0 <= lam < 1.0:
-        raise ValueError("lam must lie in [0, 1) for the ridge form")
+        raise ValueError(f"lam must lie in [0, 1) for the ridge form, got {lam}")
     return _spectral_kernel((vt, eig), ShrinkageTarget.identity())(1.0 - lam)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import cholesky_lower, ensure_symmetric, require_finite
+from ._linalg import cholesky_lower, ensure_symmetric, require_finite, require_lower_bound
 from .bayes import GaussianPrior, PosteriorSummary, posterior_mean_conjugate_scalar, posterior_mean_general
 
 __all__ = [
@@ -51,12 +51,10 @@ class QuantizationScenario:
     psi: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 < self.sigma2 < np.inf:
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not 0 <= self.delta2 < np.inf:
-            raise ValueError(f"delta2 must be nonnegative and finite, got {self.delta2}")
-        if self.n < 1 or self.p < 1:
-            raise ValueError(f"n and p must be positive (got n={self.n}, p={self.p})")
+        require_lower_bound(self.sigma2, "sigma2", positive=True)
+        require_lower_bound(self.delta2, "delta2")
+        require_lower_bound(self.n, "n", 1)
+        require_lower_bound(self.p, "p", 1)
         fixed = self.mu is not None
         random = self.theta is not None or self.psi is not None
         if fixed == random:
@@ -104,9 +102,7 @@ def posterior_xi_fixed_mu(xbar, scenario: QuantizationScenario) -> PosteriorSumm
     if not scenario.has_fixed_center:
         raise ValueError("scenario must carry a fixed mu")
     _require_rounding_variance(scenario)
-    return posterior_mean_conjugate_scalar(
-        xbar, scenario.n, c=scenario.sigma2 / scenario.delta2, theta=scenario.mu
-    )
+    return posterior_mean_conjugate_scalar(xbar, scenario.n, c=scenario.sigma2 / scenario.delta2, theta=scenario.mu)
 
 
 def posterior_xi_random_mu(xbar, scenario: QuantizationScenario) -> PosteriorSummary:
@@ -150,11 +146,8 @@ def demo_quantization(
         "seed": ..., "scenario": ...}`` where the errors are mean squared
         Euclidean errors against the replication's true ``xi``.
     """
-    if replications < 1:
-        raise ValueError("replications must be positive")
-    if fit_delta2 is not None and require_finite(fit_delta2, "fit_delta2") < 0:
-        raise ValueError(f"fit_delta2 must be nonnegative, got {fit_delta2}")
-    fitted = scenario if fit_delta2 is None else replace(scenario, delta2=float(fit_delta2))
+    require_lower_bound(replications, "replications", 1)
+    fitted = scenario if fit_delta2 is None else replace(scenario, delta2=require_lower_bound(fit_delta2, "fit_delta2"))
     _require_rounding_variance(fitted)  # before any draw: the draw is O(replications n p)
     rng = np.random.default_rng(seed)
     n, p = scenario.n, scenario.p

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import require_finite, require_unit_interval
+from ._linalg import require_finite, require_lower_bound, require_unit_interval
 from .datamodel import GroupMeans
 
 __all__ = [
@@ -49,8 +49,8 @@ class MeanRegularizer:
             raise ValueError(f"{self.kind} mean-rule {what} delta must be finite, got {self.delta}")
         if self.kind == "l2":
             require_unit_interval(self.delta, "l2 blend weight")
-        if self.kind in ("l1", "hard") and self.delta < 0:
-            raise ValueError("threshold must be nonnegative")
+        if self.kind in ("l1", "hard"):
+            require_lower_bound(self.delta, "threshold")
 
     @classmethod
     def none(cls) -> "MeanRegularizer":
@@ -86,16 +86,14 @@ class RegularizedMeans:
 def soft_threshold_scalar(x: float, delta: float) -> float:
     """``sgn(x) * max(|x| - delta, 0)``: the magnitude-shrinking rule."""
     require_finite(x, "x")
-    if require_finite(delta, "delta") < 0:
-        raise ValueError("delta must be nonnegative")
+    require_lower_bound(delta, "delta")
     return float(np.sign(x) * max(abs(x) - delta, 0.0))
 
 
 def hard_threshold_scalar(x: float, delta: float) -> float:
     """``x`` if ``|x| > delta`` else 0; boundary values are zeroed."""
     require_finite(x, "x")
-    if require_finite(delta, "delta") < 0:
-        raise ValueError("delta must be nonnegative")
+    require_lower_bound(delta, "delta")
     return float(x) if abs(x) > delta else 0.0
 
 
@@ -118,10 +116,7 @@ def regularize_means(means: GroupMeans, reg: MeanRegularizer) -> RegularizedMean
     else:
         out = np.where(np.abs(raw) > reg.delta, raw, 0.0)
 
-    if reg.kind in ("l1", "hard"):
-        mask = np.any(out != 0.0, axis=0)
-    else:
-        mask = np.ones(raw.shape[1], dtype=bool)
+    mask = np.any(out != 0.0, axis=0) if reg.kind in ("l1", "hard") else np.ones(raw.shape[1], dtype=bool)
     return RegularizedMeans(per_group=out, active_mask=mask)
 
 

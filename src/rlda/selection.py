@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, require_unit_interval
+from ._linalg import NotPositiveDefiniteError, require_lower_bound, require_unit_interval
 from .covariance import (
     DEFAULT_THETA2,
     ShrinkageTarget,
@@ -86,8 +86,7 @@ class CvConfig:
     stratified: bool = True
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("folds must be at least 2")
+        require_lower_bound(self.folds, "folds", 2)
         for name in ("lambda_grid", "delta_grid"):
             grid = getattr(self, name)
             if grid is not None:
@@ -111,10 +110,8 @@ class CvResult:
 
     def __post_init__(self):
         require_unit_interval(self.accuracy_mean, "accuracy_mean")
-        if self.accuracy_sd < 0.0:
-            raise ValueError("accuracy_sd must be nonnegative")
-        if self.n_selected_variables < 0:
-            raise ValueError("n_selected_variables must be nonnegative")
+        require_lower_bound(self.accuracy_sd, "accuracy_sd")
+        require_lower_bound(self.n_selected_variables, "n_selected_variables")
 
     def to_dict(self) -> dict:
         return {
@@ -139,8 +136,7 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
     refuse a split whose smallest training fold keeps at most ``K`` rows,
     too few for the within-group pooled covariance.
     """
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
+    require_lower_bound(folds, "folds", 2)
     rng = np.random.default_rng(seed)
     assignment = np.empty(data.n, dtype=int)
     if stratified:

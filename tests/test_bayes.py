@@ -310,8 +310,12 @@ class TestSummaryValidation:
             "gamma2 must be finite, got nan",
             id="univariate-gamma2",
         ),
-        pytest.param(lambda: posterior_mean_univariate(0.5, 3, 0.0, 0.0, 1.0), "variances must be positive", id="sigma2"),
-        pytest.param(lambda: posterior_mean_univariate(0.5, 3, 1.0, 0.0, -1.0), "variances must be positive", id="gamma2"),
+        pytest.param(
+            lambda: posterior_mean_univariate(0.5, 3, 0.0, 0.0, 1.0), "sigma2 must be positive, got 0.0", id="sigma2"
+        ),
+        pytest.param(
+            lambda: posterior_mean_univariate(0.5, 3, 1.0, 0.0, -1.0), "gamma2 must be positive, got -1.0", id="gamma2"
+        ),
         pytest.param(lambda: james_stein(np.ones(3), 0.0), "sigma2 must be positive", id="james-stein-sigma2"),
         pytest.param(
             lambda: james_stein(np.ones(3), np.nan), "sigma2 must be finite, got nan", id="james-stein-sigma2-nan"

@@ -225,6 +225,31 @@ class TestExperimentCommand:
         assert run(args + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reports_are_byte_identical_across_processes_and_hash_seeds(self, tmp_path):
+        import rlda
+
+        commands = [
+            ["experiment", "--seed", 3, "--n", 10, "--m", 10, "--p", 12, "--shift-count", 2, "--folds", 3,
+             "--out", "experiment.json"],
+            ["cv", "--data", FIXTURE, "--label", "cohort", "--target", "t2", "--mean-reg", "hard", "--folds", 3,
+             "--out", "cv.json"],
+            ["fit", "--data", FIXTURE, "--label", "cohort", "--lambda", "cv", "--folds", 3, "--model", "model.json",
+             "--out", "fit.json"],
+        ]
+        src = str(Path(rlda.__file__).resolve().parent.parent)
+        written = []
+        for hash_seed in ("0", "1"):
+            cwd = tmp_path / hash_seed
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            for command in commands:
+                result = subprocess.run([sys.executable, "-m", "rlda.cli", *map(str, command)], cwd=cwd, env=env,
+                                        capture_output=True, timeout=120)
+                assert result.returncode == 0, result.stderr
+            written.append({path.name: path.read_bytes() for path in cwd.iterdir()})
+        assert sorted(written[0]) == ["cv.json", "experiment.json", "fit.json", "model.json"]
+        assert written[0] == written[1]
+
 
 class TestSmallCommands:
     def test_quantize_demo(self, tmp_path):
@@ -431,8 +456,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "option,value,message",
         [
-            ("--sigma", "nan", "sigma must be positive and finite, got nan"),
-            ("--sigma", "inf", "sigma must be positive and finite, got inf"),
+            ("--sigma", "nan", "sigma must be finite, got nan"),
+            ("--sigma", "inf", "sigma must be finite, got inf"),
             ("--shift-value", "nan", "shift must be finite, got nan"),
             ("--shift-value", "inf", "shift must be finite, got inf"),
         ],
@@ -450,7 +475,7 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["simulate", "experiment"])
     @pytest.mark.parametrize(
         "p,shift_count,message",
-        [(0, 5, "p must be positive, got 0"), (4, 6, "shift_count must lie in [0, p] with p=4, got 6")],
+        [(0, 5, "p must be at least 1, got 0"), (4, 6, "shift_count must lie in [0, p] with p=4, got 6")],
         ids=["p-zero", "shift-count-above-p"],
     )
     def test_bad_dimension_or_shift_count_is_named(self, tmp_path, capsys, command, p, shift_count, message):
@@ -714,7 +739,7 @@ class TestErrors:
         [
             (["--xbar", "1,nan", "--theta", "0,0"], "xbar must be finite, got nan"),
             (["--xbar", "1,2", "--theta", "inf,0"], "theta must be finite, got inf"),
-            (["--xbar", "1,2", "--theta", "0,0", "--c", "nan"], "c must be positive and finite, got nan"),
+            (["--xbar", "1,2", "--theta", "0,0", "--c", "nan"], "c must be finite, got nan"),
         ],
         ids=["xbar", "theta", "c"],
     )
@@ -743,8 +768,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "option,message",
         [
-            ("--sigma2", "sigma2 must be positive and finite, got nan"),
-            ("--delta2", "delta2 must be nonnegative and finite, got nan"),
+            ("--sigma2", "sigma2 must be finite, got nan"),
+            ("--delta2", "delta2 must be finite, got nan"),
             ("--fit-delta2", "fit_delta2 must be finite, got nan"),
             ("--mu-value", "mu must be finite"),
         ],
@@ -810,6 +835,22 @@ class TestErrors:
         assert run([*command, "--data", tmp_path / "nonexist.csv", "--label", "group", *model]) == 1
         assert f"error: {option}: expected comma-separated numbers, got ''" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--lambda", "abc"], "--lambda: expected a number, cv or lw, got 'abc'"),
+            (["--delta", "xyz", "--mean-reg", "l2"], "--delta: expected a number or cv, got 'xyz'"),
+            (["--algorithm", "svd", "--lambda", "abc"], "--lambda: expected a number, got 'abc'"),
+        ],
+        ids=["chol-lambda", "chol-delta", "svd-lambda"],
+    )
+    def test_fit_parses_its_numbers_before_any_file_is_read(self, tmp_path, capsys, args, message):
+        capsys.readouterr()
+        assert run(["fit", "--data", tmp_path / "missing.csv", "--label", "g", *args,
+                    "--model", tmp_path / "m.json"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("csvs", [[], ["--sigma-csv"], ["--prior-cov-csv"]], ids=["none", "sigma-only", "prior-only"])
     def test_bayes_needs_c_or_both_covariances(self, tmp_path, capsys, csvs):
         eye = tmp_path / "eye.csv"
@@ -862,9 +903,9 @@ class TestErrors:
         "args,message",
         [
             (["experiment", "--seed", 1, "--n", 10, "--m", 10, "--p", 12, "--folds", 1], "folds must be at least 2"),
-            (["quantize-demo", "--seed", 1, "--n", 0], "n and p must be positive (got n=0, p=5)"),
+            (["quantize-demo", "--seed", 1, "--n", 0], "n must be at least 1, got 0"),
             (["simulate", "--seed", 1, "--n", 0, "--p", 10, "--data-out", "{tmp}/d.csv"],
-             "n, m, p must be positive (got n=0, m=50, p=10)"),
+             "n must be at least 1, got 0"),
         ],
         ids=["experiment-folds", "quantize-demo-n", "simulate-n"],
     )
@@ -872,6 +913,38 @@ class TestErrors:
         capsys.readouterr()
         assert run([str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out.json"]) == 1
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--seed", 1, "--n", 10**16, "--p", 10, "--data-out", "{tmp}/x.csv"],
+            ["quantize-demo", "--seed", 1, "--reps", 10**17],
+        ],
+        ids=["simulate", "quantize-demo"],
+    )
+    def test_a_failed_allocation_is_one_error_line(self, tmp_path, capsys, args):
+        # Hundreds of PiB exceed any 57-bit address space, so numpy refuses at once on every host.
+        capsys.readouterr()
+        assert run([str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["simulate", "--seed", 1, "--c", 1, "--data-out", "{tmp}/x.csv"], "c must lie in [0, 1), got 1.0"),
+            (["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", "svd", "--lambda", 1,
+              "--model", "{tmp}/m.json"], "lam must lie in [0, 1) for the ridge form, got 1.0"),
+        ],
+        ids=["simulate-c", "svd-lambda"],
+    )
+    def test_a_half_open_range_refusal_gives_the_value(self, tmp_path, capsys, args, message):
+        capsys.readouterr()
+        assert run([str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out.json"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -461,7 +461,7 @@ class TestSimulate:
             SimulationConfig(n=2, m=2, p=2, sigma=0.0, c=0.5, shift=np.zeros(2), seed=0)
         with pytest.raises(ValueError, match="length-p"):
             SimulationConfig(n=2, m=2, p=2, sigma=1.0, c=0.5, shift=np.zeros(3), seed=0)
-        with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
+        with pytest.raises(ValueError, match="sigma must be finite, got inf"):
             SimulationConfig(n=2, m=2, p=2, sigma=np.inf, c=0.5, shift=np.zeros(2), seed=0)
         with pytest.raises(ValueError, match="shift must be finite, got -inf"):
             SimulationConfig(n=2, m=2, p=2, sigma=1.0, c=0.5, shift=np.array([0.0, -np.inf]), seed=0)

@@ -262,7 +262,7 @@ class TestDemo:
         ),
         pytest.param(
             lambda: demo_quantization(QuantizationScenario(1.0, 0.1, 5, 3, mu=np.zeros(3)), seed=0, replications=0),
-            "replications must be positive",
+            "replications must be at least 1, got 0",
             id="replications",
         ),
     ],
