@@ -4,7 +4,9 @@
 dense matrices meet it in :func:`ensure_symmetric`. :func:`require_unit_interval`
 builds every "``<name>`` must lie in [0, 1]" refusal: shrinkage intensities,
 the l2 blend weight and CV accuracies. :func:`require_lower_bound` builds
-every scalar "must be positive / nonnegative / at least ``k``" refusal.
+every scalar "must be positive / nonnegative / at least ``k``" refusal,
+and :func:`require_count` adds "must be an integer" for a count such as
+``folds``.
 
 The three functions that factorize or substitute import ``scipy.linalg`` on
 their first call, not at module scope: SciPy costs 0.2–0.3 s and 28 MB per
@@ -24,6 +26,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "cholesky_lower",
     "ensure_symmetric",
+    "require_count",
     "require_finite",
     "require_lower_bound",
     "require_unit_interval",
@@ -65,6 +68,14 @@ def require_lower_bound(value, name: str, least: float = 0, *, positive: bool = 
         bound = "positive" if positive else "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return v
+
+
+def require_count(value, name: str, least: int) -> int:
+    """``value`` as an int; refused by name and value unless a finite whole number ``>= least``."""
+    v = require_lower_bound(value, name, least)
+    if not v.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(v)
 
 
 _SYMMETRY_TOL = 1e-8  # largest accepted max |a - a^T|, relative to max(1, max |a|)

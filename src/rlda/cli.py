@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._linalg import NotPositiveDefiniteError
+from ._linalg import NotPositiveDefiniteError, require_lower_bound
 from .bayes import GaussianPrior, posterior_mean_conjugate_scalar, posterior_mean_general
 from .covariance import DEFAULT_THETA2, ShrinkageTarget, lw_lambda
 from .datamodel import (
@@ -294,6 +294,7 @@ def _cmd_experiment(args) -> tuple[dict, str]:
 
 
 def _cmd_quantize_demo(args) -> tuple[dict, str]:
+    require_lower_bound(args.reps, "--reps", 1)  # the library would name its replications
     scenario = QuantizationScenario(
         sigma2=args.sigma2,
         delta2=args.delta2,

@@ -547,8 +547,8 @@ def lw_lambda(data: GroupedDataset, target: ShrinkageTarget) -> float:
     group-centered residuals. The estimate shrinks like 1/n, so it fades
     as evidence accumulates. Only the fixed targets (identity,
     equal-correlation) are supported. This is the one-target call of
-    :func:`_lw_lambdas`, which shares the scatter and the numerator
-    between targets.
+    :func:`_lw_lambdas`, which shares the numerator between targets and
+    picks the form of the sums from the shape of the data.
     """
     return _lw_lambdas(data, (target,))[0]
 
@@ -558,19 +558,37 @@ def _lw_lambdas(data: GroupedDataset, targets: Sequence[ShrinkageTarget]) -> lis
 
     The entry variances and their sum do not depend on the target and are
     computed once; only the denominator ``sum_ij (s_ij - t_ij)^2`` is per
-    target. It is formed without materializing ``T``, whose entries are
-    exactly ``sigma2`` on the diagonal and ``theta2`` off it (``1`` and
-    ``0`` for the identity). Every floating-point operation keeps the order
-    of the explicit formula, so each value is bit-identical to it. The pass
-    peaks at two ``p x p`` arrays whatever the number of targets: the
-    scatter ``R^T R`` and one scratch buffer. ``S`` is never kept; each
-    denominator divides the scatter into the buffer afresh, and the
-    numerator then overwrites the scatter in place once no target needs it.
+    target, formed without materializing ``T``, whose entries are exactly
+    ``sigma2`` on the diagonal and ``theta2`` off it (``1`` and ``0`` for
+    the identity). The centered rows ``R`` (``n x p``) give the sums in one
+    of two forms, picked by the test :func:`_spectrum` makes:
+    :func:`_lw_sums_gram` when ``n < p``, which forms no ``p x p`` array,
+    and :func:`_lw_sums_entrywise` otherwise.
     """
     if any(target.kind == "custom" for target in targets):
         raise ValueError("lw_lambda supports the identity and equal-correlation targets")
     resid, dof = _centered_rows(data, group_means(data))
-    n, p = data.n, data.p
+    n, p = resid.shape
+    sums = _lw_sums_gram if n < p else _lw_sums_entrywise
+    sum_var_s, denoms = sums(resid, dof, targets)
+    return [0.0 if denom <= 0.0 else float(np.clip(sum_var_s / denom, 0.0, 1.0)) for denom in denoms]
+
+
+def _lw_sums_entrywise(
+    resid: np.ndarray, dof: int, targets: Sequence[ShrinkageTarget]
+) -> tuple[float, list[float]]:
+    """The numerator and the per-target denominators of :func:`_lw_lambdas`, entry by entry of ``S``.
+
+    Every floating-point operation keeps the order of the explicit formula,
+    so each sum is bit-identical to it; where ``S = T`` exactly (``p = 1``
+    with the default ``sigma2``), the denominator is exactly ``0``. The pass
+    peaks at two ``p x p`` arrays whatever the number of targets, the
+    scatter ``R^T R`` and one scratch buffer, which at ``n >= p`` is at most
+    twice the data. ``S`` is never kept; each denominator divides the
+    scatter into the buffer afresh, and the numerator then overwrites the
+    scatter in place once no target needs it.
+    """
+    n, p = resid.shape
     scatter = resid.T @ resid
     buf = np.empty_like(scatter)
     diag_s = np.diag(scatter) / dof
@@ -594,8 +612,47 @@ def _lw_lambdas(data: GroupedDataset, targets: Sequence[ShrinkageTarget]) -> lis
     np.matmul(sq.T, sq, out=buf)
     np.subtract(buf, prod, out=prod)
     prod *= n / ((n - 1.0) * dof * dof)
-    sum_var_s = np.sum(prod)
-    return [0.0 if denom <= 0.0 else float(np.clip(sum_var_s / denom, 0.0, 1.0)) for denom in denoms]
+    return np.sum(prod), denoms
+
+
+def _lw_sums_gram(
+    resid: np.ndarray, dof: int, targets: Sequence[ShrinkageTarget]
+) -> tuple[float, list[float]]:
+    """The sums of :func:`_lw_sums_entrywise` from the ``n x n`` Gram matrix ``G = R R^T``.
+
+    Each sum over the ``p^2`` entries of ``S = R^T R / dof`` reduces to
+    quantities of ``R`` (Ledoit and Wolf 2004; Schäfer and Strimmer 2005):
+    ``||R^T R||_F^2 = ||G||_F^2``, ``sum_k ||r_k||^4`` from ``diag G``,
+    ``diag S`` from the column sums of ``R * R``, and ``1^T S 1 =
+    ||R 1||^2 / dof``. The numerator is
+    ``(sum_k ||r_k||^4 - ||G||_F^2 / n) n / ((n - 1) dof^2)``. The
+    denominator sums the diagonal ``(s_ii - sigma2)^2`` entry by entry and
+    expands the off-diagonal part as
+    ``||S||_F^2 - ||diag S||^2 - 2 theta2 (1^T S 1 - tr S) + p (p - 1) theta2^2``.
+    That expansion cannot cancel to zero: at ``n < p``, ``S`` has at least
+    ``p - n + K`` zero eigenvalues, so by Hoffman-Wielandt the denominator
+    is at least the summed squares of as many eigenvalues of the positive
+    definite ``T``, about ``(p - n + K) (sigma2 - theta2)^2``. Time is
+    ``O(n^2 p)`` and no array larger than ``R`` is formed. The sums agree with the entrywise
+    form to rounding, not bit for bit.
+    """
+    n, p = resid.shape
+    gram = resid @ resid.T
+    norms2 = np.diag(gram)
+    gram_f2 = float(np.sum(gram * gram))
+    sum_var_s = (float(norms2 @ norms2) - gram_f2 / n) * (n / ((n - 1.0) * dof * dof))
+    diag_s = np.einsum("ki,ki->i", resid, resid) / dof
+    default_sigma2 = float(np.mean(diag_s))
+    off_f2 = gram_f2 / (dof * dof) - float(diag_s @ diag_s)  # sum_{i != j} s_ij^2
+    row_sums = resid.sum(axis=1)
+    off_sum = (float(row_sums @ row_sums) - float(np.sum(norms2))) / dof  # 1^T S 1 - tr S
+
+    denoms = []
+    for target in targets:
+        sigma2, theta2 = target._fixed_params(p, default_sigma2)
+        diag_f2 = float(np.sum(np.square(diag_s - sigma2)))
+        denoms.append(diag_f2 + off_f2 - 2.0 * theta2 * off_sum + p * (p - 1.0) * theta2 * theta2)
+    return sum_var_s, denoms
 
 
 def mahalanobis_sq(cov: RegularizedCovariance | SpectralCovariance, d) -> float:

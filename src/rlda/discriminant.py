@@ -98,7 +98,7 @@ def resolve_priors(spec, counts: np.ndarray) -> np.ndarray:
             raise ValueError(f"priors must have length {k}")
         require_finite(pri, "priors")
         if np.any(pri <= 0):
-            raise ValueError("priors must be strictly positive")
+            raise ValueError(f"priors must be strictly positive, got {pri[pri <= 0][0]}")
         if abs(pri.sum() - 1.0) > 1e-8:
             raise ValueError(f"priors must sum to 1, got {pri.sum()}")
     return pri / pri.sum()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import NotPositiveDefiniteError, require_lower_bound, require_unit_interval
+from ._linalg import NotPositiveDefiniteError, require_count, require_lower_bound, require_unit_interval
 from .covariance import (
     DEFAULT_THETA2,
     ShrinkageTarget,
@@ -86,7 +86,7 @@ class CvConfig:
     stratified: bool = True
 
     def __post_init__(self):
-        require_lower_bound(self.folds, "folds", 2)
+        object.__setattr__(self, "folds", require_count(self.folds, "folds", 2))
         for name in ("lambda_grid", "delta_grid"):
             grid = getattr(self, name)
             if grid is not None:
@@ -136,7 +136,7 @@ def make_folds(data: GroupedDataset, folds: int, seed: int, stratified: bool = T
     refuse a split whose smallest training fold keeps at most ``K`` rows,
     too few for the within-group pooled covariance.
     """
-    require_lower_bound(folds, "folds", 2)
+    folds = require_count(folds, "folds", 2)
     rng = np.random.default_rng(seed)
     assignment = np.empty(data.n, dtype=int)
     if stratified:

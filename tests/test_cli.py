@@ -414,6 +414,16 @@ class TestErrors:
         assert f"priors must be finite, got {bad}" in capsys.readouterr().err
         assert not model.exists() and not out.exists()
 
+    @pytest.mark.parametrize("algorithm", ["chol", "svd"])
+    @pytest.mark.parametrize("priors,bad", [("0,1", "0.0"), ("1.5,-0.5", "-0.5")])
+    def test_fit_names_a_non_positive_prior(self, tmp_path, capsys, algorithm, priors, bad):
+        model, out = tmp_path / "m.json", tmp_path / "fit.json"
+        capsys.readouterr()
+        assert run(["fit", "--data", FIXTURE, "--label", "cohort", "--algorithm", algorithm, "--lambda", "0.5",
+                    "--priors", priors, "--model", model, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: priors must be strictly positive, got {bad}\n"
+        assert not model.exists() and not out.exists()
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -904,10 +914,11 @@ class TestErrors:
         [
             (["experiment", "--seed", 1, "--n", 10, "--m", 10, "--p", 12, "--folds", 1], "folds must be at least 2"),
             (["quantize-demo", "--seed", 1, "--n", 0], "n must be at least 1, got 0"),
+            (["quantize-demo", "--seed", 1, "--reps", 0], "error: --reps must be at least 1, got 0"),
             (["simulate", "--seed", 1, "--n", 0, "--p", 10, "--data-out", "{tmp}/d.csv"],
              "n must be at least 1, got 0"),
         ],
-        ids=["experiment-folds", "quantize-demo-n", "simulate-n"],
+        ids=["experiment-folds", "quantize-demo-n", "quantize-demo-reps", "simulate-n"],
     )
     def test_bad_sizes_are_refused(self, tmp_path, capsys, args, message):
         capsys.readouterr()

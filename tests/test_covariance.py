@@ -188,6 +188,9 @@ LW_TARGETS = (
 )
 
 
+LW_GRAM_RTOL = 1e-13  # the n < p form against the entrywise sums; observed within 1e-15
+
+
 def paper_data(p, seed):
     return simulate(SimulationConfig(n=50, m=50, p=p, sigma=1.0, c=0.4, shift=sparse_shift(p, 5, 3.0), seed=seed))
 
@@ -263,10 +266,43 @@ class TestLwLambda:
     @pytest.mark.parametrize("p", [40, 1000])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_shared_pass_equals_one_target_calls(self, p, seed):
-        # The targets share S and the numerator and reuse one buffer for their denominators.
-        d = paper_data(p, seed)
+        # The targets share the numerator; each one-target call is the shared pass exactly.
+        d = paper_data(p, seed)  # n = 100
+        lams = _lw_lambdas(d, LW_TARGETS)
+        assert lams == [lw_lambda(d, target) for target in LW_TARGETS]
         expected = [explicit_lw(d, target) for target in LW_TARGETS]
-        assert _lw_lambdas(d, LW_TARGETS) == [lw_lambda(d, target) for target in LW_TARGETS] == expected
+        if d.n < p:  # the Gram form agrees with the entrywise sums to rounding
+            assert_allclose(lams, expected, rtol=LW_GRAM_RTOL, atol=0)
+        else:
+            assert lams == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gram_form_matches_explicit_sums_when_n_below_p(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = tuple(int(c) for c in rng.integers(3, 10, size=int(rng.integers(2, 5))))
+        d = random_grouped(rng, counts, p=sum(counts) + int(rng.integers(1, 80)))
+        assert d.n < d.p
+        expected = [explicit_lw(d, target) for target in LW_TARGETS]
+        assert all(0.0 < lam < 1.0 for lam in expected)
+        assert_allclose(_lw_lambdas(d, LW_TARGETS), expected, rtol=LW_GRAM_RTOL, atol=0)
+
+    def test_gram_form_forms_no_p_by_p_array(self):
+        p = 4000
+        d = paper_data(p, seed=1)  # n = 100
+        tracemalloc.start()
+        try:
+            _lw_lambdas(d, LW_TARGETS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A few n x p arrays (3.2 MB each); one p x p array is 128 MB.
+        assert peak <= 4 * d.n * p * 8
+
+    def test_target_equal_to_s_gives_exactly_zero(self):
+        # At p = 1 the equal-correlation target with its default sigma2 is S itself.
+        for seed in range(200):
+            d = random_grouped(np.random.default_rng(seed), (5, 6), p=1)
+            assert lw_lambda(d, ShrinkageTarget.equal_correlation()) == 0.0, seed
 
     @pytest.mark.parametrize(
         "estimate",
@@ -282,7 +318,7 @@ class TestLwLambda:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The scatter and one scratch buffer, plus the n x p residuals and their squares.
+        # At n < p the Gram form holds no p x p array, far below this entrywise-form bound.
         assert peak <= 2.5 * p * p * 8
 
 

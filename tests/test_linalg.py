@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from rlda._linalg import require_lower_bound
+from rlda._linalg import require_count, require_lower_bound
 from rlda.bayes import (
     GaussianPrior,
     james_stein,
@@ -44,6 +44,34 @@ class TestLowerBoundRule:
     def test_refusal_names_the_bound_and_the_value(self, value, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             require_lower_bound(value, "n", **kwargs)
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)])
+    def test_accepts_a_whole_number_and_returns_an_int(self, value):
+        result = require_count(value, "folds", 2)
+        assert result == 3 and type(result) is int
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (2.5, "folds must be an integer, got 2.5"),
+            (1, "folds must be at least 2, got 1"),
+            (float("nan"), "folds must be finite, got nan"),
+        ],
+    )
+    def test_refusal_names_the_count_and_the_value(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            require_count(value, "folds", 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda v: CvConfig(folds=v), lambda v: make_folds(_TWO_GROUPS, v, seed=0)],
+        ids=["cv-config", "make-folds"],
+    )
+    def test_a_non_integer_fold_count_is_refused_by_name(self, call):
+        with pytest.raises(ValueError, match=f"^{re.escape('folds must be an integer, got 2.5')}$"):
+            call(2.5)
 
 
 def _prior():
